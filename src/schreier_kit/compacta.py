@@ -5,6 +5,12 @@ schreier) against columns from the product family (prod(schreier,cube(n,n))
 or S2), both optionally restricted to an index set and truncated to
 [1..bound]; the entry is the parity kernel of the pair.  L-mode swaps the
 roles, so each row is one kernel function of the second coordinate.
+
+Both modes fill the whole grid with one ``kernel.parity_matrix`` call (the
+L-mode grid is its transpose): a label table of the second coordinates'
+block indices is gathered once per position of the first coordinates,
+so no entry costs a Python call.  The CSV and PBM writers render the 0/1
+grid from one byte buffer; only the set labels are formatted per row.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import _threads
 from .family import (All, IndexSet, base_family, enumerate_members,
                      product_family, restricted)
 from .finset import FinSet, interval
-from .kernel import block_sets, _parity_blocks, decompose, parity
+from .kernel import (block_sets, _parity_blocks, decompose, parity,
+                     parity_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,19 +78,9 @@ def matrix_from_sets(mode: str, rows: list[FinSet], cols: list[FinSet],
 
 def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
     if mode == "K":
-        col_blocks = [block_sets(t) for t in cols]
-
-        def one_row(s: FinSet):
-            return [_parity_blocks(s.elems, bs) for bs in col_blocks]
+        entries = parity_matrix(rows, cols)
     else:
-        row_blocks = {t: block_sets(t) for t in rows}
-
-        def one_row(t: FinSet):
-            bs = row_blocks[t]
-            return [_parity_blocks(s.elems, bs) for s in cols]
-
-    data = _threads.map_ordered(one_row, rows)
-    entries = np.array(data, dtype=np.uint8).reshape(len(rows), len(cols))
+        entries = np.ascontiguousarray(parity_matrix(cols, rows).T)
     return ThetaMatrix(mode=mode, alpha=alpha, index=index,
                        row_bound=row_bound, col_bound=col_bound,
                        rows=tuple(rows), cols=tuple(cols), entries=entries)
@@ -95,22 +91,32 @@ def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _grid_rows(entries: np.ndarray, sep: str) -> list[str]:
+    """Each row of a 0/1 grid as its digits joined by ``sep`` ("" for a
+    row of no columns), rendered from one byte buffer."""
+    h, w = entries.shape
+    cells = np.empty((h, w, 2), dtype=np.uint8)
+    cells[:, :, 0] = entries + ord("0")
+    cells[:, :, 1] = ord(sep)
+    # drop the separator after each row's last digit
+    grid = cells.reshape(h, 2 * w)[:, :-1]
+    text, n = grid.tobytes().decode("ascii"), grid.shape[1]
+    return [text[i * n:(i + 1) * n] for i in range(h)]
+
+
 def to_csv(m: ThetaMatrix) -> str:
     """First row and first column carry the set labels as space-separated
     elements (empty cell for the empty set)."""
     lines = ["," + ",".join(t.csv_cell() for t in m.cols)]
-    for s, row in zip(m.rows, m.entries):
-        lines.append(s.csv_cell() + "," + ",".join(str(int(v)) for v in row))
+    for s, row in zip(m.rows, _grid_rows(m.entries, ",")):
+        lines.append(s.csv_cell() + "," + row)
     return "\n".join(lines) + "\n"
 
 
 def to_pbm(m: ThetaMatrix) -> str:
     """Plain PBM (P1) bitmap of the 0/1 entries."""
     h, w = m.entries.shape
-    lines = ["P1", f"{w} {h}"]
-    for row in m.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["P1", f"{w} {h}"] + _grid_rows(m.entries, " ")) + "\n"
 
 
 # ---------------------------------------------------------------------------

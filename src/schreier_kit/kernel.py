@@ -11,12 +11,21 @@ hits of s against those blocks and keeps only the parity:
 
 with s = {m_0 < ... < m_k}.  Conventions: inner(empty, t) = 0 and
 inner(s, empty) = 0, so parity(empty, t) = parity(s, empty) = 1.
+
+``inner``/``parity`` are the scalar oracle.  ``parity_matrix`` evaluates
+many pairs at once from a label table: ``label[m, j]`` is the index of the
+block of the j-th second coordinate that holds m, or -1.  Position i of a
+first coordinate s hits exactly when ``label[s_i, j] == i``, so one table
+gather per position, XOR-accumulated into a uint8 array, gives the parity
+of every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .finset import FinSet
 
@@ -120,6 +129,41 @@ def dependency_radius(fixed: FinSet) -> int:
     if not fixed:
         raise ValueError("the radius of an empty coordinate is undefined")
     return fixed.max
+
+
+def parity_matrix(ss, ts) -> np.ndarray:
+    """``out[i, j] == parity(ss[i], ts[j])`` as a uint8 array of shape
+    (len(ss), len(ts)); every ts[j] must be empty or decompose.
+
+    The label table has a row for each value 0..max t and one more row of
+    -1, ``miss``: the padding of a short s, and every element above max t,
+    read that row.  Only positions below the deepest decomposition can
+    hit.  Per-pair temporaries are bool or the label dtype (one byte below
+    128 blocks), never a wide integer.
+    """
+    decs = [_decompose_elems(t.elems) if t else () for t in ts]
+    depth = max(map(len, decs), default=0)
+    miss = max((t.max_or_0 for t in ts), default=0) + 1
+    label = np.full((miss + 1, len(ts)), -1, dtype=np.min_scalar_type(-depth - 1))
+    values, cols, idx = [], [], []
+    for j, blocks in enumerate(decs):
+        for i, b in enumerate(blocks):
+            values.extend(b)
+            cols.extend([j] * len(b))
+            idx.extend([i] * len(b))
+    label[values, cols] = idx
+
+    width = min(depth, max(map(len, ss), default=0))
+    pos = np.full((len(ss), width), miss, dtype=np.intp)
+    for r, s in enumerate(ss):
+        head = s.elems[:width]
+        pos[r, :len(head)] = head
+    np.minimum(pos, miss, out=pos)
+
+    out = np.ones((len(ss), len(ts)), dtype=np.uint8)
+    for i in range(width):
+        out ^= label[pos[:, i]] == i
+    return out
 
 
 def _parity_blocks(s_elems: tuple[int, ...], block_sets: tuple) -> int:

@@ -26,7 +26,7 @@ from .family import (SCHREIER, SCHREIER_SQUARE, All, Cube, Powers, Restrict,
 from .finset import EMPTY, FinSet, interval
 from .ordinal import Ordinal
 from .kernel import (NotInS2Error, _parity_blocks, block_sets, decompose,
-                     inner, parity)
+                     inner, parity, parity_matrix)
 
 _MAX_RECORDED_FAILURES = 20
 
@@ -391,21 +391,6 @@ def _pads_for(t: FinSet, hi: int):
         a += 1
 
 
-def _parity_vector(s_arr: np.ndarray, s_len: np.ndarray,
-                   blocks, value_hi: int) -> np.ndarray:
-    """Kernel values for many first coordinates at once.
-
-    ``s_arr`` holds one row per set, zero-padded; ``s_len`` the true sizes.
-    Must agree with the scalar kernel, and the caller spot-checks that.
-    """
-    hits = np.zeros(len(s_arr), dtype=np.int64)
-    for i in range(min(s_arr.shape[1], len(blocks))):
-        lut = np.zeros(value_hi + 1, dtype=bool)
-        lut[list(blocks[i])] = True
-        hits += lut[s_arr[:, i]] & (s_len > i)
-    return ((hits + 1) & 1).astype(np.uint8)
-
-
 def _suite_parity_local_constancy(cap):
     bound = _eff(12, cap)
     horizon = _eff(40, None if cap is None else cap * 4)
@@ -452,21 +437,18 @@ def _suite_parity_local_constancy(cap):
 
     ss_by_max = sorted(ss, key=lambda s: s.max_or_0)
     maxes = [s.max_or_0 for s in ss_by_max]
-    width = max(len(s) for s in ss_by_max)
-    s_arr = np.zeros((len(ss_by_max), width), dtype=np.int64)
-    s_len = np.array([len(s) for s in ss_by_max])
-    for i, s in enumerate(ss_by_max):
-        s_arr[i, :len(s)] = s.elems
     spot = 0
     for t in ts:
-        base = _parity_vector(s_arr, s_len, tb[t], horizon)
+        pads = []
         for pad in _pads_for(t, horizon):
             t2 = t | pad
-            if not member(SCHREIER_SQUARE, t2):
-                continue
-            bs2 = block_sets(t2)
+            if member(SCHREIER_SQUARE, t2):
+                pads.append((pad, t2))
+        grid = parity_matrix(ss_by_max, [t] + [t2 for _, t2 in pads])
+        base = grid[:, 0]
+        for k, (pad, t2) in enumerate(pads, 1):
             cut = bisect.bisect_left(maxes, pad.min)
-            padded = _parity_vector(s_arr[:cut], s_len[:cut], bs2, horizon)
+            padded = grid[:cut, k]
             col.cases += cut
             if not np.array_equal(padded, base[:cut]):
                 for i in np.nonzero(padded != base[:cut])[0]:
@@ -478,7 +460,7 @@ def _suite_parity_local_constancy(cap):
             spot += 1
             if spot % 97 == 0 and cut:
                 i = spot % cut
-                want = _parity_blocks(ss_by_max[i].elems, bs2)
+                want = _parity_blocks(ss_by_max[i].elems, block_sets(t2))
                 col.check(padded[i] == want,
                           f"vector spot-check s={ss_by_max[i]}, t2={t2}",
                           want, int(padded[i]))

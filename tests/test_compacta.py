@@ -1,5 +1,6 @@
 """Truncated kernel matrices, row injectivity, witnesses, and separators."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -84,6 +85,30 @@ class TestMatrixConstruction:
             else:
                 os.environ["SCHREIER_KIT_THREADS"] = saved
         assert len(outs) == 1
+
+
+class TestSerialization:
+    def test_degenerate_shapes(self):
+        no_cols = matrix_from_sets("K", [FinSet((2, 3))], [])
+        assert to_csv(no_cols) == ",\n2 3,\n"
+        assert to_pbm(no_cols) == "P1\n0 1\n\n"
+        no_rows = matrix_from_sets("K", [], [FinSet((2, 3))])
+        assert to_csv(no_rows) == ",2 3\n"
+        assert to_pbm(no_rows) == "P1\n1 0\n"
+
+    @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha", [
+        ("K", 10, (144, 489),
+         "b5efea11ff1acddd344ae21113271ae49a778f764e6ac5312ed2e8becf25ed15",
+         "b2d65593f8c9b49d5679f935ac843d817e0c1ac8c4f24fb716e3c093f2f57c8c"),
+        ("L", 9, (251, 89),
+         "1908385d8f903a8820071581df3c9da763f3ee2e2a18c9f06e1fcaf90fdb3e9d",
+         "1855519785975780c42e5e590f8d45aa5e493bccf04776a7353bdcc2163c907f"),
+    ])
+    def test_golden_digests(self, mode, bound, shape, csv_sha, pbm_sha):
+        m = build_matrix(mode, "w", All(), bound, bound)
+        assert m.shape == shape
+        assert hashlib.sha256(to_csv(m).encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
 
 
 class TestInjectivity:

@@ -7,11 +7,13 @@ and membership coherence are then statements about that enumeration.
 
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreier_kit import family
+from schreier_kit.compacta import matrix_from_sets
 from schreier_kit.finset import EMPTY, FinSet
 from schreier_kit.kernel import (
     Decomposition,
@@ -21,6 +23,7 @@ from schreier_kit.kernel import (
     dependency_radius,
     inner,
     parity,
+    parity_matrix,
 )
 
 
@@ -202,3 +205,32 @@ def test_union_decomposes_back_to_its_blocks(blocks):
     for b in blocks:
         union = union | b
     assert decompose(union).blocks == blocks
+
+
+@st.composite
+def kernel_grids(draw):
+    """Random S2 second coordinates plus the empty set, and first
+    coordinates drawn from their elements, their block minima, the empty
+    set and values above every max t."""
+    ts = [FinSet.of(itertools.chain.from_iterable(bs))
+          for bs in draw(st.lists(block_decompositions(), max_size=6))]
+    ts.append(EMPTY)
+    top = max(t.max_or_0 for t in ts)
+    pool = sorted({m for t in ts for m in t} | {top + 1, top + 9})
+    ss = [FinSet.of(els) for els in
+          draw(st.lists(st.sets(st.sampled_from(pool), max_size=6), max_size=8))]
+    ss += [decompose(t).minima for t in ts if t]
+    ss += [EMPTY, FinSet((top + 1,))]
+    return ss, ts
+
+
+@settings(derandomize=True, max_examples=150)
+@given(kernel_grids())
+def test_parity_matrix_matches_the_scalar_oracle(grid):
+    ss, ts = grid
+    want = np.array([[parity(s, t) for t in ts] for s in ss], dtype=np.uint8)
+    got = parity_matrix(ss, ts)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert np.array_equal(matrix_from_sets("K", ss, ts).entries, want)
+    assert np.array_equal(matrix_from_sets("L", ts, ss).entries, want.T)
