@@ -52,7 +52,8 @@ class CanonicalBlocks:
     both the previous block's end and the new chain element.
     """
 
-    def next_start(self, n: int, prev_end: int, m: int) -> int:
+    def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
+        # level is unused: canonical starts do not depend on the depth
         lo = max(n, prev_end, m)
         p = 1
         while p <= lo:
@@ -149,10 +150,7 @@ class DeltaChain:
                              f"<= {self.level}")
         gen = generator if generator is not None else self.generator
         prev_end = self.blocks[-1].max if self.blocks else 0
-        if isinstance(gen, SeededBlocks):
-            p = gen.next_start(self.level, prev_end, m, level=self.depth + 1)
-        else:
-            p = gen.next_start(self.level, prev_end, m)
+        p = gen.next_start(self.level, prev_end, m, level=self.depth + 1)
         block = interval(p, 2 * p - 1)
         return DeltaChain(self.level, self.support.with_element(m),
                           self.blocks + (block,), gen)

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .family import (All, IndexSet, base_family, enumerate_members,
-                     product_family, restricted)
+from .family import (SCHREIER, All, IndexSet, base_family, enumerate_members,
+                     member, product_family, restricted)
 from .finset import FinSet, interval
 from .kernel import (block_sets, _parity_blocks, decompose, parity,
                      parity_matrix)
@@ -173,7 +173,7 @@ def powers_witness(s0: FinSet, s1: FinSet) -> FinSet:
         raise ValueError("the two sets must differ")
     exps = []
     for s in (s0, s1):
-        if not member_schreier(s):
+        if not member(SCHREIER, s):
             raise ValueError(f"{s} is not schreier")
         es = []
         for m in s:
@@ -199,10 +199,6 @@ def powers_witness(s0: FinSet, s1: FinSet) -> FinSet:
     if parity(s0, d) == parity(s1, d):
         raise AssertionError(f"witness failed to separate {s0} and {s1}")
     return t
-
-
-def member_schreier(s: FinSet) -> bool:
-    return not s or len(s) <= s.min
 
 
 def schreier_sets_upto(bound: int, max_size: Optional[int] = None):

@@ -192,8 +192,10 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
     flat: list = []
     for x in (a, b):
         flat.extend(x.parts if isinstance(x, _Meet) else (x,))
-    # put a non-All enumerable part first as the scan leader
-    flat.sort(key=lambda p: isinstance(p, (All, From)))
+    # lead the scan with a finite part when there is one (so the scan ends),
+    # else with a part sparser than All and From
+    flat.sort(key=lambda p: (not isinstance(p, Explicit),
+                             isinstance(p, (All, From))))
     return _Meet(tuple(flat))
 
 
@@ -359,24 +361,34 @@ def _product_member(left: FamilyExpr, right: FamilyExpr, elems: tuple[int, ...])
         if isinstance(right, Schreier):
             return blocks <= elems[0]
         return blocks <= right.size and elems[0] >= right.floor
-    return _composition_search(left, right, elems)
+    return _composition_search(left, right, elems, _member)
+
+
+def _composition_minima(elems: tuple[int, ...], block_ok) -> Iterator[tuple[int, ...]]:
+    """Block-minima tuples of the consecutive-block compositions of elems
+    whose blocks all pass ``block_ok``; depth first, shortest first block
+    first."""
+    def walk(i: int, mins: tuple[int, ...]):
+        if i == len(elems):
+            yield mins
+            return
+        for j in range(i + 1, len(elems) + 1):
+            if block_ok(elems[i:j]):
+                yield from walk(j, mins + (elems[i],))
+
+    return walk(0, ())
 
 
 def _composition_search(left: FamilyExpr, right: FamilyExpr,
-                        elems: tuple[int, ...]) -> bool:
-    """Exhaustive scan of the 2^(#t-1) consecutive-block compositions."""
+                        elems: tuple[int, ...], member_fn) -> bool:
+    """Exhaustive scan of the 2^(#t-1) consecutive-block compositions,
+    deciding block and minima membership with ``member_fn``."""
+    if not elems:
+        return True
     if len(elems) > 24:
         raise ValueError("composition search limited to 24 elements")
-
-    def walk(i: int, mins: tuple[int, ...]) -> bool:
-        if i == len(elems):
-            return _member(right, mins)
-        for j in range(i + 1, len(elems) + 1):
-            if _member(left, elems[i:j]) and walk(j, mins + (elems[i],)):
-                return True
-        return False
-
-    return walk(0, ())
+    return any(member_fn(right, mins) for mins in
+               _composition_minima(elems, lambda b: member_fn(left, b)))
 
 
 def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
@@ -388,21 +400,8 @@ def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
 @cache
 def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if isinstance(expr, Product):
-        if not elems:
-            return True
-        if len(elems) > 24:
-            raise ValueError("composition search limited to 24 elements")
-
-        def walk(i: int, mins: tuple[int, ...]) -> bool:
-            if i == len(elems):
-                return _member_exhaustive(expr.right, mins)
-            for j in range(i + 1, len(elems) + 1):
-                if (_member_exhaustive(expr.left, elems[i:j])
-                        and walk(j, mins + (elems[i],))):
-                    return True
-            return False
-
-        return walk(0, ())
+        return _composition_search(expr.left, expr.right, elems,
+                                   _member_exhaustive)
     if isinstance(expr, Restrict):
         return (all(expr.index.contains(m) for m in elems)
                 and _member_exhaustive(expr.base, elems))
@@ -447,29 +446,10 @@ def _tail_threshold(expr: FamilyExpr, elems: tuple[int, ...]) -> int:
         t = _tail_threshold(expr.left, ())
         for i in range(len(elems)):
             t = max(t, _tail_threshold(expr.left, elems[i:]))
-        for mins in _all_composition_minima(expr.left, elems):
+        for mins in {(), *_composition_minima(elems, lambda b: True)}:
             t = max(t, _tail_threshold(expr.right, mins))
         return t
     raise TypeError(f"not a family expression: {expr!r}")
-
-
-def _all_composition_minima(left: FamilyExpr, elems: tuple[int, ...]):
-    """Minima tuples of every consecutive-block composition of elems,
-    regardless of block membership (a superset keeps the bound safe)."""
-    out = {()}
-    if elems:
-        seen = set()
-
-        def walk(i: int, mins: tuple[int, ...]):
-            if i == len(elems):
-                seen.add(mins)
-                return
-            for j in range(i + 1, len(elems) + 1):
-                walk(j, mins + (elems[i],))
-
-        walk(0, ())
-        out |= seen
-    return out
 
 
 def effective_index(expr: FamilyExpr) -> IndexSet:
@@ -678,10 +658,16 @@ def parse_index(text: str) -> IndexSet:
     return index
 
 
+# Deeper family nesting is refused at parse time; it would otherwise run
+# the recursive membership and formatting routines out of stack.
+_MAX_NESTING = 100
+
+
 class _FamParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def err(self, message: str):
         raise FamilySyntaxError(message, self.pos + 1)
@@ -736,20 +722,21 @@ class _FamParser:
             size = self.nat()
             self.expect(")")
             return Cube(floor, size)
-        if head == "prod":
+        if head in ("prod", "restrict"):
+            if self.depth == _MAX_NESTING:
+                self.pos = start
+                self.err(f"family nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             self.expect("(")
-            left = self.family()
+            first = self.family()
             self.expect(",")
-            right = self.family()
+            if head == "prod":
+                expr = Product(first, self.family())
+            else:
+                expr = Restrict(first, self.index_set())
             self.expect(")")
-            return Product(left, right)
-        if head == "restrict":
-            self.expect("(")
-            base = self.family()
-            self.expect(",")
-            index = self.index_set()
-            self.expect(")")
-            return Restrict(base, index)
+            self.depth -= 1
+            return expr
         self.pos = start
         self.err("expected a family expression")
 

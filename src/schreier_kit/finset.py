@@ -135,7 +135,3 @@ def interval(a: int, b: int) -> FinSet:
     if a < 1:
         raise ValueError("interval start must be >= 1")
     return FinSet(tuple(range(a, b + 1)))
-
-
-def precedes(s: FinSet, t: FinSet) -> bool:
-    return s.precedes(t)

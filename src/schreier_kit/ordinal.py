@@ -9,7 +9,6 @@ this carrier; it is closed under + and *.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 
 class OrdinalSyntaxError(ValueError):
@@ -20,10 +19,10 @@ class OrdinalSyntaxError(ValueError):
         self.offset = offset
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
-    # terms: tuple of (exponent, coefficient), exponents strictly decreasing
+    # terms: tuple of (exponent, coefficient), exponents strictly decreasing;
+    # tuple order on terms is exactly the Cantor normal form order
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
     def __post_init__(self):
@@ -82,18 +81,6 @@ class Ordinal:
         e, c = self.terms[-1]
         rest = self.terms[:-1]
         return Ordinal(rest if c == 1 else rest + ((e, c - 1),))
-
-    # -- order -------------------------------------------------------------
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        for (e, c), (f, d) in zip(self.terms, other.terms):
-            if e != f:
-                return e < f
-            if c != d:
-                return c < d
-        return len(self.terms) < len(other.terms)
 
     # -- arithmetic --------------------------------------------------------
 

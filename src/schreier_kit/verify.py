@@ -70,11 +70,6 @@ def _members(expr, bound: int) -> tuple[FinSet, ...]:
     return tuple(enumerate_members(expr, bound))
 
 
-def _subsets(universe: range):
-    for k in range(len(universe) + 1):
-        yield from itertools.combinations(universe, k)
-
-
 # ---------------------------------------------------------------------------
 # ordinal
 # ---------------------------------------------------------------------------
@@ -183,7 +178,7 @@ def _suite_ordinal_roundtrip(cap):
 def _suite_precedes_transitive(cap):
     bound = _eff(8, cap)
     col = _Collector()
-    subs = [FinSet(e) for e in _subsets(range(1, bound + 1))]
+    subs = [FinSet(e) for e in family._powerset(range(1, bound + 1))]
     nonempty = [s for s in subs if s]
     mx = np.array([s.max for s in nonempty])
     mn = np.array([s.min for s in nonempty])
@@ -254,7 +249,7 @@ def _suite_family_tail_uniformity(cap):
     col = _Collector()
     for expr in _family_corpus():
         idx = family.effective_index(expr)
-        for elems in _subsets(range(1, bound + 1)):
+        for elems in family._powerset(range(1, bound + 1)):
             s = FinSet(elems)
             lo = max(s.max_or_0, tail_threshold(expr, s))
             probes = family.index_elements_between(idx, lo, horizon)
@@ -351,7 +346,7 @@ def _valid_composition(blocks: list[tuple[int, ...]]) -> bool:
 def _suite_parity_decomposition_unique(cap):
     bound = _eff(12, cap)
     col = _Collector()
-    for elems in _subsets(range(1, bound + 1)):
+    for elems in family._powerset(range(1, bound + 1)):
         if not elems:
             continue
         valid = []
@@ -376,10 +371,6 @@ def _suite_parity_decomposition_unique(cap):
     return col
 
 
-def _schreier_upto(bound: int) -> list[FinSet]:
-    return list(compacta.schreier_sets_upto(bound))
-
-
 def _pads_for(t: FinSet, hi: int):
     """Singleton and dyadic-interval pads whose elements all exceed max t."""
     lo = t.max_or_0
@@ -395,7 +386,7 @@ def _suite_parity_local_constancy(cap):
     bound = _eff(12, cap)
     horizon = _eff(40, None if cap is None else cap * 4)
     col = _Collector()
-    ss = _schreier_upto(bound)
+    ss = list(compacta.schreier_sets_upto(bound))
     ts = list(_members(SCHREIER_SQUARE, bound))
     tb = {t: block_sets(t) for t in ts}
 
@@ -470,7 +461,7 @@ def _suite_parity_local_constancy(cap):
 def _suite_parity_sign_formula(cap):
     bound = _eff(12, cap)
     col = _Collector()
-    ss = _schreier_upto(bound)
+    ss = list(compacta.schreier_sets_upto(bound))
     ts = list(_members(SCHREIER_SQUARE, bound))
     for t in ts:
         if not t:
@@ -486,7 +477,7 @@ def _suite_parity_sign_formula(cap):
 def _suite_parity_decompose_member(cap):
     bound = _eff(12, cap)
     col = _Collector()
-    for elems in _subsets(range(1, bound + 1)):
+    for elems in family._powerset(range(1, bound + 1)):
         if not elems:
             continue
         t = FinSet(elems)

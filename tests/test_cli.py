@@ -61,6 +61,29 @@ class TestFam:
         assert (code, out) == (2, "")
         assert err == "error: expected ',' (offset 14)\n"
 
+    @staticmethod
+    def nested_products(depth):
+        return "prod(schreier, " * depth + "schreier" + ")" * depth
+
+    def test_nesting_up_to_100_levels_is_answered(self, run_cli):
+        code, out, err = run_cli(["fam", "member", self.nested_products(100),
+                                  "--s", "{3,4,5}"])
+        assert (code, err) == (0, "")
+        assert out.endswith('"member":true,"set":[3,4,5]}\n')
+
+    @pytest.mark.parametrize("cmd,depth", [("member", 101), ("member", 3000),
+                                           ("parse", 101), ("parse", 3000)])
+    def test_deeper_nesting_exits_2_with_the_offset(self, run_cli, cmd, depth):
+        argv = ["fam", cmd, self.nested_products(depth)]
+        if cmd == "member":
+            argv += ["--s", "{3,4,5}"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        # the offset points at the opening word of the 101st level
+        offset = len("prod(schreier, ") * 100 + 1
+        assert err == ("error: family nested deeper than 100 levels "
+                       f"(offset {offset})\n")
+
 
 class TestTheta:
     def test_eval_golden(self, run_cli):

@@ -13,13 +13,13 @@ from schreier_kit.compacta import (
     distinguishing_search,
     injectivity_report,
     matrix_from_sets,
-    member_schreier,
     powers_witness,
     schreier_sets_upto,
     to_csv,
     to_pbm,
 )
-from schreier_kit.family import All, Powers, SCHREIER_SQUARE, enumerate_members
+from schreier_kit.family import (All, Powers, SCHREIER, SCHREIER_SQUARE,
+                                 enumerate_members, member)
 from schreier_kit.finset import EMPTY, FinSet, interval
 
 CSV_3X3 = (",,1,2,3,2 3\n"
@@ -190,9 +190,9 @@ class TestSearch:
 
 class TestSchreierHelpers:
     def test_membership(self):
-        assert member_schreier(EMPTY)
-        assert member_schreier(FinSet((2, 3)))
-        assert not member_schreier(FinSet((1, 2)))
+        assert member(SCHREIER, EMPTY)
+        assert member(SCHREIER, FinSet((2, 3)))
+        assert not member(SCHREIER, FinSet((1, 2)))
 
     def test_enumeration_is_length_then_lex(self):
         got = [str(s) for s in schreier_sets_upto(4)]

@@ -7,7 +7,12 @@ pruned generator and a brute powerset filter.  The agreement tests here pin
 the two sides of each pair against one another on full truncations.
 """
 
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreier_kit import family
 from schreier_kit.family import (
@@ -125,6 +130,17 @@ class TestIndexSets:
         assert format_index(effective_index(expr)) == "powers(2)"
         assert format_index(effective_index(SCHREIER)) == "all"
 
+    def test_nested_finite_restriction_answers_in_either_order(self):
+        # the finite part leads the intersection scan, so neither order of
+        # the restrictions scans an infinite progression for a lost element
+        answers = []
+        for text in ("restrict(restrict(schreier, ap(2,2)), {3,5})",
+                     "restrict(restrict(schreier, {3,5}), ap(2,2))"):
+            start = time.perf_counter()
+            answers.append(is_maximal(parse_family(text), EMPTY))
+            assert time.perf_counter() - start < 1.0, text
+        assert answers == [True, True]
+
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
 
@@ -161,6 +177,55 @@ class TestMembership:
                 s = FinSet(tuple(m for m in range(1, 9) if mask >> (m - 1) & 1))
                 assert member(expr, s) == member_by_composition_search(expr, s), \
                     f"{format_family(expr)} disagrees at {s}"
+
+    def test_composition_search_is_limited_to_24_elements(self):
+        expr = parse_family("prod(schreier, restrict(schreier, powers(2)))")
+        s = FinSet(tuple(range(26, 51)))
+        assert len(s) == 25
+        for route in (member, member_by_composition_search):
+            with pytest.raises(ValueError, match="limited to 24 elements"):
+                route(expr, s)
+
+
+def cut_compositions(elems, block_ok):
+    """Block minima of every composition, one per cut vector (a 1 cuts
+    after that position), kept when every block passes; first cut first."""
+    out = []
+    for cuts in itertools.product((1, 0), repeat=len(elems) - 1):
+        blocks, start = [], 0
+        for i, cut in enumerate(cuts, 1):
+            if cut:
+                blocks.append(elems[start:i])
+                start = i
+        blocks.append(elems[start:])
+        if all(block_ok(b) for b in blocks):
+            out.append(tuple(b[0] for b in blocks))
+    return out
+
+
+BLOCK_FAMILIES = [None, SCHREIER, Cube(3, 2), restricted(SCHREIER, AP(2, 3))]
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.frozensets(st.integers(1, 30), min_size=1, max_size=10),
+       st.sampled_from(BLOCK_FAMILIES))
+def test_composition_walk_matches_cut_vectors(items, block_family):
+    elems = tuple(sorted(items))
+    if block_family is None:
+        def ok(b):
+            return True
+    else:
+        def ok(b):
+            return member(block_family, FinSet(b))
+    got = list(family._composition_minima(elems, ok))
+    # equal lists: the same multiset, walked shortest first block first
+    assert got == cut_compositions(elems, ok)
+    if block_family is None:
+        assert len(got) == 2 ** (len(elems) - 1)
+
+
+def test_composition_walk_of_the_empty_tuple():
+    assert list(family._composition_minima((), lambda b: False)) == [()]
 
 
 class TestEnumeration:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schreier_kit.finset import EMPTY, FinSet, interval, precedes
+from schreier_kit.finset import EMPTY, FinSet, interval
 
 finsets = st.frozensets(st.integers(1, 60), max_size=8).map(FinSet.of)
 
@@ -85,8 +85,8 @@ class TestPrecedes:
         assert not FinSet((1,)).precedes(EMPTY)
 
     def test_module_level_alias(self):
-        assert precedes(FinSet((1,)), FinSet((2,)))
-        assert not precedes(FinSet((2,)), FinSet((2,)))
+        assert FinSet((1,)).precedes(FinSet((2,)))
+        assert not FinSet((2,)).precedes(FinSet((2,)))
 
 
 class TestText:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from schreier_kit.ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalSyntaxError
+from schreier_kit.verify import _ordinal_corpus
 
 
 def o(text: str) -> Ordinal:
@@ -144,7 +145,33 @@ class TestArithmetic:
                     assert a * (b + c) == a * b + a * c
 
 
+def reference_lt(a: Ordinal, b: Ordinal) -> bool:
+    """Cantor normal form order written out term by term: the first
+    differing exponent decides, then the first differing coefficient, then
+    the shorter sum is the smaller."""
+    for (e, c), (f, d) in zip(a.terms, b.terms):
+        if e != f:
+            return reference_lt(e, f)
+        if c != d:
+            return c < d
+    return len(a.terms) < len(b.terms)
+
+
+def assert_order_matches_reference(a: Ordinal, b: Ordinal):
+    lt, gt = reference_lt(a, b), reference_lt(b, a)
+    eq = not lt and not gt
+    assert (a < b, a > b, a <= b, a >= b, a == b) == \
+        (lt, gt, lt or eq, gt or eq, eq), f"{a} vs {b}"
+
+
 class TestOrder:
+    def test_native_order_matches_the_reference_on_the_verify_corpus(self):
+        corpus = _ordinal_corpus()
+        assert len(corpus) == 64
+        for a in corpus:
+            for b in corpus:
+                assert_order_matches_reference(a, b)
+
     def test_strictly_increasing_chain(self):
         chain = [o(t) for t in
                  ["0", "1", "2", "w", "w+1", "w*2", "w^2", "w^2+w", "w^3", "w^w"]]
@@ -248,3 +275,4 @@ def test_random_triples_associate(a, b, c):
 @given(ordinals(), ordinals())
 def test_random_pairs_are_comparable(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
+    assert_order_matches_reference(a, b)
