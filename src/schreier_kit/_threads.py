@@ -2,8 +2,8 @@
 
 The default is a single worker; any worker count yields identical results
 because every mapped function here is pure and the assembly keeps input
-order.  No package module calls it since matrix fills were vectorized;
-``bench/tracer.py`` still wraps it by name.
+order.  No other package module imports or calls it; the module stays
+only because ``bench/tracer.py`` imports it by name.
 """
 
 from __future__ import annotations

@@ -43,11 +43,6 @@ class ThetaMatrix:
         return (len(self.rows), len(self.cols))
 
 
-def _kernel_pair(mode: str, s_like: FinSet, t_like: FinSet) -> tuple[FinSet, FinSet]:
-    # K-mode rows are first-coordinate sets; L-mode rows are second-coordinate
-    return (s_like, t_like) if mode == "K" else (t_like, s_like)
-
-
 def build_matrix(mode: str, alpha, index: IndexSet = All(),
                  row_bound: int = 8, col_bound: int = 8) -> ThetaMatrix:
     if mode not in ("K", "L"):

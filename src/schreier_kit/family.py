@@ -21,6 +21,7 @@ ranks in Cantor normal form all operate on these expressions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Optional, Union
@@ -182,6 +183,19 @@ class _Meet:
 IndexSet = Union[All, From, Powers, AP, Explicit, _Meet]
 
 
+def _ap_meet(a: AP, b: AP) -> Optional[AP]:
+    """The common elements of two progressions (Chinese remainder theorem),
+    or None when there are none."""
+    g = math.gcd(a.step, b.step)
+    if (b.start - a.start) % g:
+        return None
+    m = b.step // g
+    k = (b.start - a.start) // g * pow(a.step // g, -1, m) % m
+    step = a.step * m
+    lo = max(a.start, b.start)
+    return AP(lo + (a.start + k * a.step - lo) % step, step)
+
+
 def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
     if isinstance(a, All):
         return b
@@ -190,8 +204,21 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
     if isinstance(a, From) and isinstance(b, From):
         return From(max(a.start, b.start))
     flat: list = []
+    ap: Optional[AP] = None
     for x in (a, b):
-        flat.extend(x.parts if isinstance(x, _Meet) else (x,))
+        for p in x.parts if isinstance(x, _Meet) else (x,):
+            if not isinstance(p, AP):
+                flat.append(p)
+            elif ap is None:
+                ap = p
+            else:
+                ap = _ap_meet(ap, p)
+                if ap is None:
+                    return Explicit(FinSet())
+    if ap is not None:
+        if not flat:
+            return ap
+        flat.append(ap)
     # lead the scan with a finite part when there is one (so the scan ends),
     # else with a part sparser than All and From
     flat.sort(key=lambda p: (not isinstance(p, Explicit),

@@ -2,8 +2,8 @@
 
 Every suite replays one documented invariant, exhaustively at a truncation
 that a laptop handles in seconds.  ``run_suite`` returns a report whose
-serialized form is byte-stable across runs and worker counts; wall time is
-carried on the report object but never serialized.
+serialized form is byte-stable across runs; wall time is carried on the
+report object but never serialized.
 """
 
 from __future__ import annotations
@@ -50,14 +50,22 @@ class VerifyReport:
 
 
 class _Collector:
+    """Counts cases and records failures; ``label`` is a zero-argument
+    callable, so a case's text is built only when it is recorded."""
+
     def __init__(self):
         self.cases = 0
         self.failures: list[dict] = []
 
-    def check(self, ok: bool, case: str, expected, actual):
+    def check(self, ok: bool, label: Callable[[], str], expected, actual):
         self.cases += 1
-        if not ok and len(self.failures) < _MAX_RECORDED_FAILURES:
-            self.failures.append({"case": case, "expected": str(expected),
+        if not ok:
+            self.fail(label, expected, actual)
+
+    def fail(self, label: Callable[[], str], expected, actual):
+        """Record a failure of a case already counted."""
+        if len(self.failures) < _MAX_RECORDED_FAILURES:
+            self.failures.append({"case": label(), "expected": str(expected),
                                   "actual": str(actual)})
 
 
@@ -75,58 +83,52 @@ def _members(expr, bound: int) -> tuple[FinSet, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _ordinal_corpus() -> list[Ordinal]:
+def _ordinal_corpus(cap: Optional[int] = None) -> list[Ordinal]:
     """Every normal form with exponents from {0,1,2}, coefficients 1..3,
-    and at most three terms."""
+    and at most three terms; the first ``max(4, 4 * cap)`` under a cap."""
     exps = [Ordinal.zero(), Ordinal.nat(1), Ordinal.nat(2)]
     out = [Ordinal.zero()]
     for r in (1, 2, 3):
         for es in itertools.combinations(sorted(exps, reverse=True), r):
             for cs in itertools.product((1, 2, 3), repeat=r):
                 out.append(Ordinal(tuple(zip(es, cs))))
-    return out
+    return out if cap is None else out[:max(4, cap * 4)]
 
 
 def _suite_ordinal_associativity(cap):
     col = _Collector()
-    corpus = _ordinal_corpus()
-    if cap is not None:
-        corpus = corpus[:max(4, cap * 4)]
+    corpus = _ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
             ab_add = a + b
             ab_mul = a * b
             for c in corpus:
-                col.check((ab_add + c) == (a + (b + c)),
-                          f"add {a}|{b}|{c}", a + (b + c), ab_add + c)
-                col.check((ab_mul * c) == (a * (b * c)),
-                          f"mul {a}|{b}|{c}", a * (b * c), ab_mul * c)
+                lhs, rhs = ab_add + c, a + (b + c)
+                col.check(lhs == rhs, lambda: f"add {a}|{b}|{c}", rhs, lhs)
+                lhs, rhs = ab_mul * c, a * (b * c)
+                col.check(lhs == rhs, lambda: f"mul {a}|{b}|{c}", rhs, lhs)
     return col
 
 
 def _suite_ordinal_distributivity(cap):
     col = _Collector()
-    corpus = _ordinal_corpus()
-    if cap is not None:
-        corpus = corpus[:max(4, cap * 4)]
+    corpus = _ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
             for c in corpus:
                 lhs = a * (b + c)
                 rhs = a * b + a * c
-                col.check(lhs == rhs, f"{a}|{b}|{c}", rhs, lhs)
+                col.check(lhs == rhs, lambda: f"{a}|{b}|{c}", rhs, lhs)
     return col
 
 
 def _suite_ordinal_order(cap):
     col = _Collector()
-    corpus = _ordinal_corpus()
-    if cap is not None:
-        corpus = corpus[:max(4, cap * 4)]
+    corpus = _ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
             lt, gt, eq = a < b, b < a, a == b
-            col.check(lt + gt + eq == 1, f"trichotomy {a}|{b}",
+            col.check(lt + gt + eq == 1, lambda: f"trichotomy {a}|{b}",
                       "exactly one of <,>,=", f"{lt},{gt},{eq}")
     # transitivity on a thinner slice to stay quadratic-ish
     small = corpus[::3]
@@ -136,13 +138,14 @@ def _suite_ordinal_order(cap):
                 continue
             for c in small:
                 if b < c:
-                    col.check(a < c, f"transitivity {a}|{b}|{c}", True, False)
+                    col.check(a < c, lambda: f"transitivity {a}|{b}|{c}",
+                              True, False)
     for a in corpus:
         for b in corpus:
             for c in corpus:
                 if b < c:
-                    col.check(a + b < a + c, f"monotone {a}|{b}|{c}",
-                              True, a + b < a + c)
+                    ok = a + b < a + c
+                    col.check(ok, lambda: f"monotone {a}|{b}|{c}", True, ok)
     return col
 
 
@@ -166,7 +169,7 @@ def _suite_ordinal_roundtrip(cap):
         x = _random_ordinal(rng)
         text = str(x)
         back = Ordinal.parse(text)
-        col.check(back == x, text, x, back)
+        col.check(back == x, lambda: text, x, back)
     return col
 
 
@@ -187,14 +190,14 @@ def _suite_precedes_transitive(cap):
     bad = reach2 & ~P
     col.cases += len(nonempty) ** 3
     for i, j in zip(*np.nonzero(bad)):
-        col.check(False, f"{nonempty[i]} .. {nonempty[j]}",
-                  "two-step precedes implies precedes", "violated")
-        if len(col.failures) >= _MAX_RECORDED_FAILURES:
-            break
+        col.fail(lambda: f"{nonempty[i]} .. {nonempty[j]}",
+                 "two-step precedes implies precedes", "violated")
     for s in subs:
-        col.check(EMPTY.precedes(s), f"empty precedes {s}", True, False)
+        col.check(EMPTY.precedes(s), lambda: f"empty precedes {s}",
+                  True, False)
         if s:
-            col.check(not s.precedes(EMPTY), f"{s} precedes empty", False, True)
+            col.check(not s.precedes(EMPTY), lambda: f"{s} precedes empty",
+                      False, True)
     return col
 
 
@@ -205,14 +208,14 @@ def _suite_interval_structure(cap):
         for b in range(a, bound + 1):
             iv = interval(a, b)
             ok = len(iv) == b - a + 1 and iv.min == a and iv.max == b
-            col.check(ok, f"[{a},{b}]", "size/min/max consistent", str(iv))
+            col.check(ok, lambda: f"[{a},{b}]", "size/min/max consistent", iv)
     for a in range(1, bound + 1):
         for b in range(a, bound + 1):
             for c in range(1, bound + 1):
                 for d in range(c, bound + 1):
                     got = interval(a, b).precedes(interval(c, d))
-                    col.check(got == (b < c), f"[{a},{b}] vs [{c},{d}]",
-                              b < c, got)
+                    col.check(got == (b < c),
+                              lambda: f"[{a},{b}] vs [{c},{d}]", b < c, got)
     return col
 
 
@@ -238,8 +241,8 @@ def _suite_family_hereditary(cap):
             for r in range(len(s) + 1):
                 for sub in itertools.combinations(s.elems, r):
                     col.check(family._member(expr, sub),
-                              f"{family.format_family(expr)}: {FinSet(sub)} "
-                              f"under {s}", True, False)
+                              lambda: f"{family.format_family(expr)}: "
+                              f"{FinSet(sub)} under {s}", True, False)
     return col
 
 
@@ -255,8 +258,8 @@ def _suite_family_tail_uniformity(cap):
             probes = family.index_elements_between(idx, lo, horizon)
             vals = {family._member(expr, elems + (m,)) for m in probes}
             col.check(len(vals) <= 1,
-                      f"{family.format_family(expr)}: {s}",
-                      "constant tail membership", f"{sorted(vals)}")
+                      lambda: f"{family.format_family(expr)}: {s}",
+                      "constant tail membership", sorted(vals))
     return col
 
 
@@ -266,11 +269,11 @@ def _suite_family_enumeration(cap):
     for expr in _family_corpus():
         fast = list(_members(expr, bound))
         naive = family.enumerate_members_naive(expr, bound)
-        col.check(fast == naive, family.format_family(expr),
+        col.check(fast == naive, lambda: family.format_family(expr),
                   f"{len(naive)} members", f"{len(fast)} members")
         sizes = [len(_members(expr, m)) for m in range(1, bound + 1)]
         col.check(all(x <= y for x, y in zip(sizes, sizes[1:])),
-                  f"{family.format_family(expr)} monotone counts",
+                  lambda: f"{family.format_family(expr)} monotone counts",
                   "nondecreasing", sizes)
     return col
 
@@ -281,16 +284,18 @@ def _suite_family_rank_consistency(cap):
     for n in range(1, 5):
         expr = Cube(n, n)
         at_n = enumerate_members(family.iterated_derivative(expr, n), bound)
-        col.check(at_n == [EMPTY], f"cube({n},{n}) after {n} derivatives",
+        col.check(at_n == [EMPTY],
+                  lambda: f"cube({n},{n}) after {n} derivatives",
                   "only the empty set", [str(s) for s in at_n])
         at_n1 = enumerate_members(family.iterated_derivative(expr, n + 1), bound)
-        col.check(at_n1 == [], f"cube({n},{n}) after {n + 1} derivatives",
+        col.check(at_n1 == [],
+                  lambda: f"cube({n},{n}) after {n + 1} derivatives",
                   "empty", [str(s) for s in at_n1])
     small = _eff(10, cap)
     for a, k in ((1, 3), (2, 2), (3, 4)):
         lhs = enumerate_members(family.derivative(Cube(a, k)), small)
         rhs = enumerate_members(Cube(a, k - 1), small)
-        col.check(lhs == rhs, f"derivative of cube({a},{k})",
+        col.check(lhs == rhs, lambda: f"derivative of cube({a},{k})",
                   f"cube({a},{k - 1})", f"{len(lhs)} members")
     golds = [(SCHREIER, "w+1"), (SCHREIER_SQUARE, "w^2+1")]
     golds += [(Cube(n, n), str(n + 1)) for n in range(1, 7)]
@@ -299,7 +304,7 @@ def _suite_family_rank_consistency(cap):
     golds += [(Restrict(SCHREIER_SQUARE, Powers(2)), "w^2+1")]
     for expr, want in golds:
         got = str(family.rank(expr))
-        col.check(got == want, family.format_family(expr), want, got)
+        col.check(got == want, lambda: family.format_family(expr), want, got)
     return col
 
 
@@ -313,15 +318,15 @@ def _suite_family_level_union(cap):
     for n in range(1, bound + 1):
         base_n = set(_members(Cube(n, n), bound))
         prod_n = set(_members(product_family(n), bound))
-        col.check(base_n <= s_all, f"cube({n},{n}) inside schreier",
+        col.check(base_n <= s_all, lambda: f"cube({n},{n}) inside schreier",
                   "subset", sorted(str(s) for s in base_n - s_all)[:3])
-        col.check(prod_n <= s2_all, f"level-{n} product inside S2",
+        col.check(prod_n <= s2_all, lambda: f"level-{n} product inside S2",
                   "subset", sorted(str(s) for s in prod_n - s2_all)[:3])
         base_union |= base_n
         prod_union |= prod_n
-    col.check(base_union == s_all, "union of cube levels",
+    col.check(base_union == s_all, lambda: "union of cube levels",
               f"{len(s_all)} sets", f"{len(base_union)} sets")
-    col.check(prod_union == s2_all, "union of product levels",
+    col.check(prod_union == s2_all, lambda: "union of product levels",
               f"{len(s2_all)} sets", f"{len(prod_union)} sets")
     return col
 
@@ -362,11 +367,11 @@ def _suite_parity_decomposition_unique(cap):
                 valid.append(tuple(blocks))
         is_member = member(SCHREIER_SQUARE, FinSet(elems))
         col.check(len(valid) == (1 if is_member else 0),
-                  f"{FinSet(elems)}", "one composition iff member",
+                  lambda: f"{FinSet(elems)}", "one composition iff member",
                   f"member={is_member}, {len(valid)} compositions")
         if is_member and valid:
             got = tuple(b.elems for b in decompose(FinSet(elems)).blocks)
-            col.check(got == valid[0], f"greedy at {FinSet(elems)}",
+            col.check(got == valid[0], lambda: f"greedy at {FinSet(elems)}",
                       valid[0], got)
     return col
 
@@ -396,32 +401,18 @@ def _suite_parity_local_constancy(cap):
         mt = t.max_or_0
         seen: dict = {}
         for s in ss:
-            key = s.restrict_to(mt).elems
             v = _parity_blocks(s.elems, bs)
-            col.cases += 1
-            if key in seen:
-                if seen[key][0] != v and len(col.failures) < _MAX_RECORDED_FAILURES:
-                    col.failures.append({
-                        "case": f"t={t}, s={s} vs s'={seen[key][1]}",
-                        "expected": str(seen[key][0]), "actual": str(v)})
-            else:
-                seen[key] = (v, s)
+            v0, s0 = seen.setdefault(s.restrict_to(mt).elems, (v, s))
+            col.check(v0 == v, lambda: f"t={t}, s={s} vs s'={s0}", v0, v)
 
     # and the second coordinate only inside [1..max s]
     for s in ss:
         ms = s.max_or_0
         seen = {}
         for t in ts:
-            key = t.restrict_to(ms).elems
             v = _parity_blocks(s.elems, tb[t])
-            col.cases += 1
-            if key in seen:
-                if seen[key][0] != v and len(col.failures) < _MAX_RECORDED_FAILURES:
-                    col.failures.append({
-                        "case": f"s={s}, t={t} vs t'={seen[key][1]}",
-                        "expected": str(seen[key][0]), "actual": str(v)})
-            else:
-                seen[key] = (v, t)
+            v0, t0 = seen.setdefault(t.restrict_to(ms).elems, (v, t))
+            col.check(v0 == v, lambda: f"s={s}, t={t} vs t'={t0}", v0, v)
 
     # padding the second coordinate beyond max s never moves the kernel
     import bisect
@@ -441,20 +432,15 @@ def _suite_parity_local_constancy(cap):
             cut = bisect.bisect_left(maxes, pad.min)
             padded = grid[:cut, k]
             col.cases += cut
-            if not np.array_equal(padded, base[:cut]):
-                for i in np.nonzero(padded != base[:cut])[0]:
-                    if len(col.failures) >= _MAX_RECORDED_FAILURES:
-                        break
-                    col.failures.append({
-                        "case": f"s={ss_by_max[i]}, t={t}, pad={pad}",
-                        "expected": str(base[i]), "actual": str(padded[i])})
+            for i in np.nonzero(padded != base[:cut])[0]:
+                col.fail(lambda: f"s={ss_by_max[i]}, t={t}, pad={pad}",
+                         base[i], padded[i])
             spot += 1
             if spot % 97 == 0 and cut:
                 i = spot % cut
                 want = _parity_blocks(ss_by_max[i].elems, block_sets(t2))
-                col.check(padded[i] == want,
-                          f"vector spot-check s={ss_by_max[i]}, t2={t2}",
-                          want, int(padded[i]))
+                col.check(padded[i] == want, lambda: "vector spot-check "
+                          f"s={ss_by_max[i]}, t2={t2}", want, int(padded[i]))
     return col
 
 
@@ -470,7 +456,7 @@ def _suite_parity_sign_formula(cap):
         for s in ss:
             c = inner(s, d)
             col.check((c + 1) % 2 == ((-1) ** c + 1) // 2,
-                      f"s={s}, t={t}", "congruent forms", c)
+                      lambda: f"s={s}, t={t}", "congruent forms", c)
     return col
 
 
@@ -483,16 +469,17 @@ def _suite_parity_decompose_member(cap):
         t = FinSet(elems)
         greedy = member(SCHREIER_SQUARE, t)
         exhaustive = member_by_composition_search(SCHREIER_SQUARE, t)
-        col.check(greedy == exhaustive, f"{t} membership routes",
+        col.check(greedy == exhaustive, lambda: f"{t} membership routes",
                   exhaustive, greedy)
         try:
             d = decompose(t)
             ok = greedy and d.support == t
-            col.check(ok, f"{t} decompose", "member and support preserved",
+            col.check(ok, lambda: f"{t} decompose",
+                      "member and support preserved",
                       f"member={greedy}, support={d.support}")
         except NotInS2Error:
-            col.check(not greedy, f"{t} decompose refused", "non-member",
-                      f"member={greedy}")
+            col.check(not greedy, lambda: f"{t} decompose refused",
+                      "non-member", f"member={greedy}")
     return col
 
 
@@ -520,12 +507,12 @@ def _suite_compacta_witness_separates(cap):
         try:
             t = compacta.powers_witness(s0, s1)
         except (ValueError, AssertionError) as e:
-            col.check(False, f"{s0} vs {s1}", "witness", repr(e))
+            col.check(False, lambda: f"{s0} vs {s1}", "witness", repr(e))
             continue
         ok = member(SCHREIER_SQUARE, t)
         d = decompose(t)
         sep = parity(s0, d) != parity(s1, d)
-        col.check(ok and sep, f"{s0} vs {s1}",
+        col.check(ok and sep, lambda: f"{s0} vs {s1}",
                   "witness in S2 and separating", f"in_S2={ok}, separates={sep}")
     return col
 
@@ -543,7 +530,8 @@ def _suite_compacta_witness_matrix(cap):
             cols_set.append(t)
     m = compacta.matrix_from_sets("K", rows, cols_set)
     rep = compacta.injectivity_report(m)
-    col.check(rep.all_distinct, f"{len(rows)} rows x {len(cols_set)} witnesses",
+    col.check(rep.all_distinct,
+              lambda: f"{len(rows)} rows x {len(cols_set)} witnesses",
               "pairwise distinct rows",
               f"{len(rep.collision_classes)} collision classes")
     col.cases = len(rows) * (len(rows) - 1) // 2
@@ -551,25 +539,15 @@ def _suite_compacta_witness_matrix(cap):
 
 
 def _suite_compacta_matrix_determinism(cap):
-    import os
-
     col = _Collector()
     outputs = []
-    for workers in ("1", "4"):
-        old = os.environ.get("SCHREIER_KIT_THREADS")
-        os.environ["SCHREIER_KIT_THREADS"] = workers
-        try:
-            m1 = compacta.build_matrix("K", 2, All(), _eff(8, cap), _eff(8, cap))
-            m2 = compacta.build_matrix("L", "w", Powers(2),
-                                       _eff(16, cap), _eff(16, cap))
-            outputs.append((compacta.to_csv(m1), compacta.to_pbm(m1),
-                            compacta.to_csv(m2), compacta.to_pbm(m2)))
-        finally:
-            if old is None:
-                del os.environ["SCHREIER_KIT_THREADS"]
-            else:
-                os.environ["SCHREIER_KIT_THREADS"] = old
-    col.check(outputs[0] == outputs[1], "workers 1 vs 4",
+    for _ in range(2):
+        m1 = compacta.build_matrix("K", 2, All(), _eff(8, cap), _eff(8, cap))
+        m2 = compacta.build_matrix("L", "w", Powers(2),
+                                   _eff(16, cap), _eff(16, cap))
+        outputs.append((compacta.to_csv(m1), compacta.to_pbm(m1),
+                        compacta.to_csv(m2), compacta.to_pbm(m2)))
+    col.check(outputs[0] == outputs[1], lambda: "run 1 vs run 2",
               "identical bytes", "diverged")
     col.cases = sum(len(x) for x in outputs[0])
     return col
@@ -582,7 +560,7 @@ def _suite_compacta_search_bound(cap):
     ts = [t for t in _members(SCHREIER_SQUARE, t_bound)]
     for t0, t1 in itertools.combinations(ts, 2):
         s = compacta.distinguishing_search(t0, t1, s_bound)
-        col.check(s is not None, f"{t0} vs {t1}",
+        col.check(s is not None, lambda: f"{t0} vs {t1}",
                   f"separator within {s_bound}", "none found")
     return col
 
@@ -615,7 +593,8 @@ def _suite_averaging_level_parity(cap):
                 got = averaging.self_pairing(pre)
                 want = Fraction(1 if j % 2 == 0 else 0)
                 col.check(got == want,
-                          f"{gen.describe()} s={s} level {j}", want, got)
+                          lambda: f"{gen.describe()} s={s} level {j}",
+                          want, got)
     return col
 
 
@@ -629,22 +608,21 @@ def _suite_averaging_cancellation(cap):
     empty_chain = averaging.build_chain(1, EMPTY)
     base = averaging.evaluate(averaging.union_functional(empty_chain),
                               averaging.block_average(empty_chain))
-    col.check(base == 1, "empty functional on empty average", 1, base)
+    col.check(base == 1, lambda: "empty functional on empty average", 1, base)
     for n in range(1, 5):
         supports = [EMPTY] + _chain_supports(bound, n - 1)
         for s in supports:
             for gen in gens:
                 chain = averaging.build_chain(n, s, gen)
                 for m in range(s.max_or_0 + 1, m_hi + 1):
+                    label = lambda: f"n={n} s={s} m={m} {gen.describe()}"
                     try:
                         got = averaging.cancellation_value(chain, m)
                     except AssertionError as e:
-                        col.check(False, f"n={n} s={s} m={m} {gen.describe()}",
-                                  f"(-1)^{len(s)}", repr(e))
+                        col.check(False, label, f"(-1)^{len(s)}", repr(e))
                         continue
                     want = Fraction(-1) ** len(s)
-                    col.check(got == want,
-                              f"n={n} s={s} m={m} {gen.describe()}", want, got)
+                    col.check(got == want, label, want, got)
     return col
 
 
@@ -672,13 +650,13 @@ def _suite_averaging_parity_table(cap):
                     got0 = _parity_blocks(v.elems, b0)
                     got1 = _parity_blocks(v.elems, b1)
                     col.check(got0 == want_v and got1 == want_v,
-                              f"n={n} s={s} v={v} {gen.describe()}",
+                              lambda: f"n={n} s={s} v={v} {gen.describe()}",
                               want_v, (got0, got1))
                 want_w = 1 if k % 2 == 1 else 0
                 for w in averaging.block_average(ext).indices():
                     got = _parity_blocks(w.elems, b1)
                     col.check(got == want_w,
-                              f"n={n} s={s} w={w} {gen.describe()}",
+                              lambda: f"n={n} s={s} w={w} {gen.describe()}",
                               want_w, got)
     return col
 
@@ -705,11 +683,12 @@ def _suite_averaging_evaluator_equivalence(cap):
         fast = averaging.evaluate(f, v)
         slow = averaging.evaluate_enumerated(f, v)
         col.check(fast == slow,
-                  f"n={n} v-blocks={[str(b) for b in v.blocks]} "
+                  lambda: f"n={n} v-blocks={[str(b) for b in v.blocks]} "
                   f"f={f.support}", slow, fast)
         done += 1
         if attempt > trials * 50:
-            col.check(False, "generation", "enough small cases", "starved")
+            col.check(False, lambda: "generation", "enough small cases",
+                      "starved")
             break
     return col
 
@@ -727,7 +706,8 @@ def _suite_averaging_convexity(cap):
             total = sum(table.values(), Fraction(0))
             ok = (len(table) == v.index_count
                   and all(w > 0 for w in table.values()) and total == 1)
-            col.check(ok, f"n={n} s={s}", "positive weights summing to 1",
+            col.check(ok, lambda: f"n={n} s={s}",
+                      "positive weights summing to 1",
                       f"count={len(table)}, sum={total}")
     return col
 
@@ -751,8 +731,6 @@ def _capture_cli(argv: list[str]) -> tuple[int, str]:
 
 
 def _suite_cli_byte_determinism(cap):
-    import os
-
     col = _Collector()
     commands = [
         ["compacta", "matrix", "--mode", "K", "--alpha", "2",
@@ -764,27 +742,15 @@ def _suite_cli_byte_determinism(cap):
         ["verify", "--suite", "finset.interval_structure", "--max", "6"],
     ]
     for argv in commands:
-        outputs = []
-        for workers in ("1", "4"):
-            old = os.environ.get("SCHREIER_KIT_THREADS")
-            os.environ["SCHREIER_KIT_THREADS"] = workers
-            try:
-                outputs.append(_capture_cli(list(argv)))
-                outputs.append(_capture_cli(list(argv)))
-            finally:
-                if old is None:
-                    del os.environ["SCHREIER_KIT_THREADS"]
-                else:
-                    os.environ["SCHREIER_KIT_THREADS"] = old
-        distinct = {o for o in outputs}
-        col.check(len(distinct) == 1, " ".join(argv),
-                  "one output across runs and workers", f"{len(distinct)}")
+        first, second = _capture_cli(list(argv)), _capture_cli(list(argv))
+        col.check(first == second, lambda: " ".join(argv),
+                  "one output across runs", "2")
     return col
 
 
 def _suite_cli_coverage(cap):
     col = _Collector()
-    col.check(tuple(SUITES) == EXPECTED_SUITES, "registry",
+    col.check(tuple(SUITES) == EXPECTED_SUITES, lambda: "registry",
               list(EXPECTED_SUITES), list(SUITES))
     return col
 

@@ -141,6 +141,25 @@ class TestIndexSets:
             assert time.perf_counter() - start < 1.0, text
         assert answers == [True, True]
 
+    def test_disjoint_progressions_meet_at_once(self):
+        # ap(3,3) and ap(1,3) share no element; the CRT says so without a scan
+        expr = parse_family("restrict(restrict(schreier, ap(3,3)), ap(1,3))")
+        start = time.perf_counter()
+        assert effective_index(expr) == Explicit(EMPTY)
+        assert is_maximal(expr, EMPTY)
+        assert time.perf_counter() - start < 1.0
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.integers(1, 12), st.integers(1, 12))
+def test_progression_meet_matches_both_parts(a0, a1, b0, b1):
+    a, b = AP(a0, a1), AP(b0, b1)
+    meet = family._meet(a, b)
+    assert isinstance(meet, AP) or meet == Explicit(EMPTY)
+    for m in range(301):
+        assert meet.contains(m) == (a.contains(m) and b.contains(m)), m
+
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
 
