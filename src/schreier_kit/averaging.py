@@ -15,7 +15,13 @@ Two derived objects matter:
 Pairing one chain's functional with another's average has a closed form,
 and pairing the functional of the one-step extension of a chain with the
 chain's own average minus the extension's average is exactly (-1)^k.
-All arithmetic is exact (fractions).
+
+All arithmetic is exact.  ``evaluate`` works per block position: the hit
+count of a pick block against a functional block comes from their endpoints
+when both are intervals (as every generated block [p, 2p-1] is), and the
+per-position numerators and denominators stay integers until one final
+Fraction.  Chain validation concatenates the strictly increasing blocks'
+tuples, so every prefix union is checked without re-sorting.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Optional, Union
 
-from .family import Cube, member, product_family
+from .family import Cube, _member, member, product_family
 from .finset import FinSet, interval
 from .kernel import Decomposition, block_sets, _parity_blocks, decompose
 
@@ -116,23 +122,25 @@ class DeltaChain:
             prev = b
         if bs and bs[0].min <= n:
             raise ChainError(f"first block must start above the level {n}")
+        # the blocks increase strictly, so each prefix union is the
+        # concatenation of the leading blocks' tuples
         ambient = product_family(n)
-        union = FinSet()
+        union: tuple[int, ...] = ()
         for b in bs:
-            union = union | b
-            if not member(ambient, union):
-                raise ChainError(f"leading-block union {union} leaves the "
-                                 f"level-{n} product family")
+            union += b.elems
+            if not _member(ambient, union):
+                raise ChainError(f"leading-block union {FinSet(union)} leaves "
+                                 f"the level-{n} product family")
 
     @property
     def depth(self) -> int:
         return len(self.support)
 
     def union(self) -> FinSet:
-        out = FinSet()
+        out: tuple[int, ...] = ()
         for b in self.blocks:
-            out = out | b
-        return out
+            out += b.elems
+        return FinSet(out)
 
     def prefix(self, j: int) -> "DeltaChain":
         """The chain for the first j elements of the support."""
@@ -246,16 +254,25 @@ def evaluate(f: UnionFunctional, v: BlockAverage) -> Fraction:
     """Exact value of the functional on the average, by factorization.
 
     Picks are independent across blocks, so the signed average splits into
-    per-position factors 1 - 2*q_i with q_i the overlap fraction of the
-    i-th pick block against the i-th functional block; positions past
-    either side contribute 1.
+    per-position factors (len(a) - 2*hit) / len(a), with ``hit`` the number
+    of elements the i-th pick block a shares with the i-th functional block
+    b; positions past either side contribute 1.  When both blocks are
+    intervals (a FinSet e is one exactly when e[-1] - e[0] + 1 == len(e))
+    the count comes from the endpoints, else from a set intersection.  The
+    numerators and denominators stay integers until one final Fraction.
     """
-    sign = Fraction(1)
-    fb = f.blocks
-    for i, vb in enumerate(v.blocks[:len(fb)]):
-        hit = sum(1 for x in vb if x in fb[i])
-        sign *= 1 - Fraction(2 * hit, len(vb))
-    return (sign + 1) / 2
+    num = den = 1
+    for pick, block in zip(v.blocks, f.blocks):
+        a, b = pick.elems, block.elems
+        if (a and b and a[-1] - a[0] + 1 == len(a)
+                and b[-1] - b[0] + 1 == len(b)):
+            hit = max(0, min(a[-1], b[-1]) - max(a[0], b[0]) + 1)
+        else:
+            hit = len(set(a).intersection(b))
+        num *= len(a) - 2 * hit
+        den *= len(a)
+    # an empty pick block leaves den == 0 and fails here, as it must
+    return Fraction(num + den, 2 * den)
 
 
 def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:

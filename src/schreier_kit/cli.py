@@ -249,8 +249,9 @@ def _cmd_verify(args) -> int:
         reports = verify_mod.run_all(args.max)
     for rep in reports:
         print(rep.to_json())
+        rate = rep.cases / rep.wall_time if rep.wall_time > 0 else 0.0
         print(f"{rep.suite}: {rep.cases} cases, {len(rep.failures)} failures, "
-              f"{rep.wall_time:.2f}s", file=sys.stderr)
+              f"{rep.wall_time:.2f}s, {rate:.0f} cases/s", file=sys.stderr)
     return 0 if all(rep.ok for rep in reports) else 1
 
 

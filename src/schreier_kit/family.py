@@ -50,9 +50,20 @@ class DegenerateIndexError(ValueError):
 # index sets
 # ---------------------------------------------------------------------------
 
-# A scan that walks this far past a value without finding an index element
-# gives up; only reachable through hand-built pathological intersections.
+# A scan that walks this far past a value, or a residue walk this many steps
+# long, without finding an index element gives up; only reachable through
+# hand-built pathological intersections.
 _SCAN_LIMIT = 10**7
+
+
+def _exponent(m: int, base: int) -> Optional[int]:
+    """The k with base**k == m, or None.  The float logarithm is exact
+    enough to name the only candidate k, and one power settles it, so
+    powers with millions of digits cost no more than a few products."""
+    if m < 1:
+        return None
+    k = round(math.log(m, base))
+    return k if base ** k == m else None
 
 
 @dataclass(frozen=True)
@@ -92,11 +103,7 @@ class Powers:
             raise ValueError("powers() needs a base >= 2")
 
     def contains(self, m: int) -> bool:
-        if m < 1:
-            return False
-        while m % self.base == 0:
-            m //= self.base
-        return m == 1
+        return _exponent(m, self.base) is not None
 
     def first_above(self, lo: int) -> Optional[int]:
         p = 1
@@ -180,7 +187,33 @@ class _Meet:
         return False
 
 
-IndexSet = Union[All, From, Powers, AP, Explicit, _Meet]
+@dataclass(frozen=True)
+class _Geometric:
+    """The powers base**k with k >= first and k = first (mod period); only
+    built internally, for powers met with progressions and lower bounds."""
+
+    base: int
+    first: int
+    period: int
+
+    def contains(self, m: int) -> bool:
+        k = _exponent(m, self.base)
+        return k is not None and k >= self.first \
+            and (k - self.first) % self.period == 0
+
+    def first_above(self, lo: int) -> Optional[int]:
+        k, p = 0, 1
+        while p <= lo:
+            k, p = k + 1, p * self.base
+        k = max(k, self.first)
+        return self.base ** (k + (self.first - k) % self.period)
+
+    @property
+    def definitely_infinite(self) -> bool:
+        return True
+
+
+IndexSet = Union[All, From, Powers, AP, Explicit, _Meet, _Geometric]
 
 
 def _ap_meet(a: AP, b: AP) -> Optional[AP]:
@@ -194,6 +227,42 @@ def _ap_meet(a: AP, b: AP) -> Optional[AP]:
     step = a.step * m
     lo = max(a.start, b.start)
     return AP(lo + (a.start + k * a.step - lo) % step, step)
+
+
+@cache
+def _geometric_meet(g: _Geometric, floor: int, ap: AP) -> IndexSet:
+    """The elements of g that are >= floor and lie in the progression ap.
+
+    Their residues modulo ap.step follow r -> r*base**period, so they are
+    walked on small integers: within step.bit_length() moves they reach a
+    cycle, which holds each residue once.  On the cycle every residue is
+    divisible by the part of the step made of the base's primes, before it
+    none is, so the hits are either finitely many powers before the cycle
+    or one residue class of exponents on it.
+    """
+    k, p = g.first, g.base ** g.first
+    while p < floor:
+        k, p = k + g.period, p * g.base ** g.period
+    step, want = ap.step, ap.start % ap.step
+    r, mult = p % step, pow(g.base, g.period, step)
+    hits = []
+    for _ in range(step.bit_length()):
+        if r == want:
+            hits.append(k)
+        k, r = k + g.period, r * mult % step
+    entry, hit = r, None
+    for cycle in range(1, _SCAN_LIMIT + 1):
+        if hit is None and r == want:
+            hit = k
+        k, r = k + g.period, r * mult % step
+        if r == entry:
+            break
+    else:
+        raise DegenerateIndexError(
+            "cannot locate an element of an index-set intersection")
+    if hit is None:
+        return Explicit(FinSet(tuple(g.base ** j for j in hits)))
+    return _Geometric(g.base, hits[0] if hits else hit, g.period * cycle)
 
 
 def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
@@ -215,6 +284,14 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
                 ap = _ap_meet(ap, p)
                 if ap is None:
                     return Explicit(FinSet())
+    bounds = [p.start for p in flat if isinstance(p, From)]
+    powers = [p for p in flat if isinstance(p, (Powers, _Geometric))]
+    if len(powers) == 1 and len(bounds) + 1 == len(flat):
+        g = powers[0]
+        if isinstance(g, Powers):
+            g = _Geometric(g.base, 0, 1)
+        prog = ap or AP(1, 1)
+        return _geometric_meet(g, max(bounds + [prog.start]), prog)
     if ap is not None:
         if not flat:
             return ap

@@ -8,6 +8,8 @@ enumeration of all picks.  The identity tests lean on the factorized form
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schreier_kit.averaging import (
     BlockAverage,
@@ -15,6 +17,7 @@ from schreier_kit.averaging import (
     ChainError,
     DeltaChain,
     SeededBlocks,
+    UnionFunctional,
     block_average,
     build_chain,
     cancellation_value,
@@ -24,6 +27,7 @@ from schreier_kit.averaging import (
     union_functional,
 )
 from schreier_kit.finset import EMPTY, FinSet, interval
+from schreier_kit.kernel import Decomposition, decompose
 
 
 class TestBlockGenerators:
@@ -131,8 +135,6 @@ class TestEvaluation:
         f = union_functional(f_chain)
         assert evaluate(f, block_average(f_chain.prefix(1))) == 0
 
-        from schreier_kit.kernel import decompose
-        from schreier_kit.averaging import UnionFunctional
         t = FinSet((4, 5))
         g = UnionFunctional(2, t, decompose(t))
         v = BlockAverage(2, (interval(4, 7),))
@@ -147,11 +149,86 @@ class TestEvaluation:
                 v = block_average(c.prefix(j))
                 assert evaluate(f, v) == evaluate_enumerated(f, v), (n, j)
 
+    def test_empty_pick_block_fails(self):
+        f = union_functional(build_chain(2, FinSet((3,))))
+        with pytest.raises(ZeroDivisionError):
+            evaluate(f, BlockAverage(2, (EMPTY,)))
+
     def test_self_pairing_depends_only_on_depth_parity(self):
         assert self_pairing(build_chain(2, EMPTY)) == 1
         assert self_pairing(build_chain(2, FinSet((3,)))) == 0
         assert self_pairing(build_chain(2, FinSet((3, 5)))) == 1
         assert self_pairing(build_chain(3, FinSet((4, 6, 8)))) == 0
+
+
+def _spaced(start: int, size: int, stride: int) -> FinSet:
+    """size elements from start on, stride apart: an interval at stride 1."""
+    return FinSet(tuple(range(start, start + stride * size, stride)))
+
+
+@st.composite
+def _functionals(draw):
+    """A hand-built functional: maximal schreier blocks, then a schreier
+    final block, each an interval or spread out like {3,5,7}."""
+    depth = draw(st.integers(0, 3))
+    if not depth:
+        return UnionFunctional(2, EMPTY, None)
+    blocks = []
+    lo = draw(st.integers(depth, 5))  # block minima form a schreier set
+    for i in range(depth):
+        start = lo + draw(st.integers(0, 2))
+        size = start if i < depth - 1 else draw(st.integers(1, start))
+        blocks.append(_spaced(start, size, draw(st.integers(1, 2))))
+        lo = blocks[-1].max + 1
+    d = Decomposition(tuple(blocks))
+    return UnionFunctional(depth, d.support, d)
+
+
+@st.composite
+def _pairs(draw):
+    """A functional and an average whose i-th pick block starts near the
+    functional's i-th block, so the two overlap partly, fully or not."""
+    f = draw(_functionals())
+    blocks = []
+    lo = 1
+    for i in range(draw(st.integers(0, 4))):
+        if i < len(f.blocks):
+            near = f.blocks[i]
+            start = max(lo, draw(st.integers(near.min - 3, near.max + 1)))
+        else:
+            start = lo + draw(st.integers(0, 3))
+        blocks.append(_spaced(start, draw(st.integers(1, 4)),
+                              draw(st.integers(1, 3))))
+        lo = blocks[-1].max + 1
+    return f, BlockAverage(2, tuple(blocks))
+
+
+def _functional_on(t: FinSet) -> UnionFunctional:
+    return UnionFunctional(2, t, decompose(t))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_pairs())
+# a non-interval maximal schreier block against an interval, and back
+@example((_functional_on(FinSet((3, 5, 7))),
+          BlockAverage(2, (interval(4, 7),))))
+@example((_functional_on(interval(4, 7)),
+          BlockAverage(2, (FinSet((3, 5, 7)),))))
+# intervals overlapping partly, at either end
+@example((_functional_on(interval(4, 15)),
+          BlockAverage(2, (interval(2, 5), interval(13, 17)))))
+# more pick blocks than functional blocks, and fewer
+@example((_functional_on(FinSet((3, 5, 7))),
+          BlockAverage(2, (interval(5, 6), FinSet((8, 10)),
+                           interval(11, 12)))))
+@example((_functional_on(FinSet((3, 4, 5, 6, 8, 10))),
+          BlockAverage(2, (FinSet((4, 6)),))))
+# the empty functional
+@example((UnionFunctional(2, EMPTY, None),
+          BlockAverage(2, (FinSet((3, 5, 7)), interval(8, 9)))))
+def test_evaluate_matches_the_enumerated_oracle(pair):
+    f, v = pair
+    assert evaluate(f, v) == evaluate_enumerated(f, v)
 
 
 class TestCancellation:

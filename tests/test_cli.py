@@ -1,11 +1,16 @@
 """The command-line surface: output bytes, exit codes, error routing."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from schreier_kit import verify as verify_mod
 
 CSV_3X3 = (",,1,2,3,2 3\n"
            ",1,1,1,1,1\n"
@@ -185,6 +190,15 @@ class TestTree:
         assert all(line["ok"] and not line["failures"] for line in lines)
         assert [line["sign"] for line in lines] == [1, -1, -1, -1, -1, -1]
 
+    def test_sweep_matches_the_benchmark_golden(self, run_cli):
+        golden = json.loads((Path(__file__).parents[1] / "bench"
+                             / "golden.json").read_text())["sweep"]
+        code, out, _ = run_cli(["tree", "sweep", "--n", "4", "--support-max",
+                                "9", "--m-max", "12", "--seeds", "30"])
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == golden["sha256"][0])
+
     def test_invalid_chain_exits_2(self, run_cli):
         code, out, err = run_cli(["tree", "check", "--n", "1", "--s", "{3,5}",
                                   "--m", "9"])
@@ -200,7 +214,17 @@ class TestVerifyCommand:
         assert out == ('{"cases":462,"failures":[],'
                        '"suite":"finset.interval_structure"}\n')
         # timing goes to stderr so stdout stays byte-stable
-        assert "finset.interval_structure:" in err and "cases" in err
+        assert re.fullmatch(r"finset\.interval_structure: 462 cases, "
+                            r"0 failures, \d+\.\d\ds, \d+ cases/s\n", err)
+
+    def test_zero_wall_time_reports_a_zero_rate(self, run_cli, monkeypatch):
+        report = verify_mod.VerifyReport("finset.interval_structure", 5, [])
+        monkeypatch.setattr(verify_mod, "run_suite", lambda name, cap: report)
+        code, _, err = run_cli(["verify", "--suite",
+                                "finset.interval_structure"])
+        assert code == 0
+        assert err == ("finset.interval_structure: 5 cases, 0 failures, "
+                       "0.00s, 0 cases/s\n")
 
     def test_unknown_suite_exits_2_and_lists_names(self, run_cli):
         code, out, err = run_cli(["verify", "--suite", "nope"])

@@ -149,6 +149,59 @@ class TestIndexSets:
         assert is_maximal(expr, EMPTY)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("text, answer", [
+        ("restrict(restrict(schreier, powers(2)), ap(3,2))", "true"),
+        ("restrict(restrict(schreier, ap(3,2)), powers(2))", "true"),
+        # 1000003 is prime and 2 generates its units: the residue cycle is
+        # 1000002 long, no power of 2 is a multiple, 2**254277 is 3 mod it,
+        # and no power of 4 is (254277 is odd)
+        ("restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
+         "true"),
+        ("restrict(restrict(schreier, powers(4)), ap(3,1000003))", "true"),
+        ("restrict(restrict(schreier, powers(2)), ap(3,1000003))", "false"),
+    ])
+    def test_powers_and_progression_answer_at_once(self, run_cli, text,
+                                                   answer):
+        start = time.perf_counter()
+        code, out, err = run_cli(["fam", "maximal", text, "--s", "{}"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert f'"maximal":{answer}' in out
+
+    def test_powers_meet_a_progression_in_one_element(self):
+        meet = family._meet(Powers(2), AP(2, 4))
+        assert meet == Explicit(FinSet((2,)))
+        assert index_elements_between(meet, 0, 2 ** 40) == [2]
+
+    def test_powers_meet_a_progression_in_a_residue_class(self):
+        meet = family._meet(Powers(2), AP(3, 1000003))
+        assert meet.definitely_infinite
+        first = meet.first_above(0)
+        assert first == 2 ** 254277 and first % 1000003 == 3
+        assert meet.first_above(first) == first * 2 ** 1000002
+        assert meet.contains(first) and not meet.contains(first * 2)
+
+    def test_residue_walk_gives_up_past_the_scan_limit(self, monkeypatch):
+        monkeypatch.setattr(family, "_SCAN_LIMIT", 1000)
+        with pytest.raises(DegenerateIndexError):
+            family._meet(Powers(2), AP(5, 1000003))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(2, 12), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 200), st.permutations(range(3)))
+def test_powers_meet_matches_brute_force(base, a0, a1, floor, order):
+    parts = (Powers(base), AP(a0, a1), From(floor))
+    x, y, z = (parts[i] for i in order)
+    meet = family._meet(family._meet(x, y), z)
+    hi = base ** 30
+    want = [base ** k for k in range(31)
+            if all(p.contains(base ** k) for p in parts)]
+    assert index_elements_between(meet, 0, hi) == want
+    beyond = meet.first_above(hi)
+    assert beyond is None or (beyond > hi
+                              and all(p.contains(beyond) for p in parts))
+
 
 @settings(derandomize=True, max_examples=200)
 @given(st.integers(1, 12), st.integers(1, 12),
