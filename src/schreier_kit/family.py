@@ -50,9 +50,8 @@ class DegenerateIndexError(ValueError):
 # index sets
 # ---------------------------------------------------------------------------
 
-# A scan that walks this far past a value, or a residue walk this many steps
-# long, without finding an index element gives up; only reachable through
-# hand-built pathological intersections.
+# A residue walk this many steps long without closing its cycle gives up;
+# only reachable through hand-built pathological intersections.
 _SCAN_LIMIT = 10**7
 
 
@@ -160,37 +159,10 @@ class Explicit:
 
 
 @dataclass(frozen=True)
-class _Meet:
-    """Intersection of index sets; only built internally for nested restricts."""
-
-    parts: tuple
-
-    def contains(self, m: int) -> bool:
-        return all(p.contains(m) for p in self.parts)
-
-    def first_above(self, lo: int) -> Optional[int]:
-        # scan the first enumerable part, filtering through the rest
-        lead = self.parts[0]
-        m = lead.first_above(lo)
-        start = m
-        while m is not None:
-            if self.contains(m):
-                return m
-            if m - start > _SCAN_LIMIT:
-                raise DegenerateIndexError(
-                    "cannot locate an element of an index-set intersection")
-            m = lead.first_above(m)
-        return None
-
-    @property
-    def definitely_infinite(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
 class _Geometric:
     """The powers base**k with k >= first and k = first (mod period); only
-    built internally, for powers met with progressions and lower bounds."""
+    built internally, for powers met with progressions, lower bounds and
+    other powers."""
 
     base: int
     first: int
@@ -213,7 +185,7 @@ class _Geometric:
         return True
 
 
-IndexSet = Union[All, From, Powers, AP, Explicit, _Meet, _Geometric]
+IndexSet = Union[All, From, Powers, AP, Explicit, _Geometric]
 
 
 def _ap_meet(a: AP, b: AP) -> Optional[AP]:
@@ -265,42 +237,64 @@ def _geometric_meet(g: _Geometric, floor: int, ap: AP) -> IndexSet:
     return _Geometric(g.base, hits[0] if hits else hit, g.period * cycle)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) in integers, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _root(n: int) -> tuple[int, int]:
+    """(r, x) with r**x == n and r no perfect power, for n >= 2.  The
+    largest x is tried first, so the r found has no root of its own."""
+    for x in range(n.bit_length(), 1, -1):
+        r = _iroot(n, x)
+        if r ** x == n:
+            return r, x
+    return n, 1
+
+
+def _power_meet(g: _Geometric, h: _Geometric) -> IndexSet:
+    """Two sets of powers met exactly.  Each base is r**x for an r that is
+    no perfect power.  Bases with different r share only the power 1;
+    with one r, the exponents of r form two progressions, which _ap_meet
+    intersects (shifted by one, since a progression starts at 1)."""
+    (r, x), (q, y) = _root(g.base), _root(h.base)
+    if r != q:
+        return Explicit(FinSet((1,) if g.contains(1) and h.contains(1) else ()))
+    ap = _ap_meet(AP(x * g.first + 1, x * g.period),
+                  AP(y * h.first + 1, y * h.period))
+    if ap is None:
+        return Explicit(FinSet())
+    return _Geometric(r, ap.start - 1, ap.step)
+
+
+# the order in which _meet takes the two parts of an intersection
+_MEET_ORDER = (Explicit, _Geometric, AP, From)
+
+
 def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
+    """The intersection of two index sets, in closed form."""
     if isinstance(a, All):
         return b
     if isinstance(b, All):
         return a
-    if isinstance(a, From) and isinstance(b, From):
+    a, b = sorted((_Geometric(p.base, 0, 1) if isinstance(p, Powers) else p
+                   for p in (a, b)), key=lambda p: _MEET_ORDER.index(type(p)))
+    if isinstance(a, Explicit):
+        return Explicit(FinSet(tuple(m for m in a.members if b.contains(m))))
+    if isinstance(a, _Geometric):
+        if isinstance(b, _Geometric):
+            return _power_meet(a, b)
+        return _geometric_meet(a, b.start, b if isinstance(b, AP) else AP(1, 1))
+    if isinstance(a, From):
         return From(max(a.start, b.start))
-    flat: list = []
-    ap: Optional[AP] = None
-    for x in (a, b):
-        for p in x.parts if isinstance(x, _Meet) else (x,):
-            if not isinstance(p, AP):
-                flat.append(p)
-            elif ap is None:
-                ap = p
-            else:
-                ap = _ap_meet(ap, p)
-                if ap is None:
-                    return Explicit(FinSet())
-    bounds = [p.start for p in flat if isinstance(p, From)]
-    powers = [p for p in flat if isinstance(p, (Powers, _Geometric))]
-    if len(powers) == 1 and len(bounds) + 1 == len(flat):
-        g = powers[0]
-        if isinstance(g, Powers):
-            g = _Geometric(g.base, 0, 1)
-        prog = ap or AP(1, 1)
-        return _geometric_meet(g, max(bounds + [prog.start]), prog)
-    if ap is not None:
-        if not flat:
-            return ap
-        flat.append(ap)
-    # lead the scan with a finite part when there is one (so the scan ends),
-    # else with a part sparser than All and From
-    flat.sort(key=lambda p: (not isinstance(p, Explicit),
-                             isinstance(p, (All, From))))
-    return _Meet(tuple(flat))
+    if isinstance(b, AP):
+        return _ap_meet(a, b) or Explicit(FinSet())
+    return AP(a.first_above(b.start - 1), a.step)
 
 
 def index_elements_between(index: IndexSet, lo: int, hi: int) -> list[int]:
@@ -373,8 +367,10 @@ def base_family(alpha) -> FamilyExpr:
     raise ValueError(f"level must be an int >= 1 or {OMEGA_LEVEL!r}, got {alpha!r}")
 
 
+@cache
 def product_family(alpha) -> FamilyExpr:
-    """prod(schreier, cube(n,n)) for a natural level, S2 for the limit."""
+    """prod(schreier, cube(n,n)) for a natural level, S2 for the limit.
+    Built once per level: averaging asks for it for every chain it checks."""
     if alpha == OMEGA_LEVEL:
         return SCHREIER_SQUARE
     return Product(SCHREIER, base_family(alpha))
@@ -571,14 +567,42 @@ def effective_index(expr: FamilyExpr) -> IndexSet:
     raise TypeError(f"not a family expression: {expr!r}")
 
 
+@cache
+def _probe_indexes(expr: FamilyExpr) -> tuple[IndexSet, ...]:
+    """Index sets whose elements a tail point may come from, one per way the
+    family can place it: above the tail threshold, membership of s with a
+    new largest point is constant on each.  In a product the point either
+    extends the last block (a left index) or opens a block whose minimum
+    must also lie in the right factor (a left index met with a right one)."""
+    if isinstance(expr, Product):
+        left = _probe_indexes(expr.left)
+        out = left + tuple(_meet(a, b) for a in left
+                           for b in _probe_indexes(expr.right))
+    elif isinstance(expr, Restrict):
+        out = tuple(_meet(a, expr.index) for a in _probe_indexes(expr.base))
+    elif isinstance(expr, Derived):
+        out = _probe_indexes(expr.base)
+    else:
+        out = (effective_index(expr),)
+    # products of products meet the same sets again; probe each once
+    return tuple(dict.fromkeys(out))
+
+
+def _tail_extends(expr: FamilyExpr, elems: tuple[int, ...], lo: int) -> bool:
+    """Does s gain a member one-point extension at the first element above
+    lo of some probe index?  lo must be past the tail threshold."""
+    for index in _probe_indexes(expr):
+        probe = index.first_above(lo)
+        if probe is not None and _member(expr, elems + (probe,)):
+            return True
+    return False
+
+
 def _has_tail_extension(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
-    """One probe above the tail threshold decides whether infinitely many
-    one-point tail extensions stay in the family."""
+    """One probe per probe index above the tail threshold decides whether
+    infinitely many one-point tail extensions stay in the family."""
     lo = max(elems[-1] if elems else 0, _tail_threshold(expr, elems))
-    probe = effective_index(expr).first_above(lo)
-    if probe is None:
-        return False
-    return _member(expr, elems + (probe,))
+    return _tail_extends(expr, elems, lo)
 
 
 def is_maximal(expr: FamilyExpr, s: FinSet) -> bool:
@@ -589,10 +613,7 @@ def is_maximal(expr: FamilyExpr, s: FinSet) -> bool:
     for m in range(1, hi + 1):
         if m not in s and _member(expr, tuple(sorted(s.elems + (m,)))):
             return False
-    probe = effective_index(expr).first_above(hi)
-    if probe is not None and _member(expr, s.elems + (probe,)):
-        return False
-    return True
+    return not _tail_extends(expr, s.elems, hi)
 
 
 def derivative(expr: FamilyExpr) -> Derived:

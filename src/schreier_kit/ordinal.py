@@ -8,7 +8,8 @@ this carrier; it is closed under + and *.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from functools import lru_cache
 
 
 class OrdinalSyntaxError(ValueError):
@@ -19,18 +20,63 @@ class OrdinalSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True, order=True)
+# One instance per normal form, keyed by its terms, for as long as anything
+# refers to it.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# Entries in each of the + and * memos.  A memo keeps its recent operands
+# and results alive; an unbounded one keeps every value a verify sweep
+# builds and costs memory.
+_MEMO_SIZE = 256
+
+
 class Ordinal:
+    """A Cantor normal form, interned: there is one instance per value, so
+    ``==`` is identity (``object.__eq__``) and the hash, that of
+    ``(terms,)``, is computed once."""
+
     # terms: tuple of (exponent, coefficient), exponents strictly decreasing;
     # tuple order on terms is exactly the Cantor normal form order
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    __slots__ = ("terms", "_hash", "__weakref__")
 
-    def __post_init__(self):
-        for i, (e, c) in enumerate(self.terms):
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"coefficient must be a positive int, got {c!r}")
-            if i and not self.terms[i - 1][0] > e:
-                raise ValueError("exponents must be strictly decreasing")
+    def __new__(cls, terms: tuple = ()) -> "Ordinal":
+        # outside input is checked on every call, not only on a table miss:
+        # ((e, True),) equals ((e, 1),) and would find that value's entry
+        _validate(terms)
+        return _intern(terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ordinal is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Ordinal is immutable")
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through the table
+        return (Ordinal, (self.terms,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self is not other and self.terms < other.terms
+
+    def __le__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self is other or self.terms <= other.terms
+
+    def __gt__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self is not other and self.terms > other.terms
+
+    def __ge__(self, other: "Ordinal") -> bool:
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return self is other or self.terms >= other.terms
 
     # -- constructors ------------------------------------------------------
 
@@ -80,42 +126,19 @@ class Ordinal:
             raise ValueError(f"{self} is not a successor ordinal")
         e, c = self.terms[-1]
         rest = self.terms[:-1]
-        return Ordinal(rest if c == 1 else rest + ((e, c - 1),))
+        return _intern(rest if c == 1 else rest + ((e, c - 1),))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        f = other.terms[0][0]
-        # terms of self with exponent > f survive; one with exponent == f merges
-        keep = 0
-        while keep < len(self.terms) and self.terms[keep][0] > f:
-            keep += 1
-        head = self.terms[:keep]
-        if keep < len(self.terms) and self.terms[keep][0] == f:
-            merged = ((f, self.terms[keep][1] + other.terms[0][1]),)
-            return Ordinal(head + merged + other.terms[1:])
-        return Ordinal(head + other.terms)
+        return _add(self, other)
 
     def __mul__(self, other: "Ordinal") -> "Ordinal":
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO
-        e1, c1 = self.terms[0]
-        out = _ZERO
-        for f, d in other.terms:
-            if f.is_zero:
-                # right factor finite: scale the leading coefficient only
-                out = out + Ordinal(((e1, c1 * d),) + self.terms[1:])
-            else:
-                out = out + Ordinal(((e1 + f, d),))
-        return out
+        return _mul(self, other)
 
     # -- text --------------------------------------------------------------
 
@@ -149,6 +172,75 @@ class Ordinal:
         x = p.sum()
         p.end()
         return x
+
+
+def _validate(terms: tuple) -> None:
+    """Accept only a tuple of (Ordinal, int >= 1) pairs whose exponents
+    strictly decrease; exact types, since a bool or float coefficient
+    equals an int one in a table key."""
+    if type(terms) is not tuple:
+        raise ValueError(f"terms must be a tuple, got {terms!r}")
+    prev = None
+    for term in terms:
+        if type(term) is not tuple or len(term) != 2:
+            raise ValueError(f"term must be an (exponent, coefficient) pair, got {term!r}")
+        e, c = term
+        if type(c) is not int or c < 1:
+            raise ValueError(f"coefficient must be a positive int, got {c!r}")
+        if type(e) is not Ordinal:
+            raise ValueError(f"exponent must be an Ordinal, got {e!r}")
+        if prev is not None and not prev > e:
+            raise ValueError("exponents must be strictly decreasing")
+        prev = e
+
+
+def _intern(terms: tuple) -> Ordinal:
+    """The one instance with these terms; a new value is validated once,
+    when it is first built."""
+    # read the table's own dict of weak references: its Python-level get()
+    # costs about as much as the addition it would serve
+    ref = _TABLE.data.get(terms)
+    x = ref() if ref is not None else None
+    if x is None:
+        _validate(terms)
+        x = object.__new__(Ordinal)
+        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "_hash", hash((terms,)))
+        _TABLE[terms] = x
+    return x
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _add(a: Ordinal, b: Ordinal) -> Ordinal:
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    f = b.terms[0][0]
+    # terms of a with exponent > f survive; one with exponent == f merges
+    keep = 0
+    while keep < len(a.terms) and a.terms[keep][0] > f:
+        keep += 1
+    head = a.terms[:keep]
+    if keep < len(a.terms) and a.terms[keep][0] is f:
+        merged = ((f, a.terms[keep][1] + b.terms[0][1]),)
+        return _intern(head + merged + b.terms[1:])
+    return _intern(head + b.terms)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
+    if not a.terms or not b.terms:
+        return _ZERO
+    e1, c1 = a.terms[0]
+    out = _ZERO
+    for f, d in b.terms:
+        if f is _ZERO:
+            # right factor finite: scale the leading coefficient only
+            out = _add(out, _intern(((e1, c1 * d),) + a.terms[1:]))
+        else:
+            out = _add(out, _intern(((_add(e1, f), d),)))
+    return out
 
 
 def _format_exponent(e: Ordinal) -> str:

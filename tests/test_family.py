@@ -181,6 +181,25 @@ class TestIndexSets:
         assert meet.first_above(first) == first * 2 ** 1000002
         assert meet.contains(first) and not meet.contains(first * 2)
 
+    def test_coprime_powers_meet_in_one(self, run_cli):
+        # 2 and 3 have no common root, so only 2**0 == 3**0 == 1 is shared
+        assert family._meet(Powers(2), Powers(3)) == Explicit(FinSet((1,)))
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["fam", "maximal",
+             "restrict(restrict(schreier, powers(2)), powers(3))",
+             "--s", "{1}"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert '"maximal":true' in out
+
+    def test_powers_of_a_common_root_meet_in_its_powers(self):
+        meet = family._meet(Powers(4), Powers(8))
+        assert meet.definitely_infinite
+        assert index_elements_between(meet, 0, 2 ** 120) == \
+            [64 ** k for k in range(21)]
+        assert [m for m in range(1, 5000) if meet.contains(m)] == [1, 64, 4096]
+
     def test_residue_walk_gives_up_past_the_scan_limit(self, monkeypatch):
         monkeypatch.setattr(family, "_SCAN_LIMIT", 1000)
         with pytest.raises(DegenerateIndexError):
@@ -201,6 +220,22 @@ def test_powers_meet_matches_brute_force(base, a0, a1, floor, order):
     beyond = meet.first_above(hi)
     assert beyond is None or (beyond > hi
                               and all(p.contains(beyond) for p in parts))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(2, 40), st.integers(2, 40), st.integers(1, 6),
+       st.integers(1, 30), st.booleans())
+def test_two_powers_meet_matches_brute_force(a, b, step, start, nested):
+    parts = (Powers(a), Powers(b), AP(start, step))
+    meet = family._meet(parts[0], parts[1])
+    if nested:
+        meet = family._meet(meet, parts[2])
+    else:
+        parts = parts[:2]
+    hi = 2 ** 200
+    want = sorted({a ** k for k in range(201) if a ** k <= hi
+                   and all(p.contains(a ** k) for p in parts)})
+    assert index_elements_between(meet, 0, hi) == want
 
 
 @settings(derandomize=True, max_examples=200)
@@ -348,6 +383,27 @@ class TestMaximality:
                          "{4}": False, "{2,3}": True, "{2,4}": True,
                          "{3,4}": False}
 
+    def test_new_block_minimum_must_lie_in_the_right_index(self, run_cli):
+        # {3,4,5} + {9}: the minima {3,9} are powers of 3 and a schreier set
+        text = "prod(schreier, restrict(schreier, powers(3)))"
+        code, out, _ = run_cli(["fam", "maximal", text, "--s", "{3,4,5}"])
+        assert code == 0 and '"maximal":false' in out
+        assert member(parse_family(text), FinSet((3, 4, 5, 9)))
+
+    @pytest.mark.parametrize("text", [
+        "prod(schreier, restrict(schreier, powers(3)))",
+        "prod(schreier, restrict(schreier, ap(2,3)))",
+        "prod(restrict(schreier, ap(1,2)), restrict(schreier, powers(3)))",
+        "restrict(prod(schreier, restrict(schreier, powers(3))), from(2))",
+    ])
+    def test_maximality_matches_a_brute_force_horizon(self, text):
+        expr = parse_family(text)
+        for s in enumerate_members(expr, 8):
+            extended = (tuple(sorted(s.elems + (m,)))
+                        for m in range(1, 250) if m not in s)
+            brute = not any(family._member(expr, t) for t in extended)
+            assert is_maximal(expr, s) == brute, str(s)
+
     def test_maximality_needs_membership(self):
         with pytest.raises(NotAMemberError, match="not a member"):
             is_maximal(SCHREIER, FinSet((1, 2)))
@@ -431,3 +487,9 @@ class TestConstructorHelpers:
         assert base_family("w") == Schreier()
         assert product_family(3) == Product(SCHREIER, Cube(3, 3))
         assert product_family("w") == SCHREIER_SQUARE
+
+    def test_product_family_is_built_once_per_level(self):
+        assert product_family(3) is product_family(3)
+        assert product_family(family.OMEGA_LEVEL) is SCHREIER_SQUARE
+        with pytest.raises(ValueError):
+            product_family(0)

@@ -6,10 +6,14 @@ multiplication from repeated addition so the two operations cannot drift
 apart unnoticed.
 """
 
+import copy
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schreier_kit import ordinal
 from schreier_kit.ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalSyntaxError
 from schreier_kit.verify import _ordinal_corpus
 
@@ -239,10 +243,61 @@ class TestStructure:
             Ordinal.nat(-1)
 
     def test_malformed_term_lists_are_rejected(self):
-        with pytest.raises(ValueError, match="coefficient"):
-            Ordinal(((ZERO, 0),))
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            Ordinal(((ONE, 1), (ONE, 2)))
+        # ((ZERO, True),) equals the key of the interned ONE; it must still
+        # be refused, and so must every malformed list on a second attempt
+        cases = [
+            (((ZERO, 0),), "coefficient"),
+            (((ZERO, True),), "coefficient"),
+            (((ZERO, 2.0),), "coefficient"),
+            (((True, 1),), "exponent"),
+            (((1, 2),), "exponent"),
+            (((ONE, 1), (ONE, 2)), "strictly decreasing"),
+            (((ONE, 1), (OMEGA, 2)), "strictly decreasing"),
+            ([(ZERO, 1)], "tuple"),
+            (((ZERO, 1, 1),), "pair"),
+        ]
+        for terms, message in cases * 2:
+            with pytest.raises(ValueError, match=message):
+                Ordinal(terms)
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        w2 = o("w^2+w*3+1")
+        assert w2 is Ordinal.omega_power(Ordinal.nat(2)) + OMEGA * Ordinal.nat(3) + ONE
+        assert w2 is Ordinal(((Ordinal.nat(2), 1), (ONE, 3), (ZERO, 1)))
+        assert o("w^2") is OMEGA * OMEGA is Ordinal.omega_power(o("2"))
+        assert Ordinal() is ZERO is Ordinal.nat(0) is Ordinal.zero()
+        assert Ordinal(((ONE, 1),)) is OMEGA is Ordinal.omega()
+        assert o("w+1").predecessor() is OMEGA
+
+    def test_copies_and_pickles_return_the_interned_object(self):
+        x = o("w^(w+1)*2+w+3")
+        for value in (x, ZERO, ONE, OMEGA):
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
+            assert pickle.loads(pickle.dumps(value)) is value
+        assert ZERO.terms == () and str(ZERO) == "0"
+        assert str(x) == "w^(w+1)*2+w+3"
+
+    def test_instances_are_immutable(self):
+        x = o("w+1")
+        with pytest.raises(AttributeError):
+            x.terms = ()
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        with pytest.raises(AttributeError):
+            del x.terms
+        assert str(x) == "w+1"
+
+    def test_hash_is_the_hash_of_the_terms(self):
+        for text in CORPUS:
+            x = o(text)
+            assert hash(x) == hash((x.terms,))
+
+    def test_memos_are_bounded(self):
+        assert ordinal._add.cache_info().maxsize == 256
+        assert ordinal._mul.cache_info().maxsize == 256
 
 
 def ordinals(max_depth: int = 2):
@@ -276,3 +331,10 @@ def test_random_triples_associate(a, b, c):
 def test_random_pairs_are_comparable(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
     assert_order_matches_reference(a, b)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ordinals(), ordinals())
+def test_memoized_arithmetic_matches_the_uncached_implementation(a, b):
+    assert a + b is ordinal._add.__wrapped__(a, b)
+    assert a * b is ordinal._mul.__wrapped__(a, b)
