@@ -16,12 +16,16 @@ Pairing one chain's functional with another's average has a closed form,
 and pairing the functional of the one-step extension of a chain with the
 chain's own average minus the extension's average is exactly (-1)^k.
 
-All arithmetic is exact.  ``evaluate`` works per block position: the hit
-count of a pick block against a functional block comes from their endpoints
-when both are intervals (as every generated block [p, 2p-1] is), and the
-per-position numerators and denominators stay integers until one final
-Fraction.  Chain validation concatenates the strictly increasing blocks'
-tuples, so every prefix union is checked without re-sorting.
+All arithmetic is exact.  A chain carries each block as its (start, end)
+span; every generated block is an interval [p, 2p-1], so validation, the
+union's membership and decomposition checks and the pairings run on those
+endpoints in integer steps.  Blocks become FinSets only when a caller
+reads ``blocks`` or ``union()`` or asks for the public ``block_average``
+and ``union_functional`` objects.  One core evaluates every pairing: the
+product over block positions of (len(a) - 2*hit) / len(a), kept in
+integers until one final Fraction.  The hit count comes from endpoints on
+spans and on interval FinSets, and from a set intersection for hand-built
+blocks such as {3,5,7}.
 """
 
 from __future__ import annotations
@@ -30,14 +34,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .family import Cube, _member, member, product_family
-from .finset import FinSet, interval
-from .kernel import Decomposition, block_sets, _parity_blocks, decompose
+from .family import Cube, _member_run_prefix, member, product_family
+from .finset import EMPTY, FinSet, interval
+from .kernel import Decomposition, block_sets, _decompose_runs, _parity_blocks
 
 _EXPLICIT_LIMIT = 200_000
+_DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
+
+Span = tuple[int, int]  # a block [start, end] of consecutive integers
 
 
 class ChainError(ValueError):
@@ -75,19 +83,25 @@ class SeededBlocks:
     """Random admissible blocks [c, 2c-1], reproducible from the seed alone.
 
     The draw for level i depends only on (seed, i, floor), never on Python
-    hashing, so chains and their extensions are stable across runs.
+    hashing, so chains and their extensions are stable across runs; it is
+    memoized on (seed, spread, level, floor), so a repeated key does not
+    reseed a Random.
     """
 
     seed: int
     spread: int = 8
 
     def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
-        lo = max(n, prev_end, m)
-        rng = random.Random((self.seed * 1_000_003 + level) * 1_000_033 + lo)
-        return lo + 1 + rng.randrange(self.spread)
+        return _seeded_start(self.seed, self.spread, level, max(n, prev_end, m))
 
     def describe(self) -> str:
         return f"seeded({self.seed})"
+
+
+@lru_cache(maxsize=_DRAW_MEMO)
+def _seeded_start(seed: int, spread: int, level: int, lo: int) -> int:
+    rng = random.Random((seed * 1_000_003 + level) * 1_000_033 + lo)
+    return lo + 1 + rng.randrange(spread)
 
 
 BlockGenerator = Union[CanonicalBlocks, SeededBlocks]
@@ -98,56 +112,60 @@ BlockGenerator = Union[CanonicalBlocks, SeededBlocks]
 # ---------------------------------------------------------------------------
 
 
+def _expand(spans: Iterable[Span]) -> tuple[int, ...]:
+    return tuple(itertools.chain.from_iterable(range(a, b + 1)
+                                               for a, b in spans))
+
+
 @dataclass(frozen=True)
 class DeltaChain:
     level: int                     # the n of the ambient prod(schreier,cube(n,n))
     support: FinSet                # the chain set {m_1 < ... < m_k}
-    blocks: tuple[FinSet, ...]     # one block per element, in order
+    spans: tuple[Span, ...]        # one block [start, end] per element, in order
     generator: BlockGenerator = CanonicalBlocks()
 
     def __post_init__(self):
-        n, s, bs = self.level, self.support, self.blocks
+        n, s, spans = self.level, self.support, self.spans
         if n < 1:
             raise ChainError("level must be >= 1")
         if len(s) > n:
             raise ChainError(f"chain set {s} longer than level {n}")
-        if len(bs) != len(s):
+        if len(spans) != len(s):
             raise ChainError("one block per chain element")
-        prev = FinSet()
-        for b in bs:
-            if not b or len(b) != b.min:
-                raise ChainError(f"{b} is not a maximal schreier set")
-            if not prev.precedes(b):
+        prev_end = 0
+        for a, b in spans:
+            if type(a) is not int or type(b) is not int:
+                raise ChainError(f"block ({a!r}, {b!r}) needs integer ends")
+            # a maximal schreier interval has min-many elements
+            if a < 1 or b - a + 1 != a:
+                raise ChainError(f"block [{a}, {b}] is not a maximal schreier set")
+            if a <= prev_end:
                 raise ChainError("blocks must increase strictly")
-            prev = b
-        if bs and bs[0].min <= n:
+            prev_end = b
+        if spans and spans[0][0] <= n:
             raise ChainError(f"first block must start above the level {n}")
-        # the blocks increase strictly, so each prefix union is the
-        # concatenation of the leading blocks' tuples
-        ambient = product_family(n)
-        union: tuple[int, ...] = ()
-        for b in bs:
-            union += b.elems
-            if not _member(ambient, union):
-                raise ChainError(f"leading-block union {FinSet(union)} leaves "
-                                 f"the level-{n} product family")
+        j = _member_run_prefix(product_family(n), spans)
+        if j < len(spans):
+            raise ChainError(f"leading-block union {FinSet(_expand(spans[:j + 1]))} "
+                             f"leaves the level-{n} product family")
 
     @property
     def depth(self) -> int:
         return len(self.support)
 
+    @property
+    def blocks(self) -> tuple[FinSet, ...]:
+        return tuple(interval(a, b) for a, b in self.spans)
+
     def union(self) -> FinSet:
-        out: tuple[int, ...] = ()
-        for b in self.blocks:
-            out += b.elems
-        return FinSet(out)
+        return FinSet(_expand(self.spans))
 
     def prefix(self, j: int) -> "DeltaChain":
         """The chain for the first j elements of the support."""
         if not 0 <= j <= self.depth:
             raise ChainError(f"no prefix of length {j}")
         return DeltaChain(self.level, FinSet(self.support.elems[:j]),
-                          self.blocks[:j], self.generator)
+                          self.spans[:j], self.generator)
 
     def extend(self, m: int, generator: Optional[BlockGenerator] = None) -> "DeltaChain":
         """Append the chain element m (m > max support) with a fresh block."""
@@ -157,17 +175,16 @@ class DeltaChain:
             raise ChainError(f"level {self.level} admits chains of length "
                              f"<= {self.level}")
         gen = generator if generator is not None else self.generator
-        prev_end = self.blocks[-1].max if self.blocks else 0
+        prev_end = self.spans[-1][1] if self.spans else 0
         p = gen.next_start(self.level, prev_end, m, level=self.depth + 1)
-        block = interval(p, 2 * p - 1)
-        return DeltaChain(self.level, self.support.with_element(m),
-                          self.blocks + (block,), gen)
+        return DeltaChain(self.level, FinSet(self.support.elems + (m,)),
+                          self.spans + ((p, 2 * p - 1),), gen)
 
 
 def build_chain(level: int, support: FinSet,
                 generator: BlockGenerator = CanonicalBlocks()) -> DeltaChain:
     """Blocks for every prefix of ``support``, drawn by ``generator``."""
-    chain = DeltaChain(level, FinSet(), (), generator)
+    chain = DeltaChain(level, EMPTY, (), generator)
     for m in support:
         chain = chain.extend(m)
     return chain
@@ -233,16 +250,25 @@ def block_average(chain: DeltaChain) -> BlockAverage:
     return BlockAverage(chain.level, chain.blocks)
 
 
+def _functional_spans(chain: DeltaChain) -> tuple[Span, ...]:
+    """The chain's spans, once its union is checked to lie in the level's
+    product family and to decompose into exactly the chain blocks."""
+    spans = chain.spans
+    if spans:
+        if _member_run_prefix(product_family(chain.level), spans) < len(spans):
+            raise ChainError(f"{chain.union()} left the level-{chain.level} "
+                             "product family")
+        if _decompose_runs(spans) != tuple(((a, b),) for a, b in spans):
+            raise ChainError("decomposition does not recover the chain blocks")
+    return spans
+
+
 def union_functional(chain: DeltaChain) -> UnionFunctional:
+    _functional_spans(chain)
     t = chain.union()
     if not t:
         return UnionFunctional(chain.level, t, None)
-    if not member(product_family(chain.level), t):
-        raise ChainError(f"{t} left the level-{chain.level} product family")
-    d = decompose(t)
-    if d.blocks != chain.blocks:
-        raise ChainError("decomposition does not recover the chain blocks")
-    return UnionFunctional(chain.level, t, d)
+    return UnionFunctional(chain.level, t, Decomposition(chain.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +276,41 @@ def union_functional(chain: DeltaChain) -> UnionFunctional:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(f: UnionFunctional, v: BlockAverage) -> Fraction:
-    """Exact value of the functional on the average, by factorization.
+def _pairing(counts: Iterable[tuple[int, int]]) -> Fraction:
+    """The functional on the average from per-position (len(a), hit) pairs.
 
     Picks are independent across blocks, so the signed average splits into
     per-position factors (len(a) - 2*hit) / len(a), with ``hit`` the number
-    of elements the i-th pick block a shares with the i-th functional block
-    b; positions past either side contribute 1.  When both blocks are
-    intervals (a FinSet e is one exactly when e[-1] - e[0] + 1 == len(e))
-    the count comes from the endpoints, else from a set intersection.  The
-    numerators and denominators stay integers until one final Fraction.
+    of elements the i-th pick block a shares with the i-th functional
+    block; positions past either side contribute 1.  The numerators and
+    denominators stay integers until one final Fraction.
     """
     num = den = 1
-    for pick, block in zip(v.blocks, f.blocks):
-        a, b = pick.elems, block.elems
-        if (a and b and a[-1] - a[0] + 1 == len(a)
-                and b[-1] - b[0] + 1 == len(b)):
-            hit = max(0, min(a[-1], b[-1]) - max(a[0], b[0]) + 1)
-        else:
-            hit = len(set(a).intersection(b))
-        num *= len(a) - 2 * hit
-        den *= len(a)
+    for size, hit in counts:
+        num *= size - 2 * hit
+        den *= size
     # an empty pick block leaves den == 0 and fails here, as it must
     return Fraction(num + den, 2 * den)
+
+
+def _span_pairing(f_spans: tuple[Span, ...], v_spans: tuple[Span, ...]) -> Fraction:
+    """``_pairing`` of a functional on an average, both given by spans."""
+    return _pairing((a1 - a0 + 1, max(0, min(a1, b1) - max(a0, b0) + 1))
+                    for (a0, a1), (b0, b1) in zip(v_spans, f_spans))
+
+
+def _hit(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """#(a & b): from the endpoints when both are intervals (a tuple e is
+    one exactly when e[-1] - e[0] + 1 == len(e)), else by intersection."""
+    if a and b and a[-1] - a[0] + 1 == len(a) and b[-1] - b[0] + 1 == len(b):
+        return max(0, min(a[-1], b[-1]) - max(a[0], b[0]) + 1)
+    return len(set(a).intersection(b))
+
+
+def evaluate(f: UnionFunctional, v: BlockAverage) -> Fraction:
+    """Exact value of the functional on the average, by factorization."""
+    return _pairing((len(a), _hit(a.elems, b.elems))
+                    for a, b in zip(v.blocks, f.blocks))
 
 
 def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
@@ -287,7 +325,8 @@ def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
 
 def self_pairing(chain: DeltaChain) -> Fraction:
     """The chain's functional on its own average: 1 at even depth, else 0."""
-    return evaluate(union_functional(chain), block_average(chain))
+    spans = _functional_spans(chain)
+    return _span_pairing(spans, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +340,10 @@ def cancellation_value(chain: DeltaChain, m: int,
     the extended average.  Exactly (-1)^k at depth k, and asserted so.
     """
     extended = chain.extend(m, generator)
-    f = union_functional(extended)
-    value = evaluate(f, block_average(chain)) - evaluate(f, block_average(extended))
+    f = _functional_spans(extended)
+    value = _span_pairing(f, chain.spans) - _span_pairing(f, extended.spans)
     k = chain.depth
-    if value != Fraction(-1) ** k:
+    if value != (-1) ** k:
         raise AssertionError(
             f"cancellation failed at {chain.support} + {m}: got {value}")
     return value

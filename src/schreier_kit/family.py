@@ -449,6 +449,43 @@ def _min_block_count(expr: FamilyExpr, elems: tuple[int, ...]) -> Optional[int]:
     return count
 
 
+def _member_run_prefix(expr: FamilyExpr, runs) -> int:
+    """The largest j with the union of ``runs[:j]`` in ``expr``, for expr
+    prod(schreier, cube(n,n)) or S2 and runs (a, b), a <= b, of consecutive
+    integers in increasing order, never expanded.
+
+    The greedy count of ``_min_block_count`` on schreier: a block opening
+    at x takes the next x elements, across runs if need be.  The count only
+    grows with j, so one pass decides every leading union, in
+    O(runs + blocks) integer steps.
+    """
+    if not (isinstance(expr, Product) and isinstance(expr.left, Schreier)
+            and isinstance(expr.right, (Schreier, Cube))):
+        raise TypeError(f"no run route for {expr!r}")
+    if not runs:
+        return 0
+    first = runs[0][0]
+    if isinstance(expr.right, Schreier):
+        bound = first
+    elif first >= expr.right.floor:
+        bound = expr.right.size
+    else:
+        return 0
+    count = need = 0
+    for j, (a, b) in enumerate(runs):
+        x = a
+        while x <= b:
+            if not need:
+                count += 1
+                need = x
+            take = min(need, b - x + 1)
+            need -= take
+            x += take
+        if count > bound:
+            return j
+    return len(runs)
+
+
 def _product_member(left: FamilyExpr, right: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if not elems:
         return True
@@ -641,8 +678,16 @@ def iterated_derivative(expr: FamilyExpr, steps: int) -> FamilyExpr:
 # ---------------------------------------------------------------------------
 
 
+# The most members one hereditary enumeration builds before it gives up
+# with a ValueError.  Members are held in memory (the largest enumeration in
+# the tests, verify suites, demos and benchmark is 6718, S2 within [1..14]),
+# and schreier alone has 267,914,296 members within [1..40].
+_ENUM_LIMIT = 100_000
+
+
 def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
-    """All members inside [1..bound], in length-then-lex order."""
+    """All members inside [1..bound], in length-then-lex order; refused
+    beyond ``_ENUM_LIMIT`` members for a hereditary family."""
     idx = effective_index(expr)
     universe = [m for m in range(1, bound + 1) if idx.contains(m)]
     if _structurally_hereditary(expr):
@@ -670,6 +715,9 @@ def _enumerate_hereditary(expr: FamilyExpr, universe: list[int]) -> list:
             for m in universe:
                 if m > last and _member(expr, els + (m,)):
                     nxt.append(els + (m,))
+            if len(out) + len(nxt) > _ENUM_LIMIT:
+                raise ValueError(f"more than {_ENUM_LIMIT} members within "
+                                 f"[1..{universe[-1]}]; lower the bound")
         out.extend(nxt)
         frontier = nxt
     return out

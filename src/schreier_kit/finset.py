@@ -16,7 +16,7 @@ class FinSet:
     def __post_init__(self):
         prev = 0
         for m in self.elems:
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:  # bool is an int subclass
                 raise ValueError(f"elements must be integers >= 1, got {m!r}")
             if m <= prev:
                 raise ValueError("elements must be strictly increasing")

@@ -98,14 +98,16 @@ def _ordinal_corpus(cap: Optional[int] = None) -> list[Ordinal]:
 def _suite_ordinal_associativity(cap):
     col = _Collector()
     corpus = _ordinal_corpus(cap)
+    # b + c and b * c do not depend on a: one row of them per b
+    rows = [[(c, b + c, b * c) for c in corpus] for b in corpus]
     for a in corpus:
-        for b in corpus:
+        for b, row in zip(corpus, rows):
             ab_add = a + b
             ab_mul = a * b
-            for c in corpus:
-                lhs, rhs = ab_add + c, a + (b + c)
+            for c, bc_add, bc_mul in row:
+                lhs, rhs = ab_add + c, a + bc_add
                 col.check(lhs == rhs, lambda: f"add {a}|{b}|{c}", rhs, lhs)
-                lhs, rhs = ab_mul * c, a * (b * c)
+                lhs, rhs = ab_mul * c, a * bc_mul
                 col.check(lhs == rhs, lambda: f"mul {a}|{b}|{c}", rhs, lhs)
     return col
 

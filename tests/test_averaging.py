@@ -47,6 +47,13 @@ class TestBlockGenerators:
                 assert lo + 1 <= p <= lo + g.spread
         assert g.describe() == "seeded(7)"
 
+    def test_seeded_draws_are_pinned(self):
+        # each draw reads (seed, spread, level, floor) and nothing else
+        c = build_chain(4, FinSet((2, 5, 9)), SeededBlocks(7))
+        assert c.spans == ((12, 23), (26, 51), (53, 105))
+        c = build_chain(3, FinSet((1, 2, 3)), SeededBlocks(123456, spread=3))
+        assert c.spans == ((6, 11), (14, 27), (28, 55))
+
     def test_seeded_draws_are_reproducible(self):
         a = build_chain(3, FinSet((4, 6)), SeededBlocks(7))
         b = build_chain(3, FinSet((4, 6)), SeededBlocks(7))
@@ -58,6 +65,7 @@ class TestBlockGenerators:
 class TestChains:
     def test_canonical_chain_blocks(self):
         c = build_chain(2, FinSet((3, 5)))
+        assert c.spans == ((4, 7), (8, 15))
         assert c.blocks == (interval(4, 7), interval(8, 15))
         assert c.union() == interval(4, 15)
         assert c.depth == 2
@@ -83,13 +91,13 @@ class TestChains:
 
     @pytest.mark.parametrize("args,message", [
         ((0, EMPTY, ()), "level must be >= 1"),
-        ((1, FinSet((2, 3)), (interval(4, 7), interval(8, 15))),
-         "longer than level"),
-        ((2, FinSet((3,)), (interval(2, 3),)), "start above the level"),
-        ((2, FinSet((3,)), (FinSet((4, 5, 6)),)), "not a maximal schreier"),
-        ((2, FinSet((3, 5)), (interval(8, 15), interval(4, 7))),
-         "increase strictly"),
-        ((2, FinSet((3, 5)), (interval(4, 7),)), "one block per"),
+        ((1, FinSet((2, 3)), ((4, 7), (8, 15))), "longer than level"),
+        ((2, FinSet((3,)), ((2, 3),)), "start above the level"),
+        ((2, FinSet((3,)), ((4, 6),)), "not a maximal schreier"),
+        ((2, FinSet((3, 5)), ((8, 15), (4, 7))), "increase strictly"),
+        ((2, FinSet((3, 5)), ((4, 7),)), "one block per"),
+        ((2, FinSet((3,)), ((4.0, 7),)), "integer ends"),
+        ((2, FinSet((3,)), ((True, 1),)), "integer ends"),
     ])
     def test_invalid_chains_are_rejected(self, args, message):
         with pytest.raises(ChainError, match=message):

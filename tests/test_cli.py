@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,15 @@ class TestFam:
                                 "--format", "csv"])
         assert code == 0
         assert out == "set,maximal\n,false\n1,true\n2,false\n3,false\n2 3,true\n"
+
+    def test_enum_past_the_member_limit_exits_2_quickly(self, run_cli):
+        # schreier has 267,914,296 members within [1..40]
+        start = time.perf_counter()
+        code, out, err = run_cli(["fam", "enum", "schreier", "--max", "40"])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == ("error: more than 100000 members within [1..40]; "
+                       "lower the bound\n")
 
     def test_member_and_maximal(self, run_cli):
         code, out, _ = run_cli(["fam", "member", "schreier", "--s", "{1,2}"])

@@ -249,6 +249,38 @@ def test_progression_meet_matches_both_parts(a0, a1, b0, b1):
         assert meet.contains(m) == (a.contains(m) and b.contains(m)), m
 
 
+@st.composite
+def run_lists(draw):
+    """Increasing runs (a, b) of consecutive integers, adjacent or apart."""
+    runs, x = [], draw(st.integers(1, 12))
+    for _ in range(draw(st.integers(0, 5))):
+        b = x + draw(st.integers(0, 9))
+        runs.append((x, b))
+        x = b + 1 + draw(st.integers(0, 4))
+    return runs
+
+
+@settings(derandomize=True, max_examples=300)
+@given(run_lists(), st.one_of(
+    st.just(SCHREIER_SQUARE),
+    st.integers(1, 6).map(product_family),
+    st.builds(lambda f, n: Product(SCHREIER, Cube(f, n)),
+              st.integers(1, 12), st.integers(0, 6))))
+def test_run_membership_matches_the_element_route(runs, expr):
+    j = family._member_run_prefix(expr, runs)
+    for i in range(len(runs) + 1):
+        elems = tuple(itertools.chain.from_iterable(
+            range(a, b + 1) for a, b in runs[:i]))
+        assert family._member(expr, elems) == (i <= j), (runs[:i], j)
+
+
+def test_run_membership_takes_only_greedy_products():
+    with pytest.raises(TypeError, match="no run route"):
+        family._member_run_prefix(SCHREIER, [(3, 5)])
+    with pytest.raises(TypeError, match="no run route"):
+        family._member_run_prefix(Product(Cube(2, 2), SCHREIER), [(3, 5)])
+
+
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
 
 

@@ -22,6 +22,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="integers >= 1"):
             FinSet((1.5,))
 
+    @pytest.mark.parametrize("elems", [(True,), (1, True), (1, 2.0)])
+    def test_bools_and_floats_are_not_elements(self, elems):
+        # bool is an int subclass and 2.0 == 2, but neither is an element
+        with pytest.raises(ValueError, match="integers >= 1"):
+            FinSet(elems)
+
     def test_of_sorts_and_deduplicates(self):
         assert FinSet.of([5, 2, 2, 8]) == FinSet((2, 5, 8))
         assert FinSet.of([]) == EMPTY
