@@ -26,6 +26,17 @@ product over block positions of (len(a) - 2*hit) / len(a), kept in
 integers until one final Fraction.  The hit count comes from endpoints on
 spans and on interval FinSets, and from a set intersection for hand-built
 blocks such as {3,5,7}.
+
+The span-level work is memoized on plain integer tuples, never on a family
+expression: the count of leading unions in the level's product family on
+``(level, spans)``, the union functional's membership and decomposition
+checks on ``(level, spans)``, and the cancellation pairing on the pair
+``(chain spans, extended spans)``.  A one-step extension depends on m only
+through max(n, previous end, m), so a sweep meets the same few hundred keys
+again and again.  Every check runs on the first sight of a key; a failing
+check raises and is not memoized.  The type, maximality and order checks of
+``DeltaChain`` run on every construction, before any memo is consulted, so
+a float end never hits the memo entry of its integer twin.
 """
 
 from __future__ import annotations
@@ -44,6 +55,9 @@ from .kernel import Decomposition, block_sets, _decompose_runs, _parity_blocks
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
+# keys kept per span memo: an uncapped verify suite asks one memo for at most
+# 1439 distinct keys, the bench's tree sweep for 331
+_SPAN_MEMO = 4096
 
 Span = tuple[int, int]  # a block [start, end] of consecutive integers
 
@@ -117,6 +131,13 @@ def _expand(spans: Iterable[Span]) -> tuple[int, ...]:
                                                for a, b in spans))
 
 
+@lru_cache(maxsize=_SPAN_MEMO)
+def _leading_members(level: int, spans: tuple[Span, ...]) -> int:
+    """How many leading unions of ``spans`` lie in the level's product
+    family (``len(spans)`` when all of them do)."""
+    return _member_run_prefix(product_family(level), spans)
+
+
 @dataclass(frozen=True)
 class DeltaChain:
     level: int                     # the n of the ambient prod(schreier,cube(n,n))
@@ -126,14 +147,23 @@ class DeltaChain:
 
     def __post_init__(self):
         n, s, spans = self.level, self.support, self.spans
+        if type(n) is not int:
+            raise ChainError(f"level {n!r} must be an integer")
         if n < 1:
             raise ChainError("level must be >= 1")
-        if len(s) > n:
+        if type(s) is not FinSet:
+            raise ChainError(f"chain set {s!r} must be a FinSet")
+        if len(s.elems) > n:
             raise ChainError(f"chain set {s} longer than level {n}")
-        if len(spans) != len(s):
+        if type(spans) is not tuple:
+            raise ChainError(f"blocks {spans!r} must be a tuple of spans")
+        if len(spans) != len(s.elems):
             raise ChainError("one block per chain element")
         prev_end = 0
-        for a, b in spans:
+        for span in spans:
+            if type(span) is not tuple or len(span) != 2:
+                raise ChainError(f"block {span!r} is not a (start, end) tuple")
+            a, b = span
             if type(a) is not int or type(b) is not int:
                 raise ChainError(f"block ({a!r}, {b!r}) needs integer ends")
             # a maximal schreier interval has min-many elements
@@ -144,14 +174,14 @@ class DeltaChain:
             prev_end = b
         if spans and spans[0][0] <= n:
             raise ChainError(f"first block must start above the level {n}")
-        j = _member_run_prefix(product_family(n), spans)
+        j = _leading_members(n, spans)
         if j < len(spans):
             raise ChainError(f"leading-block union {FinSet(_expand(spans[:j + 1]))} "
                              f"leaves the level-{n} product family")
 
     @property
     def depth(self) -> int:
-        return len(self.support)
+        return len(self.spans)
 
     @property
     def blocks(self) -> tuple[FinSet, ...]:
@@ -169,16 +199,16 @@ class DeltaChain:
 
     def extend(self, m: int, generator: Optional[BlockGenerator] = None) -> "DeltaChain":
         """Append the chain element m (m > max support) with a fresh block."""
-        if m <= self.support.max_or_0:
-            raise ChainError(f"{m} does not extend {self.support}")
-        if self.depth + 1 > self.level:
-            raise ChainError(f"level {self.level} admits chains of length "
-                             f"<= {self.level}")
+        n, support, spans = self.level, self.support, self.spans
+        if m <= support.max_or_0:
+            raise ChainError(f"{m} does not extend {support}")
+        k = len(spans)
+        if k + 1 > n:
+            raise ChainError(f"level {n} admits chains of length <= {n}")
         gen = generator if generator is not None else self.generator
-        prev_end = self.spans[-1][1] if self.spans else 0
-        p = gen.next_start(self.level, prev_end, m, level=self.depth + 1)
-        return DeltaChain(self.level, FinSet(self.support.elems + (m,)),
-                          self.spans + ((p, 2 * p - 1),), gen)
+        p = gen.next_start(n, spans[-1][1] if spans else 0, m, level=k + 1)
+        return DeltaChain(n, FinSet(support.elems + (m,)),
+                          spans + ((p, 2 * p - 1),), gen)
 
 
 def build_chain(level: int, support: FinSet,
@@ -250,21 +280,22 @@ def block_average(chain: DeltaChain) -> BlockAverage:
     return BlockAverage(chain.level, chain.blocks)
 
 
-def _functional_spans(chain: DeltaChain) -> tuple[Span, ...]:
-    """The chain's spans, once its union is checked to lie in the level's
-    product family and to decompose into exactly the chain blocks."""
-    spans = chain.spans
+@lru_cache(maxsize=_SPAN_MEMO)
+def _check_functional(level: int, spans: tuple[Span, ...]) -> bool:
+    """True once the union of ``spans`` is checked to lie in the level's
+    product family and to decompose into exactly those blocks; otherwise
+    ChainError."""
     if spans:
-        if _member_run_prefix(product_family(chain.level), spans) < len(spans):
-            raise ChainError(f"{chain.union()} left the level-{chain.level} "
+        if _leading_members(level, spans) < len(spans):
+            raise ChainError(f"{FinSet(_expand(spans))} left the level-{level} "
                              "product family")
         if _decompose_runs(spans) != tuple(((a, b),) for a, b in spans):
             raise ChainError("decomposition does not recover the chain blocks")
-    return spans
+    return True
 
 
 def union_functional(chain: DeltaChain) -> UnionFunctional:
-    _functional_spans(chain)
+    _check_functional(chain.level, chain.spans)
     t = chain.union()
     if not t:
         return UnionFunctional(chain.level, t, None)
@@ -325,8 +356,8 @@ def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
 
 def self_pairing(chain: DeltaChain) -> Fraction:
     """The chain's functional on its own average: 1 at even depth, else 0."""
-    spans = _functional_spans(chain)
-    return _span_pairing(spans, spans)
+    _check_functional(chain.level, chain.spans)
+    return _span_pairing(chain.spans, chain.spans)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +371,18 @@ def cancellation_value(chain: DeltaChain, m: int,
     the extended average.  Exactly (-1)^k at depth k, and asserted so.
     """
     extended = chain.extend(m, generator)
-    f = _functional_spans(extended)
-    value = _span_pairing(f, chain.spans) - _span_pairing(f, extended.spans)
+    _check_functional(extended.level, extended.spans)
+    value = _cancellation_pairing(chain.spans, extended.spans)
     k = chain.depth
     if value != (-1) ** k:
         raise AssertionError(
             f"cancellation failed at {chain.support} + {m}: got {value}")
     return value
+
+
+@lru_cache(maxsize=_SPAN_MEMO)
+def _cancellation_pairing(spans: tuple[Span, ...],
+                          extended: tuple[Span, ...]) -> Fraction:
+    """The extended chain's functional on the chain average minus the
+    extended average, all given by spans."""
+    return _span_pairing(extended, spans) - _span_pairing(extended, extended)

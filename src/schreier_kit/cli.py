@@ -11,7 +11,9 @@ verification fails, 2 on bad input or usage.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from typing import Optional
 
@@ -25,6 +27,11 @@ from .family import (DegenerateIndexError, FamilySyntaxError,
 from .finset import FinSet
 from .ordinal import OrdinalSyntaxError
 from .kernel import NotInS2Error, decompose, inner, parity
+
+# Most chains (chain sets times generators) one ``tree sweep`` may build.
+# The largest sweep in the tests, demos and bench workloads builds 4,030
+# (130 chain sets, 31 generators) in about 0.25 s.
+_SWEEP_LIMIT = 100_000
 
 
 def _emit(obj) -> None:
@@ -205,16 +212,25 @@ def _cmd_tree_check(args) -> int:
 
 
 def _cmd_tree_sweep(args) -> int:
-    import itertools
-
+    for flag in ("support_max", "m_max", "seeds"):
+        value = getattr(args, flag)
+        if value < 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    # chain sets are the subsets of [1..support_max] with fewer than n
+    # elements; the empty one is always swept, so a bad level still fails
+    sizes = range(min(max(args.n, 1), args.support_max + 1))
+    chains = sum(math.comb(args.support_max, r) for r in sizes) * (args.seeds + 1)
+    if chains > _SWEEP_LIMIT:
+        raise ValueError(f"the sweep would build {chains} chains, more than "
+                         f"the limit {_SWEEP_LIMIT}; lower --n, --support-max "
+                         "or --seeds")
     gens = [CanonicalBlocks()]
     gens += [SeededBlocks(seed) for seed in range(1, args.seeds + 1)]
     failed = False
-    supports = [FinSet()]
-    for r in range(1, args.n):
-        supports += [FinSet(e) for e in
-                     itertools.combinations(range(1, args.support_max + 1), r)]
-    for s in supports:
+    for els in itertools.chain.from_iterable(
+            itertools.combinations(range(1, args.support_max + 1), r)
+            for r in sizes):
+        s = FinSet(els)
         cases = 0
         bad: list[str] = []
         for gen in gens:

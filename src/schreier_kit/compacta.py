@@ -16,13 +16,14 @@ grid from one byte buffer; only the set labels are formatted per row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .family import (SCHREIER, All, IndexSet, base_family, enumerate_members,
                      member, product_family, restricted)
-from .finset import FinSet, interval
+from .finset import FinSet
 from .kernel import (block_sets, _parity_blocks, decompose, parity,
                      parity_matrix)
 
@@ -187,25 +188,29 @@ def powers_witness(s0: FinSet, s1: FinSet) -> FinSet:
         chosen = e0
     else:
         chosen = e0 if e0[k] < e1[k] else e1
-    t = FinSet()
-    for e in chosen[:k + 1]:
-        t = t | interval(1 << e, (1 << (e + 1)) - 1)
+    # the exponents increase, so the intervals come in order and are disjoint
+    t = FinSet(tuple(chain.from_iterable(range(1 << e, 1 << (e + 1))
+                                         for e in chosen[:k + 1])))
     d = decompose(t)
     if parity(s0, d) == parity(s1, d):
         raise AssertionError(f"witness failed to separate {s0} and {s1}")
     return t
 
 
-def schreier_sets_upto(bound: int, max_size: Optional[int] = None):
-    """All schreier sets inside [1..bound] in length-then-lex order."""
-    from itertools import combinations
-
+def _schreier_tuples(bound: int, max_size: Optional[int] = None
+                     ) -> Iterator[tuple[int, ...]]:
+    """The element tuples of ``schreier_sets_upto``, in the same order."""
     top = bound if max_size is None else min(max_size, bound)
-    yield FinSet()
+    yield ()
     for k in range(1, top + 1):
         # size-k schreier sets are exactly the k-subsets of [k..bound]
-        for els in combinations(range(k, bound + 1), k):
-            yield FinSet(els)
+        yield from combinations(range(k, bound + 1), k)
+
+
+def schreier_sets_upto(bound: int, max_size: Optional[int] = None
+                       ) -> Iterator[FinSet]:
+    """All schreier sets inside [1..bound] in length-then-lex order."""
+    return map(FinSet, _schreier_tuples(bound, max_size))
 
 
 def default_search_bound(t0: FinSet, t1: FinSet) -> int:
@@ -220,13 +225,12 @@ def distinguishing_search(t0: FinSet, t1: FinSet,
     kernel values at t0 and t1 differ; None when the bound is too tight."""
     if t0 == t1:
         raise ValueError("the two sets must differ")
-    b0 = block_sets(decompose(t0)) if t0 else ()
-    b1 = block_sets(decompose(t1)) if t1 else ()
+    b0 = block_sets(t0)
+    b1 = block_sets(t1)
     if bound is None:
         bound = default_search_bound(t0, t1)
-    for s in schreier_sets_upto(bound):
-        if not s:
-            continue  # the kernel is 1 at the empty first coordinate, always
-        if _parity_blocks(s.elems, b0) != _parity_blocks(s.elems, b1):
-            return s
+    # the empty first coordinate gives 1 on both sides, so it never separates
+    for els in _schreier_tuples(bound):
+        if _parity_blocks(els, b0) != _parity_blocks(els, b1):
+            return FinSet(els)
     return None

@@ -5,12 +5,16 @@ enumeration of all picks.  The identity tests lean on the factorized form
 (the enumerated one is the oracle and is compared against it directly).
 """
 
+import contextlib
+import io
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schreier_kit import averaging, cli
 from schreier_kit.averaging import (
     BlockAverage,
     CanonicalBlocks,
@@ -264,3 +268,90 @@ class TestCancellation:
         assert f.blocks == c.blocks
         assert f.support == c.union()
         assert f.level == 2
+
+
+_MEMOS = (averaging._leading_members, averaging._check_functional,
+          averaging._cancellation_pairing)
+
+
+@st.composite
+def _extensions(draw):
+    """A chain one short of its level, and an element that extends it."""
+    level = draw(st.integers(1, 4))
+    support = FinSet(tuple(sorted(draw(st.sets(st.integers(1, 12),
+                                               max_size=level - 1)))))
+    seed = draw(st.one_of(st.none(), st.integers(0, 40)))
+    gen = CanonicalBlocks() if seed is None else SeededBlocks(seed)
+    m = support.max_or_0 + draw(st.integers(1, 6))
+    return build_chain(level, support, gen), m
+
+
+class TestSpanMemos:
+    @settings(derandomize=True, max_examples=200)
+    @given(_extensions())
+    def test_memos_agree_with_their_originals(self, case):
+        chain, m = case
+        ext = chain.extend(m)
+        for c in (chain, ext):
+            for j in range(c.depth + 1):
+                key = (c.level, c.spans[:j])
+                assert (averaging._leading_members(*key)
+                        == averaging._leading_members.__wrapped__(*key) == j)
+            assert averaging._check_functional(c.level, c.spans) is True
+            assert averaging._check_functional.__wrapped__(c.level, c.spans)
+        pair = (chain.spans, ext.spans)
+        assert (averaging._cancellation_pairing(*pair)
+                == averaging._cancellation_pairing.__wrapped__(*pair))
+        # the public route: evaluate on the objects the CLI prints
+        f = union_functional(ext)
+        by_evaluate = (evaluate(f, block_average(chain))
+                       - evaluate(f, block_average(ext)))
+        assert cancellation_value(chain, m) == by_evaluate == (-1) ** chain.depth
+
+    def test_float_ends_are_rejected_after_the_integer_twin_is_cached(self):
+        DeltaChain(1, FinSet((1,)), ((2, 3),))
+        assert averaging._leading_members(1, ((2.0, 3),)) == 1  # the twin's entry
+        with pytest.raises(ChainError, match="integer ends"):
+            DeltaChain(1, FinSet((1,)), ((2.0, 3),))
+        with pytest.raises(ChainError, match="must be an integer"):
+            DeltaChain(1.0, FinSet((1,)), ((2, 3),))
+        with pytest.raises(ChainError, match="tuple of spans"):
+            DeltaChain(1, FinSet((1,)), [(2, 3)])
+        with pytest.raises(ChainError, match="not a .start, end. tuple"):
+            DeltaChain(1, FinSet((1,)), ([2, 3],))
+
+    def test_failed_checks_raise_every_time_and_are_not_kept(self):
+        # neither is a chain's spans: [2..5] needs two schreier blocks, one
+        # too many at level 1, and [3..7] cuts into [3,5], [6,7]
+        memo = averaging._check_functional
+        for args, message in [
+                ((1, ((2, 5),)), r"\{2,3,4,5\} left the level-1 product"),
+                ((2, ((3, 4), (5, 7))), "does not recover the chain blocks")]:
+            before = memo.cache_info().currsize
+            for _ in range(2):
+                with pytest.raises(ChainError, match=message):
+                    memo(*args)
+            assert memo.cache_info().currsize == before
+
+    def test_every_memo_has_the_module_bound(self):
+        for memo in _MEMOS:
+            assert memo.cache_info().maxsize == averaging._SPAN_MEMO
+
+    def test_a_sweep_goes_through_the_cancellation_memo(self):
+        # time-free guard: one miss per distinct (chain, extension) span pair
+        memo = averaging._cancellation_pairing
+        memo.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["tree", "sweep", "--n", "3", "--seeds", "3"]) == 0
+        gens = [CanonicalBlocks()] + [SeededBlocks(s) for s in range(1, 4)]
+        pairs, cases = set(), 0
+        for r in range(3):
+            for els in itertools.combinations(range(1, 10), r):
+                for gen in gens:
+                    chain = build_chain(3, FinSet(els), gen)
+                    for m in range(max(els, default=0) + 1, 13):
+                        pairs.add((chain.spans, chain.extend(m).spans))
+                        cases += 1
+        info = memo.cache_info()
+        assert info.misses == len(pairs)
+        assert info.hits == cases - len(pairs) > 0

@@ -209,6 +209,32 @@ class TestTree:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == golden["sha256"][0])
 
+    def test_sweep_past_the_chain_limit_exits_2_quickly(self, run_cli):
+        # about 4.4e11 chain sets: refused before any is built
+        start = time.perf_counter()
+        code, out, err = run_cli(["tree", "sweep", "--n", "12", "--support-max",
+                                  "60", "--m-max", "61"])
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == ("error: the sweep would build 435878172349 chains, more "
+                       "than the limit 100000; lower --n, --support-max or "
+                       "--seeds\n")
+
+    def test_sweep_at_the_chain_limit_runs(self, run_cli):
+        # at level 1 only the empty chain set is swept, once per generator
+        argv = ["tree", "sweep", "--n", "1", "--m-max", "0", "--seeds"]
+        code, out, _ = run_cli(argv + ["99999"])
+        assert (code, out) == (0, '{"cases":0,"failures":[],"n":1,"ok":true,'
+                                  '"s":[],"sign":1}\n')
+        code, out, _ = run_cli(argv + ["100000"])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--support-max", "--m-max"])
+    def test_sweep_rejects_negative_counts(self, run_cli, flag):
+        code, out, err = run_cli(["tree", "sweep", "--n", "2", flag, "-1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 0, got -1\n"
+
     def test_invalid_chain_exits_2(self, run_cli):
         code, out, err = run_cli(["tree", "check", "--n", "1", "--s", "{3,5}",
                                   "--m", "9"])
