@@ -24,18 +24,18 @@ reads ``blocks`` or ``union()`` or asks for the public ``block_average``
 and ``union_functional`` objects.  One core evaluates every pairing: the
 product over block positions of (len(a) - 2*hit) / len(a), kept in
 integers until one final Fraction.  The hit count comes from endpoints on
-spans and on interval FinSets, and from a set intersection for hand-built
-blocks such as {3,5,7}.
+spans, and from a set intersection on the FinSets of ``evaluate``.
 
 The span-level work is memoized on plain integer tuples, never on a family
-expression: the count of leading unions in the level's product family on
-``(level, spans)``, the union functional's membership and decomposition
-checks on ``(level, spans)``, and the cancellation pairing on the pair
-``(chain spans, extended spans)``.  A one-step extension depends on m only
-through max(n, previous end, m), so a sweep meets the same few hundred keys
-again and again.  Every check runs on the first sight of a key; a failing
-check raises and is not memoized.  The type, maximality and order checks of
-``DeltaChain`` run on every construction, before any memo is consulted, so
+expression: the chain checks on ``(level, spans)`` (membership of every
+leading union in the level's product family and, for a full chain, its
+decomposition into exactly the chain blocks) and the cancellation pairing
+on ``(chain spans, extended spans)``.  A one-step extension depends on m
+only through max(n, previous end, m), so a sweep meets the same few
+hundred keys again and again.  The chain checks run once per distinct key
+when a ``DeltaChain`` is built, and nothing repeats them; a failing check
+raises and is not memoized.  The type, maximality and order checks of
+``DeltaChain`` run on every construction, before the memo is consulted, so
 a float end never hits the memo entry of its integer twin.
 """
 
@@ -134,8 +134,17 @@ def _expand(spans: Iterable[Span]) -> tuple[int, ...]:
 @lru_cache(maxsize=_SPAN_MEMO)
 def _leading_members(level: int, spans: tuple[Span, ...]) -> int:
     """How many leading unions of ``spans`` lie in the level's product
-    family (``len(spans)`` when all of them do)."""
-    return _member_run_prefix(product_family(level), spans)
+    family; when all do, ChainError unless the union decomposes into
+    exactly the blocks ``spans``."""
+    # Membership and decomposition walk the spans, O(blocks) integer steps
+    # per miss.  Element routes cost O(block size) instead: on a seeded
+    # ``tree sweep --n 1 --seeds 1 --m-max 3000``, which misses on every
+    # case, they took 0.78 s against these routes' 0.36 s on a 2-core VM.
+    j = _member_run_prefix(product_family(level), spans)
+    if spans and j == len(spans) and \
+            _decompose_runs(spans) != tuple(((a, b),) for a, b in spans):
+        raise ChainError("decomposition does not recover the chain blocks")
+    return j
 
 
 @dataclass(frozen=True)
@@ -280,22 +289,7 @@ def block_average(chain: DeltaChain) -> BlockAverage:
     return BlockAverage(chain.level, chain.blocks)
 
 
-@lru_cache(maxsize=_SPAN_MEMO)
-def _check_functional(level: int, spans: tuple[Span, ...]) -> bool:
-    """True once the union of ``spans`` is checked to lie in the level's
-    product family and to decompose into exactly those blocks; otherwise
-    ChainError."""
-    if spans:
-        if _leading_members(level, spans) < len(spans):
-            raise ChainError(f"{FinSet(_expand(spans))} left the level-{level} "
-                             "product family")
-        if _decompose_runs(spans) != tuple(((a, b),) for a, b in spans):
-            raise ChainError("decomposition does not recover the chain blocks")
-    return True
-
-
 def union_functional(chain: DeltaChain) -> UnionFunctional:
-    _check_functional(chain.level, chain.spans)
     t = chain.union()
     if not t:
         return UnionFunctional(chain.level, t, None)
@@ -330,17 +324,9 @@ def _span_pairing(f_spans: tuple[Span, ...], v_spans: tuple[Span, ...]) -> Fract
                     for (a0, a1), (b0, b1) in zip(v_spans, f_spans))
 
 
-def _hit(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """#(a & b): from the endpoints when both are intervals (a tuple e is
-    one exactly when e[-1] - e[0] + 1 == len(e)), else by intersection."""
-    if a and b and a[-1] - a[0] + 1 == len(a) and b[-1] - b[0] + 1 == len(b):
-        return max(0, min(a[-1], b[-1]) - max(a[0], b[0]) + 1)
-    return len(set(a).intersection(b))
-
-
 def evaluate(f: UnionFunctional, v: BlockAverage) -> Fraction:
     """Exact value of the functional on the average, by factorization."""
-    return _pairing((len(a), _hit(a.elems, b.elems))
+    return _pairing((len(a), len(set(a.elems).intersection(b.elems)))
                     for a, b in zip(v.blocks, f.blocks))
 
 
@@ -356,7 +342,6 @@ def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
 
 def self_pairing(chain: DeltaChain) -> Fraction:
     """The chain's functional on its own average: 1 at even depth, else 0."""
-    _check_functional(chain.level, chain.spans)
     return _span_pairing(chain.spans, chain.spans)
 
 
@@ -371,7 +356,6 @@ def cancellation_value(chain: DeltaChain, m: int,
     the extended average.  Exactly (-1)^k at depth k, and asserted so.
     """
     extended = chain.extend(m, generator)
-    _check_functional(extended.level, extended.spans)
     value = _cancellation_pairing(chain.spans, extended.spans)
     k = chain.depth
     if value != (-1) ** k:

@@ -32,6 +32,9 @@ from .kernel import NotInS2Error, decompose, inner, parity
 # The largest sweep in the tests, demos and bench workloads builds 4,030
 # (130 chain sets, 31 generators) in about 0.25 s.
 _SWEEP_LIMIT = 100_000
+# Most cases one ``tree sweep`` may check, bounded above by chains times
+# --m-max; the bench sweep's bound is 4,030 x 12 = 48,360.
+_CASE_LIMIT = 1_000_000
 
 
 def _emit(obj) -> None:
@@ -224,6 +227,10 @@ def _cmd_tree_sweep(args) -> int:
         raise ValueError(f"the sweep would build {chains} chains, more than "
                          f"the limit {_SWEEP_LIMIT}; lower --n, --support-max "
                          "or --seeds")
+    if chains * args.m_max > _CASE_LIMIT:
+        raise ValueError(f"the sweep would check up to {chains * args.m_max} "
+                         f"cases, more than the limit {_CASE_LIMIT}; lower "
+                         "--m-max, --n, --support-max or --seeds")
     gens = [CanonicalBlocks()]
     gens += [SeededBlocks(seed) for seed in range(1, args.seeds + 1)]
     failed = False

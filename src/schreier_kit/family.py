@@ -875,6 +875,16 @@ class _FamParser:
             self.err("expected a natural number")
         return int(self.text[start:self.pos])
 
+    def nat_at_least(self, low: int, message: str) -> int:
+        """A natural >= low; otherwise ``message`` at the number's offset."""
+        self.ws()
+        at = self.pos
+        n = self.nat()
+        if n < low:
+            self.pos = at
+            self.err(message)
+        return n
+
     def family(self) -> FamilyExpr:
         self.ws()
         start = self.pos
@@ -885,12 +895,7 @@ class _FamParser:
             return SCHREIER_SQUARE
         if head == "cube":
             self.expect("(")
-            self.ws()
-            floor_at = self.pos
-            floor = self.nat()
-            if floor < 1:
-                self.pos = floor_at
-                self.err("cube floor must be >= 1")
+            floor = self.nat_at_least(1, "cube floor must be >= 1")
             self.expect(",")
             size = self.nat()
             self.expect(")")
@@ -931,39 +936,19 @@ class _FamParser:
             return All()
         if head == "from":
             self.expect("(")
-            self.ws()
-            n_at = self.pos
-            n = self.nat()
-            if n < 1:
-                self.pos = n_at
-                self.err("from() needs a start >= 1")
+            n = self.nat_at_least(1, "from() needs a start >= 1")
             self.expect(")")
             return From(n)
         if head == "powers":
             self.expect("(")
-            self.ws()
-            base_at = self.pos
-            b = self.nat()
-            if b < 2:
-                self.pos = base_at
-                self.err("powers base must be >= 2")
+            b = self.nat_at_least(2, "powers base must be >= 2")
             self.expect(")")
             return Powers(b)
         if head == "ap":
             self.expect("(")
-            self.ws()
-            s_at = self.pos
-            s = self.nat()
-            if s < 1:
-                self.pos = s_at
-                self.err("ap() needs a start >= 1")
+            s = self.nat_at_least(1, "ap() needs a start >= 1")
             self.expect(",")
-            self.ws()
-            d_at = self.pos
-            d = self.nat()
-            if d < 1:
-                self.pos = d_at
-                self.err("ap() needs a step >= 1")
+            d = self.nat_at_least(1, "ap() needs a step >= 1")
             self.expect(")")
             return AP(s, d)
         self.pos = start

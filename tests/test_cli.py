@@ -229,6 +229,20 @@ class TestTree:
         code, out, _ = run_cli(argv + ["100000"])
         assert (code, out) == (2, "")
 
+    def test_sweep_past_the_case_limit_exits_2_quickly(self, run_cli):
+        # one chain, but 1,000,001 values of m: refused before it is built
+        start = time.perf_counter()
+        code, out, err = run_cli(["tree", "sweep", "--n", "1", "--m-max",
+                                  "1000001"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: the sweep would check up to 1000001 cases, more "
+                       "than the limit 1000000; lower --m-max, --n, "
+                       "--support-max or --seeds\n")
+        code, out, _ = run_cli(["tree", "sweep", "--n", "1", "--m-max",
+                                "1000000001"])
+        assert (code, out) == (2, "")
+
     @pytest.mark.parametrize("flag", ["--seeds", "--support-max", "--m-max"])
     def test_sweep_rejects_negative_counts(self, run_cli, flag):
         code, out, err = run_cli(["tree", "sweep", "--n", "2", flag, "-1"])

@@ -92,6 +92,7 @@ class TestExpressionLanguage:
         ("schreir", 1, "expected a family expression"),
         ("powers(1)", 1, "expected a family expression"),
         ("cube(0,2)", 6, "cube"),
+        ("cube( 0,2)", 7, "cube floor must be >= 1"),
         ("prod(schreier)", 14, "expected ','"),
         ("restrict(schreier,)", 19, "expected an index set"),
         ("cube(2,2)x", 10, "trailing"),
@@ -107,6 +108,10 @@ class TestExpressionLanguage:
         ("from(0)", 6, "from() needs a start >= 1"),
         ("ap(0,2)", 4, "ap() needs a start >= 1"),
         ("ap(2,0)", 6, "ap() needs a step >= 1"),
+        ("powers( 1)", 9, "powers base must be >= 2"),
+        ("from( 0)", 7, "from() needs a start >= 1"),
+        ("ap( 0,2)", 5, "ap() needs a start >= 1"),
+        ("ap(2, 0)", 7, "ap() needs a step >= 1"),
         ("{1,2", 5, "expected '}'"),
     ])
     def test_index_syntax_errors(self, text, offset, message):
