@@ -17,26 +17,20 @@ and pairing the functional of the one-step extension of a chain with the
 chain's own average minus the extension's average is exactly (-1)^k.
 
 All arithmetic is exact.  A chain carries each block as its (start, end)
-span; every generated block is an interval [p, 2p-1], so validation, the
-union's membership and decomposition checks and the pairings run on those
-endpoints in integer steps.  Blocks become FinSets only when a caller
-reads ``blocks`` or ``union()`` or asks for the public ``block_average``
-and ``union_functional`` objects.  One core evaluates every pairing: the
-product over block positions of (len(a) - 2*hit) / len(a), kept in
-integers until one final Fraction.  The hit count comes from endpoints on
-spans, and from a set intersection on the FinSets of ``evaluate``.
+span; every generated block is an interval [p, 2p-1], so validation and
+the pairings run on those endpoints in integer steps.  Blocks become
+FinSets only when a caller reads ``blocks`` or ``union()`` or asks for the
+public ``block_average`` and ``union_functional`` objects.  One core
+evaluates every pairing: the product over block positions of
+(len(a) - 2*hit) / len(a), kept in integers until one final Fraction.  The
+hit count comes from endpoints on spans, and from a set intersection on
+the FinSets of ``evaluate``.
 
-The span-level work is memoized on plain integer tuples, never on a family
-expression: the chain checks on ``(level, spans)`` (membership of every
-leading union in the level's product family and, for a full chain, its
-decomposition into exactly the chain blocks) and the cancellation pairing
-on ``(chain spans, extended spans)``.  A one-step extension depends on m
-only through max(n, previous end, m), so a sweep meets the same few
-hundred keys again and again.  The chain checks run once per distinct key
-when a ``DeltaChain`` is built, and nothing repeats them; a failing check
-raises and is not memoized.  The type, maximality and order checks of
-``DeltaChain`` run on every construction, before the memo is consulted, so
-a float end never hits the memo entry of its integer twin.
+The structural checks of ``DeltaChain`` decide validity on every
+construction (its docstring says why they suffice).  The cancellation
+pairing is memoized on plain integer tuples ``(chain spans, extended spans)``: a
+one-step extension depends on m only through max(n, previous end, m), so
+a sweep meets the same few hundred keys again and again.
 """
 
 from __future__ import annotations
@@ -49,14 +43,14 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Optional, Union
 
-from .family import Cube, _member_run_prefix, member, product_family
+from .family import Cube, member
 from .finset import EMPTY, FinSet, interval
-from .kernel import Decomposition, block_sets, _decompose_runs, _parity_blocks
+from .kernel import Decomposition, block_sets, _parity_blocks
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
-# keys kept per span memo: an uncapped verify suite asks one memo for at most
-# 1439 distinct keys, the bench's tree sweep for 331
+# keys kept by the cancellation memo: an uncapped verify suite asks it for at
+# most 1439 distinct keys, the bench's tree sweep for 330
 _SPAN_MEMO = 4096
 
 Span = tuple[int, int]  # a block [start, end] of consecutive integers
@@ -131,24 +125,19 @@ def _expand(spans: Iterable[Span]) -> tuple[int, ...]:
                                                for a, b in spans))
 
 
-@lru_cache(maxsize=_SPAN_MEMO)
-def _leading_members(level: int, spans: tuple[Span, ...]) -> int:
-    """How many leading unions of ``spans`` lie in the level's product
-    family; when all do, ChainError unless the union decomposes into
-    exactly the blocks ``spans``."""
-    # Membership and decomposition walk the spans, O(blocks) integer steps
-    # per miss.  Element routes cost O(block size) instead: on a seeded
-    # ``tree sweep --n 1 --seeds 1 --m-max 3000``, which misses on every
-    # case, they took 0.78 s against these routes' 0.36 s on a 2-core VM.
-    j = _member_run_prefix(product_family(level), spans)
-    if spans and j == len(spans) and \
-            _decompose_runs(spans) != tuple(((a, b),) for a, b in spans):
-        raise ChainError("decomposition does not recover the chain blocks")
-    return j
-
-
 @dataclass(frozen=True)
 class DeltaChain:
+    """A chain of maximal schreier blocks for a level n and a chain set.
+
+    The checks below make every chain valid.  Each block [a, 2a-1] has
+    a elements, the blocks increase strictly and a_1 > n.  So the greedy
+    schreier cut of the union of the first j blocks takes each block
+    whole: it opens at a_i and takes the next a_i elements.  That cut is
+    the S2 decomposition, into exactly the chain blocks, and since
+    j <= n < a_1 its minima form a member of both schreier and cube(n,n).
+    Every leading union therefore lies in prod(schreier, cube(n,n)).
+    """
+
     level: int                     # the n of the ambient prod(schreier,cube(n,n))
     support: FinSet                # the chain set {m_1 < ... < m_k}
     spans: tuple[Span, ...]        # one block [start, end] per element, in order
@@ -183,10 +172,6 @@ class DeltaChain:
             prev_end = b
         if spans and spans[0][0] <= n:
             raise ChainError(f"first block must start above the level {n}")
-        j = _leading_members(n, spans)
-        if j < len(spans):
-            raise ChainError(f"leading-block union {FinSet(_expand(spans[:j + 1]))} "
-                             f"leaves the level-{n} product family")
 
     @property
     def depth(self) -> int:

@@ -449,43 +449,6 @@ def _min_block_count(expr: FamilyExpr, elems: tuple[int, ...]) -> Optional[int]:
     return count
 
 
-def _member_run_prefix(expr: FamilyExpr, runs) -> int:
-    """The largest j with the union of ``runs[:j]`` in ``expr``, for expr
-    prod(schreier, cube(n,n)) or S2 and runs (a, b), a <= b, of consecutive
-    integers in increasing order, never expanded.
-
-    The greedy count of ``_min_block_count`` on schreier: a block opening
-    at x takes the next x elements, across runs if need be.  The count only
-    grows with j, so one pass decides every leading union, in
-    O(runs + blocks) integer steps.
-    """
-    if not (isinstance(expr, Product) and isinstance(expr.left, Schreier)
-            and isinstance(expr.right, (Schreier, Cube))):
-        raise TypeError(f"no run route for {expr!r}")
-    if not runs:
-        return 0
-    first = runs[0][0]
-    if isinstance(expr.right, Schreier):
-        bound = first
-    elif first >= expr.right.floor:
-        bound = expr.right.size
-    else:
-        return 0
-    count = need = 0
-    for j, (a, b) in enumerate(runs):
-        x = a
-        while x <= b:
-            if not need:
-                count += 1
-                need = x
-            take = min(need, b - x + 1)
-            need -= take
-            x += take
-        if count > bound:
-            return j
-    return len(runs)
-
-
 def _product_member(left: FamilyExpr, right: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if not elems:
         return True
@@ -561,31 +524,28 @@ def extension_admissible(expr: FamilyExpr, s: FinSet, probe: int) -> bool:
 
 def tail_threshold(expr: FamilyExpr, s: FinSet) -> int:
     """A bound T so that for m1, m2 > max(max s, T), both in the family's
-    index set, appending m1 or m2 to s lands in the family equally."""
-    return _tail_threshold(expr, s.elems)
+    index set, appending m1 or m2 to s lands in the family equally.
+
+    T depends on the expression alone; ``s`` is not read."""
+    return _tail_threshold(expr)
 
 
 @cache
-def _tail_threshold(expr: FamilyExpr, elems: tuple[int, ...]) -> int:
+def _tail_threshold(expr: FamilyExpr) -> int:
     if isinstance(expr, Schreier):
         return 1
     if isinstance(expr, Cube):
         return expr.floor
     if isinstance(expr, Restrict):
-        return _tail_threshold(expr.base, elems)
+        return _tail_threshold(expr.base)
     if isinstance(expr, Derived):
         # each derivative can push the flip point for the leading element
         # one step further out (visible on iterated schreier derivatives)
-        return _tail_threshold(expr.base, elems) + 1
+        return _tail_threshold(expr.base) + 1
     if isinstance(expr, Product):
-        # a fresh tail element either extends the final block (any suffix)
-        # or opens a singleton block (any composition's minima grow by it)
-        t = _tail_threshold(expr.left, ())
-        for i in range(len(elems)):
-            t = max(t, _tail_threshold(expr.left, elems[i:]))
-        for mins in {(), *_composition_minima(elems, lambda b: True)}:
-            t = max(t, _tail_threshold(expr.right, mins))
-        return t
+        # a fresh tail element either extends the final block or opens a
+        # singleton block whose minimum joins the minima
+        return max(_tail_threshold(expr.left), _tail_threshold(expr.right))
     raise TypeError(f"not a family expression: {expr!r}")
 
 
@@ -638,7 +598,7 @@ def _tail_extends(expr: FamilyExpr, elems: tuple[int, ...], lo: int) -> bool:
 def _has_tail_extension(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     """One probe per probe index above the tail threshold decides whether
     infinitely many one-point tail extensions stay in the family."""
-    lo = max(elems[-1] if elems else 0, _tail_threshold(expr, elems))
+    lo = max(elems[-1] if elems else 0, _tail_threshold(expr))
     return _tail_extends(expr, elems, lo)
 
 
@@ -714,10 +674,10 @@ def _enumerate_hereditary(expr: FamilyExpr, universe: list[int]) -> list:
             last = els[-1] if els else 0
             for m in universe:
                 if m > last and _member(expr, els + (m,)):
+                    if len(out) + len(nxt) == _ENUM_LIMIT:
+                        raise ValueError(f"more than {_ENUM_LIMIT} members within "
+                                         f"[1..{universe[-1]}]; lower the bound")
                     nxt.append(els + (m,))
-            if len(out) + len(nxt) > _ENUM_LIMIT:
-                raise ValueError(f"more than {_ENUM_LIMIT} members within "
-                                 f"[1..{universe[-1]}]; lower the bound")
         out.extend(nxt)
         frontier = nxt
     return out

@@ -93,38 +93,6 @@ def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _decompose_runs(runs) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``_decompose_elems`` on the union of runs (a, b), a <= b, of
-    consecutive integers in increasing order, never expanded.  Each block
-    comes back as its maximal runs, so an interval block is one (a, b).
-    O(runs + blocks) integer steps.
-    """
-    if not runs:
-        raise ValueError("cannot decompose the empty set")
-    blocks: list[list[tuple[int, int]]] = []
-    need = 0
-    for a, b in runs:
-        x = a
-        while x <= b:
-            if not need:
-                # the same forced cut: the next x elements, or the short
-                # final block when the runs end first
-                need = x
-                blocks.append([])
-            take = min(need, b - x + 1)
-            block = blocks[-1]
-            if block and block[-1][1] + 1 == x:
-                block[-1] = (block[-1][0], x + take - 1)
-            else:
-                block.append((x, x + take - 1))
-            need -= take
-            x += take
-    if len(blocks) > blocks[0][0][0]:
-        raise NotInS2Error(f"block minima of the runs {tuple(runs)} exceed "
-                           "the schreier bound")
-    return tuple(map(tuple, blocks))
-
-
 def decompose(t: FinSet) -> Decomposition:
     """The unique block decomposition of a nonempty t in S2."""
     return Decomposition(tuple(FinSet(b) for b in _decompose_elems(t.elems)))

@@ -30,6 +30,7 @@ from schreier_kit.averaging import (
     self_pairing,
     union_functional,
 )
+from schreier_kit.family import member, product_family
 from schreier_kit.finset import EMPTY, FinSet, interval
 from schreier_kit.kernel import Decomposition, decompose
 
@@ -270,7 +271,7 @@ class TestCancellation:
         assert f.level == 2
 
 
-_MEMOS = (averaging._leading_members, averaging._cancellation_pairing)
+_MEMOS = (averaging._cancellation_pairing,)
 
 
 @st.composite
@@ -285,17 +286,49 @@ def _extensions(draw):
     return build_chain(level, support, gen), m
 
 
+def _assert_valid_by_elements(chain):
+    """Every leading union lies in the level's product family and
+    decomposes into exactly the leading blocks, by the element routes."""
+    fam = product_family(chain.level)
+    for j in range(chain.depth + 1):
+        lead = chain.prefix(j)
+        assert member(fam, lead.union()), lead.spans
+        if j:
+            assert decompose(lead.union()).blocks == lead.blocks, lead.spans
+
+
+class TestChainValidity:
+    @settings(derandomize=True, max_examples=200)
+    @given(_extensions())
+    def test_built_chains_are_valid_by_the_element_routes(self, case):
+        chain, m = case
+        _assert_valid_by_elements(chain)
+        _assert_valid_by_elements(chain.extend(m))
+
+    def test_every_accepted_span_tuple_is_valid_by_the_element_routes(self):
+        # every increasing tuple of starts <= 40, up to the level's depth;
+        # an end other than 2a-1 already fails the block-size check
+        for level in range(1, 5):
+            accepted = 0
+            for depth in range(level + 1):
+                support = FinSet(tuple(range(1, depth + 1)))
+                for starts in itertools.combinations(range(1, 41), depth):
+                    try:
+                        chain = DeltaChain(level, support,
+                                           tuple((a, 2 * a - 1) for a in starts))
+                    except ChainError:
+                        continue
+                    _assert_valid_by_elements(chain)
+                    accepted += chain.depth == level
+            assert accepted > 0, level
+
+
 class TestSpanMemos:
     @settings(derandomize=True, max_examples=200)
     @given(_extensions())
     def test_memos_agree_with_their_originals(self, case):
         chain, m = case
         ext = chain.extend(m)
-        for c in (chain, ext):
-            for j in range(c.depth + 1):
-                key = (c.level, c.spans[:j])
-                assert (averaging._leading_members(*key)
-                        == averaging._leading_members.__wrapped__(*key) == j)
         pair = (chain.spans, ext.spans)
         assert (averaging._cancellation_pairing(*pair)
                 == averaging._cancellation_pairing.__wrapped__(*pair))
@@ -307,7 +340,6 @@ class TestSpanMemos:
 
     def test_float_ends_are_rejected_after_the_integer_twin_is_cached(self):
         DeltaChain(1, FinSet((1,)), ((2, 3),))
-        assert averaging._leading_members(1, ((2.0, 3),)) == 1  # the twin's entry
         with pytest.raises(ChainError, match="integer ends"):
             DeltaChain(1, FinSet((1,)), ((2.0, 3),))
         with pytest.raises(ChainError, match="must be an integer"):
@@ -318,16 +350,15 @@ class TestSpanMemos:
             DeltaChain(1, FinSet((1,)), ([2, 3],))
 
     def test_failed_checks_raise_every_time_and_are_not_kept(self):
-        # neither is a chain's spans: [2..5] needs two schreier blocks, one
-        # too many at level 1, and [3..7] cuts into [3,5], [6,7]
-        memo = averaging._leading_members
-        assert memo(1, ((2, 5),)) == 0
-        before = memo.cache_info().currsize
+        # neither is a chain's spans: [2,5] and [3,4] are not maximal
+        # schreier blocks
+        before = averaging._cancellation_pairing.cache_info().currsize
         for _ in range(2):
-            with pytest.raises(ChainError,
-                               match="does not recover the chain blocks"):
-                memo(2, ((3, 4), (5, 7)))
-        assert memo.cache_info().currsize == before
+            for args in ((1, FinSet((1,)), ((2, 5),)),
+                         (2, FinSet((1, 2)), ((3, 4), (5, 7)))):
+                with pytest.raises(ChainError, match="not a maximal schreier"):
+                    DeltaChain(*args)
+        assert averaging._cancellation_pairing.cache_info().currsize == before
 
     def test_every_memo_has_the_module_bound(self):
         for memo in _MEMOS:

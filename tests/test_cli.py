@@ -63,6 +63,25 @@ class TestFam:
         assert err == ("error: more than 100000 members within [1..40]; "
                        "lower the bound\n")
 
+    def test_enum_refuses_a_huge_universe_quickly(self, run_cli):
+        # the limit is met while the singletons are still being built
+        start = time.perf_counter()
+        code, out, err = run_cli(["fam", "enum", "schreier", "--max", "2000000"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == ("error: more than 100000 members within [1..2000000]; "
+                       "lower the bound\n")
+
+    def test_maximal_on_a_long_s2_member_is_quick(self, run_cli):
+        # the tail threshold reads the expression only, never the 2^39
+        # compositions of the set
+        s = "{" + ",".join(map(str, range(40, 80))) + "}"
+        start = time.perf_counter()
+        code, out, _ = run_cli(["fam", "maximal", "S2", "--s", s])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert '"maximal":false' in out
+
     def test_member_and_maximal(self, run_cli):
         code, out, _ = run_cli(["fam", "member", "schreier", "--s", "{1,2}"])
         assert code == 0

@@ -255,35 +255,51 @@ def test_progression_meet_matches_both_parts(a0, a1, b0, b1):
 
 
 @st.composite
-def run_lists(draw):
-    """Increasing runs (a, b) of consecutive integers, adjacent or apart."""
-    runs, x = [], draw(st.integers(1, 12))
-    for _ in range(draw(st.integers(0, 5))):
-        b = x + draw(st.integers(0, 9))
-        runs.append((x, b))
-        x = b + 1 + draw(st.integers(0, 4))
-    return runs
+def fuzz_indexes(draw):
+    kind = draw(st.sampled_from(("all", "from", "powers", "ap", "explicit")))
+    if kind == "all":
+        return All()
+    if kind == "from":
+        return From(draw(st.integers(1, 8)))
+    if kind == "powers":
+        return Powers(draw(st.integers(2, 4)))
+    if kind == "ap":
+        return AP(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    return Explicit(FinSet(tuple(sorted(draw(st.sets(st.integers(1, 12),
+                                                      max_size=5))))))
 
 
-@settings(derandomize=True, max_examples=300)
-@given(run_lists(), st.one_of(
-    st.just(SCHREIER_SQUARE),
-    st.integers(1, 6).map(product_family),
-    st.builds(lambda f, n: Product(SCHREIER, Cube(f, n)),
-              st.integers(1, 12), st.integers(0, 6))))
-def test_run_membership_matches_the_element_route(runs, expr):
-    j = family._member_run_prefix(expr, runs)
-    for i in range(len(runs) + 1):
-        elems = tuple(itertools.chain.from_iterable(
-            range(a, b + 1) for a, b in runs[:i]))
-        assert family._member(expr, elems) == (i <= j), (runs[:i], j)
+def fuzz_families(depth=3):
+    """schreier, cube, prod and restrict, at most ``depth`` constructors
+    deep; no derivatives, which have neither a text form nor a
+    composition-search route."""
+    leaves = st.one_of(st.just(SCHREIER),
+                       st.builds(Cube, st.integers(1, 4), st.integers(0, 3)))
+    if depth == 0:
+        return leaves
+    inner = st.deferred(lambda: fuzz_families(depth - 1))
+    return st.one_of(leaves, st.builds(Product, inner, inner),
+                     st.builds(Restrict, inner, fuzz_indexes()))
 
 
-def test_run_membership_takes_only_greedy_products():
-    with pytest.raises(TypeError, match="no run route"):
-        family._member_run_prefix(SCHREIER, [(3, 5)])
-    with pytest.raises(TypeError, match="no run route"):
-        family._member_run_prefix(Product(Cube(2, 2), SCHREIER), [(3, 5)])
+FUZZ_SETS = [FinSet(els) for k in range(10)
+             for els in itertools.combinations(range(1, 10), k)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzz_families())
+def test_fuzzed_families_agree_with_their_oracles(expr):
+    assert parse_family(format_family(expr)) == expr
+    members = [s for s in FUZZ_SETS if member(expr, s)]
+    assert members == [s for s in FUZZ_SETS
+                       if member_by_composition_search(expr, s)]
+    # every one-point extension up to 400 against the tail probes: a horizon
+    # for an infinite index, every candidate for a finite one (all <= 12)
+    for s in members:
+        if len(s) <= 2:
+            brute = not any(family._member(expr, tuple(sorted(s.elems + (m,))))
+                            for m in range(1, 401) if m not in s)
+            assert is_maximal(expr, s) == brute, (format_family(expr), str(s))
 
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]

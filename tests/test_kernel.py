@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreier_kit import family, kernel
+from schreier_kit import family
 from schreier_kit.compacta import matrix_from_sets
 from schreier_kit.finset import EMPTY, FinSet
 from schreier_kit.kernel import (
@@ -205,42 +205,6 @@ def test_union_decomposes_back_to_its_blocks(blocks):
     for b in blocks:
         union = union | b
     assert decompose(union).blocks == blocks
-
-
-@st.composite
-def run_lists(draw):
-    """Increasing runs (a, b) of consecutive integers, adjacent or apart."""
-    runs, x = [], draw(st.integers(1, 12))
-    for _ in range(draw(st.integers(0, 5))):
-        b = x + draw(st.integers(0, 9))
-        runs.append((x, b))
-        x = b + 1 + draw(st.integers(0, 4))
-    return runs
-
-
-def _expand(runs):
-    return tuple(itertools.chain.from_iterable(range(a, b + 1) for a, b in runs))
-
-
-def _outcome(fn, arg):
-    try:
-        return fn(arg)
-    except ValueError as exc:  # NotInS2Error, or the empty set
-        return type(exc)
-
-
-@settings(derandomize=True, max_examples=300)
-@given(run_lists())
-def test_run_decomposition_matches_the_element_route(runs):
-    want = _outcome(kernel._decompose_elems, _expand(runs))
-    got = _outcome(kernel._decompose_runs, runs)
-    if isinstance(want, type):
-        assert got is want
-        return
-    assert tuple(map(_expand, got)) == want
-    # each block comes back as its maximal runs
-    for block in got:
-        assert all(b + 1 < a for (_, b), (a, _) in zip(block, block[1:]))
 
 
 @st.composite
