@@ -550,7 +550,9 @@ def _tail_threshold(expr: FamilyExpr) -> int:
 
 
 def effective_index(expr: FamilyExpr) -> IndexSet:
-    """An index set containing every element of every member."""
+    """An index set containing every element of every member; a sound
+    over-approximation: prod(cube(2,2), restrict(schreier, powers(3))) gets
+    From(2), its left factor's, although no member holds 2."""
     if isinstance(expr, Schreier):
         return All()
     if isinstance(expr, Cube):
@@ -567,10 +569,12 @@ def effective_index(expr: FamilyExpr) -> IndexSet:
 @cache
 def _probe_indexes(expr: FamilyExpr) -> tuple[IndexSet, ...]:
     """Index sets whose elements a tail point may come from, one per way the
-    family can place it: above the tail threshold, membership of s with a
-    new largest point is constant on each.  In a product the point either
-    extends the last block (a left index) or opens a block whose minimum
-    must also lie in the right factor (a left index met with a right one)."""
+    family can place it: in a product it extends the last block (a left
+    index) or opens a block whose minimum lies in the right factor too (a
+    left index met with a right one).  Membership need not be constant on
+    one index above the tail threshold: in prod(S2, restrict(cube(1,1),
+    powers(3))) at s = {} the All probe admits 3, 9 and 27, not the points
+    between.  The union of the probes decides ``is_maximal``."""
     if isinstance(expr, Product):
         left = _probe_indexes(expr.left)
         out = left + tuple(_meet(a, b) for a in left

@@ -4,6 +4,9 @@ An ordinal is a finite sum  w^e1*c1 + ... + w^er*cr  with ordinal exponents
 e1 > e2 > ... > er and integer coefficients ci >= 1.  The empty sum is 0.
 Arithmetic is the usual non-commutative ordinal arithmetic restricted to
 this carrier; it is closed under + and *.
+
+Values are interned and hashed by identity.  ``+`` and ``*`` keep LRU
+memos of ``_MEMO_SIZE`` entries; a product interns its result once.
 """
 
 from __future__ import annotations
@@ -24,20 +27,20 @@ class OrdinalSyntaxError(ValueError):
 # refers to it.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# Entries in each of the + and * memos.  A memo keeps its recent operands
-# and results alive; an unbounded one keeps every value a verify sweep
-# builds and costs memory.
-_MEMO_SIZE = 256
+# Entries in each memo.  The memos hold the only strong references to most
+# results: an evicted one leaves the table and is validated again when it is
+# rebuilt.  1536 holds what ``verify --max 8`` reuses.
+_MEMO_SIZE = 1536
 
 
 class Ordinal:
     """A Cantor normal form, interned: there is one instance per value, so
-    ``==`` is identity (``object.__eq__``) and the hash, that of
-    ``(terms,)``, is computed once."""
+    ``==`` and the hash are those of identity (``object``'s).  Identity
+    hashes differ between processes; nothing printed depends on them."""
 
     # terms: tuple of (exponent, coefficient), exponents strictly decreasing;
     # tuple order on terms is exactly the Cantor normal form order
-    __slots__ = ("terms", "_hash", "__weakref__")
+    __slots__ = ("terms", "__weakref__")
 
     def __new__(cls, terms: tuple = ()) -> "Ordinal":
         # outside input is checked on every call, not only on a table miss:
@@ -54,9 +57,6 @@ class Ordinal:
     def __reduce__(self):
         # pickle, copy and deepcopy rebuild through the table
         return (Ordinal, (self.terms,))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Ordinal") -> bool:
         if not isinstance(other, Ordinal):
@@ -150,10 +150,7 @@ class Ordinal:
             if e.is_zero:
                 parts.append(str(c))
                 continue
-            if e == _ONE:
-                base = "w"
-            else:
-                base = "w^" + _format_exponent(e)
+            base = "w" if e == _ONE else "w^" + _format_exponent(e)
             parts.append(base + (f"*{c}" if c > 1 else ""))
         return "+".join(parts)
 
@@ -205,7 +202,6 @@ def _intern(terms: tuple) -> Ordinal:
         _validate(terms)
         x = object.__new__(Ordinal)
         object.__setattr__(x, "terms", terms)
-        object.__setattr__(x, "_hash", hash((terms,)))
         _TABLE[terms] = x
     return x
 
@@ -225,22 +221,22 @@ def _add(a: Ordinal, b: Ordinal) -> Ordinal:
     if keep < len(a.terms) and a.terms[keep][0] is f:
         merged = ((f, a.terms[keep][1] + b.terms[0][1]),)
         return _intern(head + merged + b.terms[1:])
-    return _intern(head + b.terms)
+    return _intern(head + b.terms) if keep else b  # else b absorbs a
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
+    """With a = w^e1*c1 + rest, a term w^f*d of b gives w^(e1+f)*d for f > 0
+    and w^e1*(c1*d) + rest for f = 0.  Left addition is strictly monotone, so
+    these parts only concatenate: the terms are built in one pass and
+    interned once."""
     if not a.terms or not b.terms:
         return _ZERO
     e1, c1 = a.terms[0]
-    out = _ZERO
-    for f, d in b.terms:
-        if f is _ZERO:
-            # right factor finite: scale the leading coefficient only
-            out = _add(out, _intern(((e1, c1 * d),) + a.terms[1:]))
-        else:
-            out = _add(out, _intern(((_add(e1, f), d),)))
-    return out
+    terms = tuple([(_add(e1, f), d) for f, d in b.terms if f is not _ZERO])
+    if b.terms[-1][0] is _ZERO:
+        terms += ((e1, c1 * b.terms[-1][1]),) + a.terms[1:]
+    return _intern(terms)
 
 
 def _format_exponent(e: Ordinal) -> str:

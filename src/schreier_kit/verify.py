@@ -8,6 +8,7 @@ report object but never serialized.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -115,11 +116,14 @@ def _suite_ordinal_associativity(cap):
 def _suite_ordinal_distributivity(cap):
     col = _Collector()
     corpus = _ordinal_corpus(cap)
+    # b + c does not depend on a, and a * c not on b
+    rows = [[b + c for c in corpus] for b in corpus]
     for a in corpus:
-        for b in corpus:
-            for c in corpus:
-                lhs = a * (b + c)
-                rhs = a * b + a * c
+        products = [a * c for c in corpus]
+        for b, ab, row in zip(corpus, products, rows):
+            for c, ac, bc in zip(corpus, products, row):
+                lhs = a * bc
+                rhs = ab + ac
                 col.check(lhs == rhs, lambda: f"{a}|{b}|{c}", rhs, lhs)
     return col
 
@@ -395,30 +399,25 @@ def _suite_parity_local_constancy(cap):
     col = _Collector()
     ss = list(compacta.schreier_sets_upto(bound))
     ts = list(_members(SCHREIER_SQUARE, bound))
-    tb = {t: block_sets(t) for t in ts}
+    grid = parity_matrix(ss, ts)
 
-    # the kernel reads the first coordinate only inside [1..max t]
-    for t in ts:
-        bs = tb[t]
-        mt = t.max_or_0
-        seen: dict = {}
-        for s in ss:
-            v = _parity_blocks(s.elems, bs)
-            v0, s0 = seen.setdefault(s.restrict_to(mt).elems, (v, s))
-            col.check(v0 == v, lambda: f"t={t}, s={s} vs s'={s0}", v0, v)
-
-    # and the second coordinate only inside [1..max s]
-    for s in ss:
-        ms = s.max_or_0
-        seen = {}
-        for t in ts:
-            v = _parity_blocks(s.elems, tb[t])
-            v0, t0 = seen.setdefault(t.restrict_to(ms).elems, (v, t))
-            col.check(v0 == v, lambda: f"s={s}, t={t} vs t'={t0}", v0, v)
+    # the kernel reads each coordinate only inside [1..max] of the other: s
+    # cut at max t is a schreier prefix, a row of the grid; t cut at max s is
+    # in S2, a column.  g[i, j] is at (xs[i], ys[j]); cut[i, j] indexes ys[j]
+    # cut at max xs[i].
+    for x, xs, y, ys, g in (("t", ts, "s", ss, grid.T),
+                            ("s", ss, "t", ts, grid)):
+        where = {v.elems: k for k, v in enumerate(ys)}
+        cuts = [[where[v.elems[:bisect.bisect_right(v.elems, m)]] for v in ys]
+                for m in range(bound + 1)]
+        cut = np.array(cuts, dtype=np.intp)[[u.max_or_0 for u in xs]]
+        want = g[np.arange(len(xs))[:, None], cut]
+        col.cases += want.size
+        for i, j in zip(*np.nonzero(want != g)):
+            col.fail(lambda: f"{x}={xs[i]}, {y}={ys[j]} vs {y}'={ys[cut[i, j]]}",
+                     want[i, j], g[i, j])
 
     # padding the second coordinate beyond max s never moves the kernel
-    import bisect
-
     ss_by_max = sorted(ss, key=lambda s: s.max_or_0)
     maxes = [s.max_or_0 for s in ss_by_max]
     spot = 0

@@ -7,7 +7,10 @@ apart unnoticed.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -290,14 +293,26 @@ class TestInterning:
             del x.terms
         assert str(x) == "w+1"
 
-    def test_hash_is_the_hash_of_the_terms(self):
+    def test_hash_agrees_across_copies_and_constructions(self):
+        # the hash is the identity hash, so every route to a value must
+        # land on the one interned object
         for text in CORPUS:
             x = o(text)
-            assert hash(x) == hash((x.terms,))
+            by_sum = sum((Ordinal.omega_power(e, c) for e, c in x.terms), ZERO)
+            routes = (copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x)), o(str(x)),
+                      Ordinal(x.terms), by_sum)
+            for y in routes:
+                assert y is x and hash(y) == hash(x)
+        built = (Ordinal.omega_power(Ordinal.nat(2)) + OMEGA * Ordinal.nat(3)
+                 + ONE)
+        assert hash(built) == hash(o("w^2+w*3+1"))
+        assert hash(Ordinal.nat(4)) == hash(o("4")) == hash(ONE + o("3"))
 
-    def test_memos_are_bounded(self):
-        assert ordinal._add.cache_info().maxsize == 256
-        assert ordinal._mul.cache_info().maxsize == 256
+    def test_memos_have_the_documented_size(self):
+        assert ordinal._MEMO_SIZE == 1536
+        assert ordinal._add.cache_info().maxsize == ordinal._MEMO_SIZE
+        assert ordinal._mul.cache_info().maxsize == ordinal._MEMO_SIZE
 
 
 def ordinals(max_depth: int = 2):
@@ -338,3 +353,80 @@ def test_random_pairs_are_comparable(a, b):
 def test_memoized_arithmetic_matches_the_uncached_implementation(a, b):
     assert a + b is ordinal._add.__wrapped__(a, b)
     assert a * b is ordinal._mul.__wrapped__(a, b)
+
+
+def partial_sum_product(a: Ordinal, b: Ordinal) -> Ordinal:
+    """a * b summed term by term over b, one partial product at a time."""
+    if a.is_zero or b.is_zero:
+        return ZERO
+    e1, c1 = a.terms[0]
+    out = ZERO
+    for f, d in b.terms:
+        if f.is_zero:
+            out = out + Ordinal(((e1, c1 * d),) + a.terms[1:])
+        else:
+            out = out + Ordinal.omega_power(e1 + f, d)
+    return out
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ordinals(), ordinals())
+def test_one_pass_product_matches_the_partial_sums(a, b):
+    assert ordinal._mul.__wrapped__(a, b) is partial_sum_product(a, b)
+    assert a * b is partial_sum_product(a, b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "ordinal.parse_roundtrip", "--max", "4"],
+    ["fam", "rank", "prod(schreier, cube(3,3))"],
+])
+def test_output_is_byte_identical_across_processes(argv):
+    # identity hashes differ from process to process; no output may
+    # depend on them
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        r = subprocess.run([sys.executable, "-m", "schreier_kit"] + argv,
+                           capture_output=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.add(r.stdout)
+    assert len(outs) == 1 and outs.pop()
+
+
+CHURN = """
+from schreier_kit import ordinal, verify
+calls = 0
+validate = ordinal._validate
+def counted(terms):
+    global calls
+    calls += 1
+    validate(terms)
+ordinal._validate = counted
+assert verify.run_suite("ordinal.associativity", 8).ok
+print(calls)
+"""
+
+
+def test_associativity_sweep_validates_few_values():
+    # a time-free guard on the intern churn: an evicted memo result is
+    # dropped from the table and validated again when it is rebuilt
+    r = subprocess.run([sys.executable, "-c", CHURN], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) <= 7000
+
+
+def test_outside_input_is_validated_on_every_call():
+    cases = [
+        (lambda: Ordinal(((ZERO, True),)), ValueError),
+        (lambda: Ordinal(((ONE, 1), (OMEGA, 1))), ValueError),
+        (lambda: Ordinal.nat(-1), ValueError),
+        (lambda: Ordinal.nat(True), ValueError),
+        (lambda: Ordinal.omega_power(ONE, 2.0), ValueError),
+        (lambda: Ordinal.omega_power(1), ValueError),
+        (lambda: Ordinal.parse("w^"), OrdinalSyntaxError),
+        (lambda: Ordinal.parse("w+x"), OrdinalSyntaxError),
+    ]
+    for build, error in cases * 3:
+        with pytest.raises(error):
+            build()

@@ -1,6 +1,7 @@
 """The invariant-suite registry, its report format and its case collector."""
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -78,3 +79,70 @@ def test_capped_run_matches_the_benchmark_golden():
     assert {r.suite: r.cases for r in reports} == golden["cases"]
     stdout = "".join(r.to_json() + "\n" for r in reports).encode()
     assert hashlib.sha256(stdout).hexdigest() == golden["sha256"][0]
+
+
+class TestLocalConstancyGrid:
+    """``kernel.local_constancy`` compares one parity grid with gathers of
+    its own rows and columns; these tests build their own families."""
+
+    @staticmethod
+    def schreier(bound):
+        return [c for r in range(bound + 1)
+                for c in itertools.combinations(range(1, bound + 1), r)
+                if not c or len(c) <= c[0]]
+
+    @staticmethod
+    def in_s2(elems):
+        # greedy maximal schreier blocks use the fewest blocks
+        blocks, i = 0, 0
+        while i < len(elems):
+            i += elems[i]
+            blocks += 1
+        return not elems or blocks <= elems[0]
+
+    def expected_cases(self, cap):
+        bound, horizon = min(12, cap), min(40, 4 * cap)
+        ss = self.schreier(bound)
+        ts = [c for r in range(bound + 1)
+              for c in itertools.combinations(range(1, bound + 1), r)
+              if self.in_s2(c)]
+        # each admissible pad adds one case per s below it, and every 97th
+        # pad one scalar spot-check
+        pad_cases, spot = 0, 0
+        for t in ts:
+            lo = t[-1] if t else 0
+            pads = [(a,) for a in range(lo + 1, horizon + 1)]
+            pads += [tuple(range(a, 2 * a)) for a in range(lo + 1, horizon + 1)
+                     if 2 * a - 1 <= horizon]
+            for pad in pads:
+                if self.in_s2(t + pad):
+                    below = sum(1 for s in ss if not s or s[-1] < pad[0])
+                    spot += 1
+                    pad_cases += below + (spot % 97 == 0 and below > 0)
+        return 2 * len(ss) * len(ts) + pad_cases
+
+    @pytest.mark.parametrize("cap", [4, 6, 8])
+    def test_case_counts(self, cap):
+        report = verify.run_suite("kernel.local_constancy", cap)
+        assert report.ok
+        assert report.cases == self.expected_cases(cap)
+
+    def test_planted_fault_is_named(self, monkeypatch):
+        real = verify.parity_matrix
+        planted = []
+
+        def faulty(ss, ts):
+            grid = real(ss, ts)
+            if not planted:  # the first call builds the full grid
+                i, j = next((i, j) for j, t in enumerate(ts)
+                            for i, s in enumerate(ss)
+                            if s.restrict_to(t.max_or_0) != s)
+                grid[i, j] ^= 1
+                planted.append((ss[i], ts[j]))
+            return grid
+
+        monkeypatch.setattr(verify, "parity_matrix", faulty)
+        report = verify.run_suite("kernel.local_constancy", 4)
+        (s, t), = planted
+        assert not report.ok
+        assert any(f"t={t}, s={s} vs" in f["case"] for f in report.failures)
