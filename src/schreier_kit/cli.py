@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -146,16 +147,16 @@ def _cmd_compacta_matrix(args) -> int:
     m = _build_matrix_from_args(args)
     if args.pbm:
         with open(args.pbm, "w") as fh:
-            fh.write(compacta.to_pbm(m))
+            compacta.write(m, "pbm", fh)
     if args.format == "json":
         _emit({"alpha": args.alpha, "col_bound": m.col_bound,
                "cols": [_elems(c) for c in m.cols],
-               "entries": [[int(x) for x in row] for row in m.entries],
+               "entries": m.entries.tolist(),
                "index": format_index(m.index), "mode": m.mode,
                "row_bound": m.row_bound,
                "rows": [_elems(r) for r in m.rows]})
     else:
-        sys.stdout.write(compacta.to_csv(m))
+        compacta.write(m, "csv", sys.stdout)
     return 0
 
 
@@ -397,7 +398,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at
+        # devnull, so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (FamilySyntaxError, OrdinalSyntaxError, NotInS2Error,
             NotAMemberError, DegenerateIndexError, ChainError,
             ValueError) as exc:

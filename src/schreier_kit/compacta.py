@@ -6,11 +6,15 @@ or S2), both optionally restricted to an index set and truncated to
 [1..bound]; the entry is the parity kernel of the pair.  L-mode swaps the
 roles, so each row is one kernel function of the second coordinate.
 
-Both modes fill the whole grid with one ``kernel.parity_matrix`` call (the
-L-mode grid is its transpose): a label table of the second coordinates'
-block indices is gathered once per position of the first coordinates,
-so no entry costs a Python call.  The CSV and PBM writers render the 0/1
-grid from one byte buffer; only the set labels are formatted per row.
+Both modes fill the grid, one byte per entry, with one
+``kernel.parity_matrix`` call (L-mode asks for the transposed layout): a
+label table of the second coordinates' block indices is gathered once per
+position of the first coordinates, so no entry costs a Python call.  The
+fill works in blocks of a fixed number of entries, and the CSV and PBM
+writers render pieces of about a mebibyte, each block of rows from one
+byte buffer with only the set labels formatted per row.  So the grid is
+the only full-size array a matrix export holds: ``write`` sends the text
+out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
     if mode == "K":
         entries = parity_matrix(rows, cols)
     else:
-        entries = np.ascontiguousarray(parity_matrix(cols, rows).T)
+        entries = parity_matrix(cols, rows, transposed=True)
     return ThetaMatrix(mode=mode, alpha=alpha, index=index,
                        row_bound=row_bound, col_bound=col_bound,
                        rows=tuple(rows), cols=tuple(cols), entries=entries)
@@ -87,32 +91,55 @@ def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _grid_rows(entries: np.ndarray, sep: str) -> list[str]:
-    """Each row of a 0/1 grid as its digits joined by ``sep`` ("" for a
-    row of no columns), rendered from one byte buffer."""
-    h, w = entries.shape
-    cells = np.empty((h, w, 2), dtype=np.uint8)
-    cells[:, :, 0] = entries + ord("0")
-    cells[:, :, 1] = ord(sep)
-    # drop the separator after each row's last digit
-    grid = cells.reshape(h, 2 * w)[:, :-1]
-    text, n = grid.tobytes().decode("ascii"), grid.shape[1]
-    return [text[i * n:(i + 1) * n] for i in range(h)]
+# Bytes of grid text per piece of ``_pieces``: one piece's buffer, its text
+# and (for CSV) its labelled rows are this size, however large the grid.
+_PIECE_BYTES = 1 << 20
+
+
+def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
+    """The CSV or PBM text of ``m`` as a header and then blocks of rows.
+
+    Each block is rendered in one uint8 buffer holding, per row, every
+    digit followed by its separator, the last separator being the newline,
+    and decoded once; CSV then puts each row's set label in front.
+    """
+    h, w = m.entries.shape
+    if fmt == "csv":
+        yield "," + ",".join(t.csv_cell() for t in m.cols) + "\n"
+    else:
+        yield f"P1\n{w} {h}\n"
+    sep = ord("," if fmt == "csv" else " ")
+    width = max(2 * w, 1)   # a row of no columns is its newline alone
+    step = max(1, _PIECE_BYTES // width)
+    for r in range(0, h, step):
+        block = m.entries[r:r + step]
+        buf = np.empty((len(block), width), dtype=np.uint8)
+        np.add(block, ord("0"), out=buf[:, :2 * w:2])
+        buf[:, 1:2 * w:2] = sep
+        buf[:, -1] = ord("\n")
+        text = str(buf.data, "ascii")
+        if fmt == "csv":
+            text = "".join(s.csv_cell() + "," + text[k * width:(k + 1) * width]
+                           for k, s in enumerate(m.rows[r:r + step]))
+        yield text
 
 
 def to_csv(m: ThetaMatrix) -> str:
     """First row and first column carry the set labels as space-separated
     elements (empty cell for the empty set)."""
-    lines = ["," + ",".join(t.csv_cell() for t in m.cols)]
-    for s, row in zip(m.rows, _grid_rows(m.entries, ",")):
-        lines.append(s.csv_cell() + "," + row)
-    return "\n".join(lines) + "\n"
+    return "".join(_pieces(m, "csv"))
 
 
 def to_pbm(m: ThetaMatrix) -> str:
     """Plain PBM (P1) bitmap of the 0/1 entries."""
-    h, w = m.entries.shape
-    return "\n".join(["P1", f"{w} {h}"] + _grid_rows(m.entries, " ")) + "\n"
+    return "".join(_pieces(m, "pbm"))
+
+
+def write(m: ThetaMatrix, fmt: str, out) -> None:
+    """Write the ``to_csv`` (``fmt`` "csv") or ``to_pbm`` ("pbm") text of
+    ``m`` to ``out`` a piece at a time, never holding all of it."""
+    for piece in _pieces(m, fmt):
+        out.write(piece)
 
 
 # ---------------------------------------------------------------------------

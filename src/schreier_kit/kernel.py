@@ -17,7 +17,8 @@ many pairs at once from a label table: ``label[m, j]`` is the index of the
 block of the j-th second coordinate that holds m, or -1.  Position i of a
 first coordinate s hits exactly when ``label[s_i, j] == i``, so one table
 gather per position, XOR-accumulated into a uint8 array, gives the parity
-of every pair.
+of every pair.  The grid is filled in blocks of a fixed number of entries,
+so it is the only array whose size grows with the number of pairs.
 """
 
 from __future__ import annotations
@@ -131,15 +132,23 @@ def dependency_radius(fixed: FinSet) -> int:
     return fixed.max
 
 
-def parity_matrix(ss, ts) -> np.ndarray:
+# Entries per block of a ``parity_matrix`` fill: the gather and compare
+# temporaries hold one block, however large the grid.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
     """``out[i, j] == parity(ss[i], ts[j])`` as a uint8 array of shape
-    (len(ss), len(ts)); every ts[j] must be empty or decompose.
+    (len(ss), len(ts)); with ``transposed``, its transpose in row-major
+    order.  Every ts[j] must be empty or decompose.
 
     The label table has a row for each value 0..max t and one more row of
     -1, ``miss``: the padding of a short s, and every element above max t,
     read that row.  Only positions below the deepest decomposition can
-    hit.  Per-pair temporaries are bool or the label dtype (one byte below
-    128 blocks), never a wide integer.
+    hit.  The grid is filled block by block, each block a run of whole
+    rows of the result holding about ``_BLOCK_ENTRIES`` entries: per-pair
+    temporaries are block-sized and bool or the label dtype (one byte
+    below 128 blocks), and the grid itself is the only full-size array.
     """
     decs = [_decompose_elems(t.elems) if t else () for t in ts]
     depth = max(map(len, decs), default=0)
@@ -160,10 +169,30 @@ def parity_matrix(ss, ts) -> np.ndarray:
         pos[r, :len(head)] = head
     np.minimum(pos, miss, out=pos)
 
-    out = np.ones((len(ss), len(ts)), dtype=np.uint8)
-    for i in range(width):
-        out ^= label[pos[:, i]] == i
+    if not transposed:
+        out = np.empty((len(ss), len(ts)), dtype=np.uint8)
+        step = max(1, _BLOCK_ENTRIES // max(1, len(ts)))
+        for r in range(0, len(ss), step):
+            _fill_block(out[r:r + step], label, pos[r:r + step])
+        return out
+    # a block of rows of the transpose is a block of columns of the grid:
+    # the label table's columns for those second coordinates
+    out = np.empty((len(ts), len(ss)), dtype=np.uint8)
+    step = max(1, _BLOCK_ENTRIES // max(1, len(ss)))
+    for r in range(0, len(ts), step):
+        cols = label[:, r:r + step]
+        part = np.empty((len(ss), cols.shape[1]), dtype=np.uint8)
+        _fill_block(part, cols, pos)
+        out[r:r + step] = part.T
     return out
+
+
+def _fill_block(dest: np.ndarray, label: np.ndarray, pos: np.ndarray) -> None:
+    """``dest[a, b]`` = the parity of position row ``pos[a]`` against
+    label column ``label[:, b]``."""
+    dest[...] = 1
+    for i in range(pos.shape[1]):
+        dest ^= label[pos[:, i]] == i
 
 
 def _parity_blocks(s_elems: tuple[int, ...], block_sets: tuple) -> int:

@@ -30,6 +30,9 @@ from .kernel import (NotInS2Error, _parity_blocks, block_sets, decompose,
                      inner, parity, parity_matrix)
 
 _MAX_RECORDED_FAILURES = 20
+# Padded columns per parity grid in ``kernel.local_constancy``, which bounds
+# its comparison temporaries; a multiple of its 97-pad spot-check stride.
+_PAD_COLUMNS = 97 * 40
 
 
 @dataclass
@@ -417,31 +420,41 @@ def _suite_parity_local_constancy(cap):
             col.fail(lambda: f"{x}={xs[i]}, {y}={ys[j]} vs {y}'={ys[cut[i, j]]}",
                      want[i, j], g[i, j])
 
-    # padding the second coordinate beyond max s never moves the kernel
-    ss_by_max = sorted(ss, key=lambda s: s.max_or_0)
+    # padding the second coordinate beyond max s never moves the kernel:
+    # every padded t2 is a column of a second grid, which must equal t's
+    # column of the first on the rows of the s below the pad
+    order = sorted(range(len(ss)), key=lambda i: ss[i].max_or_0)
+    ss_by_max = [ss[i] for i in order]
     maxes = [s.max_or_0 for s in ss_by_max]
-    spot = 0
-    for t in ts:
-        pads = []
+    base = grid[order]
+    src, pads, t2s = [], [], []
+    for j, t in enumerate(ts):
         for pad in _pads_for(t, horizon):
             t2 = t | pad
             if member(SCHREIER_SQUARE, t2):
-                pads.append((pad, t2))
-        grid = parity_matrix(ss_by_max, [t] + [t2 for _, t2 in pads])
-        base = grid[:, 0]
-        for k, (pad, t2) in enumerate(pads, 1):
-            cut = bisect.bisect_left(maxes, pad.min)
-            padded = grid[:cut, k]
-            col.cases += cut
-            for i in np.nonzero(padded != base[:cut])[0]:
-                col.fail(lambda: f"s={ss_by_max[i]}, t={t}, pad={pad}",
-                         base[i], padded[i])
-            spot += 1
-            if spot % 97 == 0 and cut:
-                i = spot % cut
-                want = _parity_blocks(ss_by_max[i].elems, block_sets(t2))
-                col.check(padded[i] == want, lambda: "vector spot-check "
-                          f"s={ss_by_max[i]}, t2={t2}", want, int(padded[i]))
+                src.append(j)
+                pads.append(pad)
+                t2s.append(t2)
+    cuts = np.array([bisect.bisect_left(maxes, pad.min) for pad in pads],
+                    dtype=np.intp)
+    col.cases += int(cuts.sum())
+    rows = np.arange(len(ss))[:, None]
+    for k0 in range(0, len(t2s), _PAD_COLUMNS):
+        ks = slice(k0, k0 + _PAD_COLUMNS)
+        padded = parity_matrix(ss_by_max, t2s[ks])
+        unpadded = base[:, src[ks]]
+        bad = (padded != unpadded) & (rows < cuts[ks])
+        for k, i in zip(*np.nonzero(bad.T)):
+            col.fail(lambda: f"s={ss_by_max[i]}, t={ts[src[k0 + k]]}, "
+                     f"pad={pads[k0 + k]}", unpadded[i, k], padded[i, k])
+        # every 97th pad, one entry against the scalar kernel (the empty s
+        # is below every pad, so no cut is 0)
+        for k in range(96, padded.shape[1], 97):
+            i = (k0 + k + 1) % cuts[k0 + k]
+            want = _parity_blocks(ss_by_max[i].elems, block_sets(t2s[k0 + k]))
+            col.check(padded[i, k] == want, lambda: "vector spot-check "
+                      f"s={ss_by_max[i]}, t2={t2s[k0 + k]}", want,
+                      int(padded[i, k]))
     return col
 
 

@@ -7,17 +7,28 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from schreier_kit import verify as verify_mod
+from schreier_kit import cli, verify as verify_mod
 
 CSV_3X3 = (",,1,2,3,2 3\n"
            ",1,1,1,1,1\n"
            "1,1,0,1,1,1\n"
            "2,1,1,0,1,0\n"
            "3,1,1,1,0,0\n")
+
+
+class _Discard:
+    """A stdout with only ``write`` and ``flush`` that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestFam:
@@ -154,6 +165,33 @@ class TestCompacta:
                        "entries": [[1, 1, 1], [1, 0, 1], [1, 1, 0]],
                        "index": "all", "mode": "K", "row_bound": 2,
                        "rows": [[], [1], [2]]}
+
+    @pytest.mark.parametrize("mode, sha", [
+        ("K", "a720e8e797bee76b53997f4cbd723f6479cf0c5b677859ae4a46704071f4139a"),
+        ("L", "511d708fb46484995863acb2ed82ce505ed47e61e767394e7dbebce047429434"),
+    ])
+    def test_matrix_json_bytes(self, run_cli, mode, sha):
+        code, out, _ = run_cli(["compacta", "matrix", "--mode", mode,
+                                "--alpha", "w", "--rows", "7", "--cols", "7",
+                                "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_matrix_export_holds_about_one_grid(self, tmp_path, monkeypatch):
+        # a stdout that keeps nothing, as a pipe to a reader does
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["compacta", "matrix", "--mode", "K",
+                             "--alpha", "w", "--rows", "14", "--cols", "14",
+                             "--pbm", str(tmp_path / "m.pbm")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the 987 x 6718 grid is 6.3 MiB; rendering either text whole, as
+        # one str plus its copies, peaks at 49.6 MiB
+        assert peak < 24 * 2**20, peak
 
     def test_matrix_pbm_file(self, run_cli, tmp_path):
         target = tmp_path / "m.pbm"
@@ -310,6 +348,27 @@ class TestHarness:
     def test_unknown_command_exits_2(self, run_cli):
         code, _, _ = run_cli(["bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["compacta", "matrix", "--mode", "K", "--alpha", "w",
+         "--rows", "14", "--cols", "14"],
+        ["fam", "enum", "schreier", "--max", "18"],
+    ])
+    def test_closed_stdout_exits_0_without_a_traceback(self, argv):
+        # both outputs are far larger than a pipe's buffer, so the command
+        # is still writing when the reader goes away
+        proc = subprocess.Popen([sys.executable, "-m", "schreier_kit", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert len(head) == 20
+        assert (code, err) == (0, b"")
 
     def test_module_entry_point(self):
         r = subprocess.run([sys.executable, "-m", "schreier_kit",

@@ -2,11 +2,12 @@
 
 import hashlib
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from schreier_kit import kernel
+from schreier_kit import compacta, kernel
 from schreier_kit.compacta import (
     build_matrix,
     default_search_bound,
@@ -34,6 +35,15 @@ PBM_3X3 = ("P1\n"
            "1 0 1 1 1\n"
            "1 1 0 1 0\n"
            "1 1 1 0 0\n")
+
+GOLDEN_DIGESTS = [
+    ("K", 10, (144, 489),
+     "b5efea11ff1acddd344ae21113271ae49a778f764e6ac5312ed2e8becf25ed15",
+     "b2d65593f8c9b49d5679f935ac843d817e0c1ac8c4f24fb716e3c093f2f57c8c"),
+    ("L", 9, (251, 89),
+     "1908385d8f903a8820071581df3c9da763f3ee2e2a18c9f06e1fcaf90fdb3e9d",
+     "1855519785975780c42e5e590f8d45aa5e493bccf04776a7353bdcc2163c907f"),
+]
 
 
 class TestMatrixConstruction:
@@ -96,19 +106,63 @@ class TestSerialization:
         assert to_csv(no_rows) == ",2 3\n"
         assert to_pbm(no_rows) == "P1\n1 0\n"
 
-    @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha", [
-        ("K", 10, (144, 489),
-         "b5efea11ff1acddd344ae21113271ae49a778f764e6ac5312ed2e8becf25ed15",
-         "b2d65593f8c9b49d5679f935ac843d817e0c1ac8c4f24fb716e3c093f2f57c8c"),
-        ("L", 9, (251, 89),
-         "1908385d8f903a8820071581df3c9da763f3ee2e2a18c9f06e1fcaf90fdb3e9d",
-         "1855519785975780c42e5e590f8d45aa5e493bccf04776a7353bdcc2163c907f"),
-    ])
+    @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha",
+                             GOLDEN_DIGESTS)
     def test_golden_digests(self, mode, bound, shape, csv_sha, pbm_sha):
         m = build_matrix(mode, "w", All(), bound, bound)
         assert m.shape == shape
         assert hashlib.sha256(to_csv(m).encode()).hexdigest() == csv_sha
         assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+class TestSmallBlocks:
+    """Fill blocks and text pieces of one and of seven rows give the same
+    bytes as the defaults, which hold every matrix here in one block."""
+
+    @staticmethod
+    def shrink(monkeypatch, rows, width):
+        # both sizes are per block, for a grid of ``width`` columns
+        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", rows * max(width, 1))
+        monkeypatch.setattr(compacta, "_PIECE_BYTES", rows * max(2 * width, 1))
+
+    @staticmethod
+    def pieces(m, fmt):
+        return list(compacta._pieces(m, fmt))
+
+    def test_small_and_degenerate_shapes(self, monkeypatch, rows):
+        self.shrink(monkeypatch, rows, 5)
+        m = build_matrix("K", 1, All(), 3, 3)
+        assert (to_csv(m), to_pbm(m)) == (CSV_3X3, PBM_3X3)
+        assert len(self.pieces(m, "csv")) == 1 + -(-4 // rows)
+        self.shrink(monkeypatch, rows, 0)
+        no_cols = matrix_from_sets("K", [FinSet((2, 3))] * 9, [])
+        assert to_csv(no_cols) == ",\n" + "2 3,\n" * 9
+        assert to_pbm(no_cols) == "P1\n0 9\n" + "\n" * 9
+        assert len(self.pieces(no_cols, "pbm")) == 1 + -(-9 // rows)
+        self.shrink(monkeypatch, rows, 1)
+        no_rows = matrix_from_sets("K", [], [FinSet((2, 3))])
+        assert (to_csv(no_rows), to_pbm(no_rows)) == (",2 3\n", "P1\n1 0\n")
+
+    @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha",
+                             GOLDEN_DIGESTS)
+    def test_golden_digests(self, monkeypatch, rows, mode, bound, shape,
+                            csv_sha, pbm_sha):
+        self.shrink(monkeypatch, rows, shape[1])
+        m = build_matrix(mode, "w", All(), bound, bound)
+        csv = self.pieces(m, "csv")
+        assert len(csv) == 1 + -(-shape[0] // rows)
+        assert hashlib.sha256("".join(csv).encode()).hexdigest() == csv_sha
+        assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
+
+    def test_write_sends_the_pieces(self, monkeypatch, rows):
+        self.shrink(monkeypatch, rows, 5)
+        m = build_matrix("K", 1, All(), 3, 3)
+        parts = []
+        # a stream with only ``write``, like the bench's stdout stand-in
+        compacta.write(m, "pbm", SimpleNamespace(write=parts.append))
+        assert parts == self.pieces(m, "pbm")
+        assert "".join(parts) == PBM_3X3
 
 
 class TestInjectivity:

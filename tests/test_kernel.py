@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreier_kit import family
+from schreier_kit import family, kernel
 from schreier_kit.compacta import matrix_from_sets
 from schreier_kit.finset import EMPTY, FinSet
 from schreier_kit.kernel import (
@@ -234,3 +234,19 @@ def test_parity_matrix_matches_the_scalar_oracle(grid):
     assert np.array_equal(got, want)
     assert np.array_equal(matrix_from_sets("K", ss, ts).entries, want)
     assert np.array_equal(matrix_from_sets("L", ts, ss).entries, want.T)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(kernel_grids())
+def test_parity_matrix_in_blocks_of_one_and_seven_rows(grid):
+    ss, ts = grid
+    want = np.array([[parity(s, t) for t in ts] for s in ss], dtype=np.uint8)
+    for rows in (1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            # a block is ``rows`` whole rows of the result
+            mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ts))
+            assert np.array_equal(parity_matrix(ss, ts), want)
+            mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ss))
+            got = parity_matrix(ss, ts, transposed=True)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want.T)

@@ -146,3 +146,18 @@ class TestLocalConstancyGrid:
         (s, t), = planted
         assert not report.ok
         assert any(f"t={t}, s={s} vs" in f["case"] for f in report.failures)
+
+    def test_planted_pad_fault_is_named(self, monkeypatch):
+        real = verify.parity_matrix
+        calls = []
+
+        def faulty(ss, ts):
+            grid = real(ss, ts)
+            calls.append(ts)
+            if len(calls) == 2:  # the first grid of padded columns
+                grid[0, 0] ^= 1  # the empty s, below every pad
+            return grid
+
+        monkeypatch.setattr(verify, "parity_matrix", faulty)
+        report = verify.run_suite("kernel.local_constancy", 4)
+        assert [f["case"] for f in report.failures] == ["s=∅, t=∅, pad={1}"]
