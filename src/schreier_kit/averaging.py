@@ -27,7 +27,12 @@ hit count comes from endpoints on spans, and from a set intersection on
 the FinSets of ``evaluate``.
 
 The structural checks of ``DeltaChain`` decide validity on every
-construction (its docstring says why they suffice).  The cancellation
+construction (its docstring says why they suffice).  They are local: each
+span is checked against its predecessor and the first against the level.
+So ``extend``, ``build_chain`` and ``cancellation_value`` check exactly one
+new span per step (``_next_span``), the same set of checks as rebuilding
+the chain: ``cancellation_value`` builds no chain for the extension, and
+``build_chain`` builds one, at the end.  The cancellation
 pairing is memoized on plain integer tuples ``(chain spans, extended spans)``: a
 one-step extension depends on m only through max(n, previous end, m), so
 a sweep meets the same few hundred keys again and again.
@@ -44,7 +49,7 @@ from math import prod
 from typing import Iterable, Iterator, Optional, Union
 
 from .family import Cube, member
-from .finset import EMPTY, FinSet, interval
+from .finset import FinSet, interval
 from .kernel import Decomposition, block_sets, _parity_blocks
 
 _EXPLICIT_LIMIT = 200_000
@@ -76,11 +81,7 @@ class CanonicalBlocks:
 
     def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
         # level is unused: canonical starts do not depend on the depth
-        lo = max(n, prev_end, m)
-        p = 1
-        while p <= lo:
-            p *= 2
-        return p
+        return 1 << max(n, prev_end, m).bit_length()
 
     def describe(self) -> str:
         return "canonical"
@@ -145,10 +146,7 @@ class DeltaChain:
 
     def __post_init__(self):
         n, s, spans = self.level, self.support, self.spans
-        if type(n) is not int:
-            raise ChainError(f"level {n!r} must be an integer")
-        if n < 1:
-            raise ChainError("level must be >= 1")
+        _check_level(n)
         if type(s) is not FinSet:
             raise ChainError(f"chain set {s!r} must be a FinSet")
         if len(s.elems) > n:
@@ -193,25 +191,55 @@ class DeltaChain:
 
     def extend(self, m: int, generator: Optional[BlockGenerator] = None) -> "DeltaChain":
         """Append the chain element m (m > max support) with a fresh block."""
-        n, support, spans = self.level, self.support, self.spans
-        if m <= support.max_or_0:
-            raise ChainError(f"{m} does not extend {support}")
-        k = len(spans)
-        if k + 1 > n:
-            raise ChainError(f"level {n} admits chains of length <= {n}")
         gen = generator if generator is not None else self.generator
-        p = gen.next_start(n, spans[-1][1] if spans else 0, m, level=k + 1)
-        return DeltaChain(n, FinSet(support.elems + (m,)),
-                          spans + ((p, 2 * p - 1),), gen)
+        span = _next_span(self.level, self.support.elems, self.spans, m, gen)
+        return DeltaChain(self.level, FinSet(self.support.elems + (m,)),
+                          self.spans + (span,), gen)
+
+
+def _check_level(n: int) -> None:
+    if type(n) is not int:
+        raise ChainError(f"level {n!r} must be an integer")
+    if n < 1:
+        raise ChainError("level must be >= 1")
+
+
+def _next_span(level: int, support_elems: tuple[int, ...],
+               spans: tuple[Span, ...], m: int, gen: BlockGenerator) -> Span:
+    """The block that m adds to a valid chain, checked as ``DeltaChain``
+    checks it.  Those checks are local (each span against its predecessor,
+    the first against the level), so a valid chain plus one checked span is
+    a valid chain."""
+    if type(m) is not int:  # bool is an int subclass
+        raise ChainError(f"elements must be integers >= 1, got {m!r}")
+    if m <= (support_elems[-1] if support_elems else 0):
+        raise ChainError(f"{m} does not extend {FinSet(support_elems)}")
+    k = len(spans)
+    if k + 1 > level:
+        raise ChainError(f"level {level} admits chains of length <= {level}")
+    prev_end = spans[-1][1] if spans else 0
+    p = gen.next_start(level, prev_end, m, level=k + 1)
+    if type(p) is not int:
+        raise ChainError(f"block ({p!r}, {2 * p - 1!r}) needs integer ends")
+    if p < 1:
+        raise ChainError(f"block [{p}, {2 * p - 1}] is not a maximal schreier set")
+    if p <= prev_end:
+        raise ChainError("blocks must increase strictly")
+    if not spans and p <= level:
+        raise ChainError(f"first block must start above the level {level}")
+    return p, 2 * p - 1
 
 
 def build_chain(level: int, support: FinSet,
                 generator: BlockGenerator = CanonicalBlocks()) -> DeltaChain:
-    """Blocks for every prefix of ``support``, drawn by ``generator``."""
-    chain = DeltaChain(level, EMPTY, (), generator)
-    for m in support:
-        chain = chain.extend(m)
-    return chain
+    """Blocks for every prefix of ``support``, drawn by ``generator``; the
+    one ``DeltaChain`` built at the end checks the whole chain once."""
+    _check_level(level)  # first: the generators take the level as an int
+    elems = support.elems
+    spans: tuple[Span, ...] = ()
+    for k, m in enumerate(elems):
+        spans += (_next_span(level, elems[:k], spans, m, generator),)
+    return DeltaChain(level, support, spans, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +368,10 @@ def cancellation_value(chain: DeltaChain, m: int,
     """Pair the extended chain's functional against the chain average minus
     the extended average.  Exactly (-1)^k at depth k, and asserted so.
     """
-    extended = chain.extend(m, generator)
-    value = _cancellation_pairing(chain.spans, extended.spans)
+    gen = generator if generator is not None else chain.generator
+    spans = chain.spans
+    span = _next_span(chain.level, chain.support.elems, spans, m, gen)
+    value = _cancellation_pairing(spans, spans + (span,))
     k = chain.depth
     if value != (-1) ** k:
         raise AssertionError(

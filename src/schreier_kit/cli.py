@@ -31,7 +31,7 @@ from .kernel import NotInS2Error, decompose, inner, parity
 
 # Most chains (chain sets times generators) one ``tree sweep`` may build.
 # The largest sweep in the tests, demos and bench workloads builds 4,030
-# (130 chain sets, 31 generators) in about 0.25 s.
+# (130 chain sets, 31 generators) in about 0.1 s.
 _SWEEP_LIMIT = 100_000
 # Most cases one ``tree sweep`` may check, bounded above by chains times
 # --m-max; the bench sweep's bound is 4,030 x 12 = 48,360.
@@ -408,6 +408,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except OSError as exc:  # after BrokenPipeError, which is an OSError
+        # an output file that cannot be opened or written (--pbm)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FamilySyntaxError, OrdinalSyntaxError, NotInS2Error,
             NotAMemberError, DegenerateIndexError, ChainError,
             ValueError) as exc:

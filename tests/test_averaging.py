@@ -8,6 +8,7 @@ enumeration of all picks.  The identity tests lean on the factorized form
 import contextlib
 import io
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,15 @@ class TestBlockGenerators:
         assert g.next_start(3, 15, 9) == 16
         assert g.next_start(1, 0, 1) == 2
         assert g.describe() == "canonical"
+
+    def test_canonical_start_matches_the_doubling_loop(self):
+        g = CanonicalBlocks()
+        for lo in range(4097):
+            p = 1
+            while p <= lo:
+                p *= 2
+            assert g.next_start(lo, 0, 0) == g.next_start(0, lo, 0) == p
+            assert g.next_start(0, 0, lo) == p
 
     def test_seeded_starts_stay_in_the_spread_window(self):
         g = SeededBlocks(7)
@@ -382,3 +392,117 @@ class TestSpanMemos:
         info = memo.cache_info()
         assert info.misses == len(pairs)
         assert info.hits == cases - len(pairs) > 0
+
+
+@dataclass(frozen=True)
+class _RogueBlocks:
+    """Canonical starts except where ``flaw`` breaks a chain rule."""
+
+    flaw: str
+
+    def next_start(self, n, prev_end, m, level=0):
+        p = CanonicalBlocks().next_start(n, prev_end, m)
+        if self.flaw == "overlap" and prev_end:
+            return prev_end
+        if self.flaw == "low first" and not prev_end:
+            return n
+        if self.flaw == "zero":
+            return 0
+        if self.flaw == "float":
+            return float(p)
+        return p
+
+    def describe(self):
+        return f"rogue({self.flaw})"
+
+
+def _grid():
+    """Chains of levels 1-4 on every support inside [1..9] of at most
+    ``level`` elements, canonical and seeded."""
+    gens = [CanonicalBlocks()] + [SeededBlocks(s) for s in range(1, 6)]
+    for level in range(1, 5):
+        for r in range(level + 1):
+            for els in itertools.combinations(range(1, 10), r):
+                for gen in gens:
+                    yield level, FinSet(els), gen
+
+
+class TestSpanHelper:
+    """``build_chain``, ``extend`` and ``cancellation_value`` each check one
+    new span per step; these pin them to the chain-by-chain route."""
+
+    def test_build_chain_equals_folding_extend(self):
+        for level, support, gen in _grid():
+            chain = build_chain(level, support, gen)
+            folded = DeltaChain(level, EMPTY, (), gen)
+            for m in support:
+                folded = folded.extend(m)
+            assert (chain.spans, chain.support, chain.generator) == (
+                folded.spans, folded.support, folded.generator)
+
+    def test_cancellation_value_equals_the_extended_chain_route(self):
+        for level, support, gen in _grid():
+            chain = build_chain(level, support, gen)
+            if chain.depth == level:
+                continue
+            for m in range(support.max_or_0 + 1, 13):
+                want = averaging._cancellation_pairing(
+                    chain.spans, chain.extend(m).spans)
+                assert cancellation_value(chain, m) == want
+
+    @pytest.mark.parametrize("flaw,level,support,message", [
+        ("overlap", 3, FinSet((2, 5)), "increase strictly"),
+        ("low first", 2, FinSet((3,)), "start above the level 2"),
+        ("float", 2, FinSet((3,)), r"block \(4\.0, 7\.0\) needs integer ends"),
+        ("zero", 2, FinSet((3,)), r"block \[0, -1\] is not a maximal schreier"),
+    ])
+    def test_rogue_generators_are_refused_by_every_route(
+            self, flaw, level, support, message):
+        rogue = _RogueBlocks(flaw)
+        base = build_chain(level, FinSet(support.elems[:-1]))
+        m = support.max
+        for _ in range(2):
+            with pytest.raises(ChainError, match=message):
+                base.extend(m, rogue)
+            with pytest.raises(ChainError, match=message):
+                build_chain(level, support, rogue)
+            with pytest.raises(ChainError, match=message):
+                cancellation_value(base, m, rogue)
+
+    @pytest.mark.parametrize("level,support,m,message", [
+        (3, FinSet((2, 5)), 5, "5 does not extend {2,5}"),
+        (3, FinSet((2, 5)), 3, "3 does not extend {2,5}"),
+        (2, EMPTY, 0, "0 does not extend ∅"),
+        (2, EMPTY, -4, "-4 does not extend ∅"),
+        (2, FinSet((3,)), 5.0, "integers >= 1, got 5.0"),
+        (2, EMPTY, True, "integers >= 1, got True"),
+        (2, FinSet((3, 5)), 9, "chains of length <= 2"),
+        (1, FinSet((1,)), 2, "chains of length <= 1"),
+    ])
+    def test_bad_extensions_give_the_extend_message(
+            self, level, support, m, message):
+        chain = build_chain(level, support, SeededBlocks(3))
+        with pytest.raises(ChainError) as by_extend:
+            chain.extend(m)
+        with pytest.raises(ChainError) as by_cancellation:
+            cancellation_value(chain, m)
+        assert str(by_cancellation.value) == str(by_extend.value)
+        assert message in str(by_extend.value)
+
+    def test_a_sweep_builds_one_chain_per_chain_set_and_generator(
+            self, monkeypatch):
+        # 130 chain sets (subsets of [1..9] with at most 3 elements) times 31
+        # generators; cancellation_value builds no chain and build_chain one
+        built = 0
+        post_init = DeltaChain.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(DeltaChain, "__post_init__", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["tree", "sweep", "--n", "4", "--support-max", "9",
+                             "--m-max", "12", "--seeds", "30"]) == 0
+        assert built == 130 * 31 == 4030

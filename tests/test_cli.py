@@ -370,6 +370,16 @@ class TestHarness:
         assert len(head) == 20
         assert (code, err) == (0, b"")
 
+    def test_unwritable_output_file_exits_2_without_a_traceback(self, tmp_path):
+        target = tmp_path / "missing" / "x.pbm"
+        r = subprocess.run([sys.executable, "-m", "schreier_kit", "compacta",
+                            "matrix", "--mode", "K", "--alpha", "1", "--rows",
+                            "3", "--cols", "3", "--pbm", str(target)],
+                           capture_output=True, text=True)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error: ") and str(target) in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_module_entry_point(self):
         r = subprocess.run([sys.executable, "-m", "schreier_kit",
                             "fam", "parse", "S2"],
