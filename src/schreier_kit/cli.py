@@ -19,15 +19,13 @@ import sys
 from typing import Optional
 
 from . import compacta, verify as verify_mod
-from .averaging import (CanonicalBlocks, ChainError, SeededBlocks,
-                        build_chain, cancellation_value, union_functional)
-from .family import (DegenerateIndexError, FamilySyntaxError,
-                     NotAMemberError, enumerate_members, format_family,
-                     format_index, is_maximal, member, parse_family,
-                     parse_index, rank, rank_is_rule_derived)
+from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
+                        cancellation_value, union_functional)
+from .family import (enumerate_members, format_family, format_index,
+                     is_maximal, member, parse_family, parse_index, rank,
+                     rank_is_rule_derived)
 from .finset import FinSet
-from .ordinal import OrdinalSyntaxError
-from .kernel import NotInS2Error, decompose, inner, parity
+from .kernel import decompose, inner, parity
 
 # Most chains (chain sets times generators) one ``tree sweep`` may build.
 # The largest sweep in the tests, demos and bench workloads builds 4,030
@@ -412,9 +410,7 @@ def main(argv=None) -> int:
         # an output file that cannot be opened or written (--pbm)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FamilySyntaxError, OrdinalSyntaxError, NotInS2Error,
-            NotAMemberError, DegenerateIndexError, ChainError,
-            ValueError) as exc:
+    except ValueError as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -63,17 +63,15 @@ def build_matrix(mode: str, alpha, index: IndexSet = All(),
     return _fill(mode, alpha, index, row_bound, col_bound, rows, cols)
 
 
-def matrix_from_sets(mode: str, rows: list[FinSet], cols: list[FinSet],
-                     alpha="w", index: IndexSet = All(),
-                     col_bound: Optional[int] = None) -> ThetaMatrix:
+def matrix_from_sets(mode: str, rows: list[FinSet],
+                     cols: list[FinSet]) -> ThetaMatrix:
     """A kernel matrix over explicit row and column sets (the second
-    coordinate side must decompose)."""
+    coordinate side must decompose), labelled level w over all."""
     if mode not in ("K", "L"):
         raise ValueError(f"mode must be 'K' or 'L', got {mode!r}")
     row_bound = max((s.max_or_0 for s in rows), default=0)
-    if col_bound is None:
-        col_bound = max((t.max_or_0 for t in cols), default=0)
-    return _fill(mode, alpha, index, row_bound, col_bound, list(rows), list(cols))
+    col_bound = max((t.max_or_0 for t in cols), default=0)
+    return _fill(mode, "w", All(), row_bound, col_bound, list(rows), list(cols))
 
 
 def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
@@ -224,20 +222,17 @@ def powers_witness(s0: FinSet, s1: FinSet) -> FinSet:
     return t
 
 
-def _schreier_tuples(bound: int, max_size: Optional[int] = None
-                     ) -> Iterator[tuple[int, ...]]:
+def _schreier_tuples(bound: int) -> Iterator[tuple[int, ...]]:
     """The element tuples of ``schreier_sets_upto``, in the same order."""
-    top = bound if max_size is None else min(max_size, bound)
     yield ()
-    for k in range(1, top + 1):
+    for k in range(1, bound + 1):
         # size-k schreier sets are exactly the k-subsets of [k..bound]
         yield from combinations(range(k, bound + 1), k)
 
 
-def schreier_sets_upto(bound: int, max_size: Optional[int] = None
-                       ) -> Iterator[FinSet]:
+def schreier_sets_upto(bound: int) -> Iterator[FinSet]:
     """All schreier sets inside [1..bound] in length-then-lex order."""
-    return map(FinSet, _schreier_tuples(bound, max_size))
+    return map(FinSet, _schreier_tuples(bound))
 
 
 def default_search_bound(t0: FinSet, t1: FinSet) -> int:

@@ -22,7 +22,7 @@ ranks in Cantor normal form all operate on these expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Iterator, Optional, Union
 
@@ -50,6 +50,13 @@ class DegenerateIndexError(ValueError):
 # index sets
 # ---------------------------------------------------------------------------
 
+# Three kinds: arithmetic progressions (AP; its subclasses From and All
+# exist only to print as from(n) and all rather than ap(a,d)), Powers
+# (printed powers(b) only with first 0 and period 1) and Explicit finite
+# sets.  _meet is closed-form: All gives back the other side, an Explicit
+# side is filtered, progressions meet in a plain AP (even two From), and
+# powers meet powers or a progression in a Powers or an Explicit.
+
 # A residue walk this many steps long without closing its cycle gives up;
 # only reachable through hand-built pathological intersections.
 _SCAN_LIMIT = 10**7
@@ -66,61 +73,13 @@ def _exponent(m: int, base: int) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class All:
-    def contains(self, m: int) -> bool:
-        return m >= 1
-
-    def first_above(self, lo: int) -> Optional[int]:
-        return max(lo, 0) + 1
-
-    @property
-    def definitely_infinite(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class From:
-    start: int
-
-    def contains(self, m: int) -> bool:
-        return m >= self.start
-
-    def first_above(self, lo: int) -> Optional[int]:
-        return max(lo + 1, self.start, 1)
-
-    @property
-    def definitely_infinite(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Powers:
-    base: int
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("powers() needs a base >= 2")
-
-    def contains(self, m: int) -> bool:
-        return _exponent(m, self.base) is not None
-
-    def first_above(self, lo: int) -> Optional[int]:
-        p = 1
-        while p <= lo:
-            p *= self.base
-        return p
-
-    @property
-    def definitely_infinite(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
 class AP:
     """Arithmetic progression start, start+step, start+2*step, ..."""
 
     start: int
     step: int
+
+    definitely_infinite = True
 
     def __post_init__(self):
         if self.start < 1 or self.step < 1:
@@ -135,38 +94,30 @@ class AP:
         k = (lo - self.start) // self.step + 1
         return self.start + k * self.step
 
-    @property
-    def definitely_infinite(self) -> bool:
-        return True
+
+@dataclass(frozen=True)
+class From(AP):
+    step: int = field(default=1, init=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Explicit:
-    members: FinSet
-
-    def contains(self, m: int) -> bool:
-        return m in self.members
-
-    def first_above(self, lo: int) -> Optional[int]:
-        for m in self.members:
-            if m > lo:
-                return m
-        return None
-
-    @property
-    def definitely_infinite(self) -> bool:
-        return False
+class All(From):
+    start: int = field(default=1, init=False, repr=False)
 
 
 @dataclass(frozen=True)
-class _Geometric:
-    """The powers base**k with k >= first and k = first (mod period); only
-    built internally, for powers met with progressions, lower bounds and
-    other powers."""
+class Powers:
+    """The powers base**k with k >= first and k = first (mod period)."""
 
     base: int
-    first: int
-    period: int
+    first: int = 0
+    period: int = 1
+
+    definitely_infinite = True
+
+    def __post_init__(self):
+        if self.base < 2:
+            raise ValueError("powers() needs a base >= 2")
 
     def contains(self, m: int) -> bool:
         k = _exponent(m, self.base)
@@ -180,12 +131,24 @@ class _Geometric:
         k = max(k, self.first)
         return self.base ** (k + (self.first - k) % self.period)
 
-    @property
-    def definitely_infinite(self) -> bool:
-        return True
+
+@dataclass(frozen=True)
+class Explicit:
+    members: FinSet
+
+    definitely_infinite = False
+
+    def contains(self, m: int) -> bool:
+        return m in self.members
+
+    def first_above(self, lo: int) -> Optional[int]:
+        for m in self.members:
+            if m > lo:
+                return m
+        return None
 
 
-IndexSet = Union[All, From, Powers, AP, Explicit, _Geometric]
+IndexSet = Union[AP, Powers, Explicit]
 
 
 def _ap_meet(a: AP, b: AP) -> Optional[AP]:
@@ -202,7 +165,7 @@ def _ap_meet(a: AP, b: AP) -> Optional[AP]:
 
 
 @cache
-def _geometric_meet(g: _Geometric, floor: int, ap: AP) -> IndexSet:
+def _geometric_meet(g: Powers, floor: int, ap: AP) -> IndexSet:
     """The elements of g that are >= floor and lie in the progression ap.
 
     Their residues modulo ap.step follow r -> r*base**period, so they are
@@ -234,7 +197,7 @@ def _geometric_meet(g: _Geometric, floor: int, ap: AP) -> IndexSet:
             "cannot locate an element of an index-set intersection")
     if hit is None:
         return Explicit(FinSet(tuple(g.base ** j for j in hits)))
-    return _Geometric(g.base, hits[0] if hits else hit, g.period * cycle)
+    return Powers(g.base, hits[0] if hits else hit, g.period * cycle)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -257,7 +220,7 @@ def _root(n: int) -> tuple[int, int]:
     return n, 1
 
 
-def _power_meet(g: _Geometric, h: _Geometric) -> IndexSet:
+def _power_meet(g: Powers, h: Powers) -> IndexSet:
     """Two sets of powers met exactly.  Each base is r**x for an r that is
     no perfect power.  Bases with different r share only the power 1;
     with one r, the exponents of r form two progressions, which _ap_meet
@@ -269,11 +232,7 @@ def _power_meet(g: _Geometric, h: _Geometric) -> IndexSet:
                   AP(y * h.first + 1, y * h.period))
     if ap is None:
         return Explicit(FinSet())
-    return _Geometric(r, ap.start - 1, ap.step)
-
-
-# the order in which _meet takes the two parts of an intersection
-_MEET_ORDER = (Explicit, _Geometric, AP, From)
+    return Powers(r, ap.start - 1, ap.step)
 
 
 def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
@@ -282,19 +241,15 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
         return b
     if isinstance(b, All):
         return a
-    a, b = sorted((_Geometric(p.base, 0, 1) if isinstance(p, Powers) else p
-                   for p in (a, b)), key=lambda p: _MEET_ORDER.index(type(p)))
+    if isinstance(b, Explicit) or isinstance(b, Powers) and isinstance(a, AP):
+        a, b = b, a
     if isinstance(a, Explicit):
         return Explicit(FinSet(tuple(m for m in a.members if b.contains(m))))
-    if isinstance(a, _Geometric):
-        if isinstance(b, _Geometric):
+    if isinstance(a, Powers):
+        if isinstance(b, Powers):
             return _power_meet(a, b)
-        return _geometric_meet(a, b.start, b if isinstance(b, AP) else AP(1, 1))
-    if isinstance(a, From):
-        return From(max(a.start, b.start))
-    if isinstance(b, AP):
-        return _ap_meet(a, b) or Explicit(FinSet())
-    return AP(a.first_above(b.start - 1), a.step)
+        return _geometric_meet(a, b.start, b)
+    return _ap_meet(a, b) or Explicit(FinSet())
 
 
 def index_elements_between(index: IndexSet, lo: int, hi: int) -> list[int]:
@@ -779,7 +734,7 @@ def format_index(index: IndexSet) -> str:
         return "all"
     if isinstance(index, From):
         return f"from({index.start})"
-    if isinstance(index, Powers):
+    if isinstance(index, Powers) and (index.first, index.period) == (0, 1):
         return f"powers({index.base})"
     if isinstance(index, AP):
         return f"ap({index.start},{index.step})"

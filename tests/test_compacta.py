@@ -253,10 +253,6 @@ class TestSchreierHelpers:
         assert got == ["∅", "{1}", "{2}", "{3}", "{4}",
                        "{2,3}", "{2,4}", "{3,4}"]
 
-    def test_max_size_cap(self):
-        got = list(schreier_sets_upto(6, max_size=1))
-        assert got == [EMPTY] + [FinSet((m,)) for m in range(1, 7)]
-
     def test_counts_match_family_enumeration(self):
         from schreier_kit.family import SCHREIER
         assert len(list(schreier_sets_upto(12))) == \

@@ -204,6 +204,8 @@ class TestIndexSets:
         assert index_elements_between(meet, 0, 2 ** 120) == \
             [64 ** k for k in range(21)]
         assert [m for m in range(1, 5000) if meet.contains(m)] == [1, 64, 4096]
+        with pytest.raises(TypeError):
+            format_index(meet)
 
     def test_residue_walk_gives_up_past_the_scan_limit(self, monkeypatch):
         monkeypatch.setattr(family, "_SCAN_LIMIT", 1000)
@@ -243,13 +245,18 @@ def test_two_powers_meet_matches_brute_force(a, b, step, start, nested):
     assert index_elements_between(meet, 0, hi) == want
 
 
+PROGRESSIONS = st.one_of(st.just(All()), st.builds(From, st.integers(1, 12)),
+                        st.builds(AP, st.integers(1, 12), st.integers(1, 12)))
+
+
 @settings(derandomize=True, max_examples=200)
-@given(st.integers(1, 12), st.integers(1, 12),
-       st.integers(1, 12), st.integers(1, 12))
-def test_progression_meet_matches_both_parts(a0, a1, b0, b1):
-    a, b = AP(a0, a1), AP(b0, b1)
+@given(PROGRESSIONS, PROGRESSIONS)
+def test_progression_meet_matches_both_parts(a, b):
     meet = family._meet(a, b)
-    assert isinstance(meet, AP) or meet == Explicit(EMPTY)
+    if All() in (a, b):
+        assert meet in (a, b)
+    else:
+        assert type(meet) is AP or meet == Explicit(EMPTY)
     for m in range(301):
         assert meet.contains(m) == (a.contains(m) and b.contains(m)), m
 
