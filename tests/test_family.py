@@ -88,6 +88,18 @@ class TestExpressionLanguage:
         assert format_index(parse_index("{2,1,1}")) == "{1,2}"
         assert format_index(parse_index("all")) == "all"
 
+    def test_each_index_kind_keeps_its_text_form(self):
+        # All is a From is an AP: each prints its own form, not its parent's
+        assert All() == All() and All().start == 1 and All().step == 1
+        assert [format_index(i) for i in (All(), From(1), From(4), AP(4, 1),
+                                          Powers(3), Powers(3, 0, 1))] == \
+            ["all", "from(1)", "from(4)", "ap(4,1)", "powers(3)", "powers(3)"]
+        for index in (Powers(3, 1, 1), Powers(3, 0, 2)):
+            with pytest.raises(TypeError):
+                format_index(index)
+        with pytest.raises(ValueError):
+            From(0)
+
     @pytest.mark.parametrize("text,offset,message", [
         ("schreir", 1, "expected a family expression"),
         ("powers(1)", 1, "expected a family expression"),
