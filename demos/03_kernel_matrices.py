@@ -42,8 +42,8 @@ for cls in rep.collision_classes:
 w = powers_witness(FinSet((2, 8)), FinSet((2, 16)))
 print("witness for {2,8} vs {2,16}:", w)
 
-# In the other coordinate, a plain first-fit search over admissible sets
-# finds a separator; the default element bound is twice the larger
-# maximum plus two, which has sufficed in every sweep run here.
+# In the other coordinate, a first-fit search over admissible sets finds a
+# separator; the default element bound is the larger maximum, which is
+# proved to hold the first separator whenever one exists.
 sep = distinguishing_search(FinSet((2, 3)), FinSet((2, 4)))
 print("separator for {2,3} vs {2,4}:", sep)

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .family import Cube, member
 from .finset import FinSet, interval
-from .kernel import Decomposition, block_sets, _parity_blocks
+from .kernel import Decomposition, parity
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
@@ -266,9 +266,13 @@ class BlockAverage:
     def index_count(self) -> int:
         return prod(len(b) for b in self.blocks)
 
+    def picks(self) -> Iterator[tuple[int, ...]]:
+        """The element tuples of the picks, one element per block, in
+        ``itertools.product`` order."""
+        return itertools.product(*(b.elems for b in self.blocks))
+
     def indices(self) -> Iterator[FinSet]:
-        for pick in itertools.product(*(b.elems for b in self.blocks)):
-            yield FinSet(pick)
+        return map(FinSet, self.picks())
 
     def explicit(self) -> dict[FinSet, Fraction]:
         """The full index-to-weight map; guarded against huge products."""
@@ -348,8 +352,8 @@ def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
     if v.index_count > _EXPLICIT_LIMIT:
         raise ValueError(f"{v.index_count} indices exceed the enumeration "
                          f"limit {_EXPLICIT_LIMIT}")
-    fb = block_sets(f.decomposition) if f.decomposition else ()
-    total = sum(_parity_blocks(u.elems, fb) for u in v.indices())
+    t = f.decomposition if f.decomposition else FinSet()
+    total = sum(parity(u, t) for u in v.indices())
     return Fraction(total, v.index_count)
 
 

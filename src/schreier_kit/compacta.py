@@ -15,21 +15,28 @@ writers render pieces of about a mebibyte, each block of rows from one
 byte buffer with only the set labels formatted per row.  So the grid is
 the only full-size array a matrix export holds: ``write`` sends the text
 out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.
+
+Separators are found on grids too, by one search path: ``first_separators``
+takes schreier rows in length-then-lex order, a growing chunk at a time,
+fills one ``parity_matrix`` grid per chunk against a shared column list,
+and keeps for each pair of columns the first row where they differ.
+``distinguishing_search`` is its one-pair call.  Its default bound,
+max(max t0, max t1), is proved to hold the first separator whenever one
+exists (see ``default_search_bound``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
-from typing import Iterator, Optional
+from itertools import chain, combinations, islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .family import (SCHREIER, All, IndexSet, base_family, enumerate_members,
                      member, product_family, restricted)
 from .finset import FinSet
-from .kernel import (block_sets, _parity_blocks, decompose, parity,
-                     parity_matrix)
+from .kernel import _BLOCK_ENTRIES, decompose, parity, parity_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +169,20 @@ class InjectivityReport:
 
 
 def injectivity_report(m: ThetaMatrix) -> InjectivityReport:
-    by_row: dict[bytes, list[int]] = {}
-    for i in range(len(m.rows)):
-        by_row.setdefault(m.entries[i].tobytes(), []).append(i)
-    classes = sorted(by_row.values())
+    # rows grouped by a hash of their bytes, each match confirmed against
+    # the first row of its class, so no copy of a row outlives its hashing;
+    # classes open in row order, which is their sorted order
+    by_hash: dict[int, list[list[int]]] = {}
+    classes: list[list[int]] = []
+    for i, row in enumerate(m.entries):
+        bucket = by_hash.setdefault(hash(row.tobytes()), [])
+        for cls in bucket:
+            if np.array_equal(m.entries[cls[0]], row):
+                cls.append(i)
+                break
+        else:
+            bucket.append([i])
+            classes.append(bucket[-1])
     flags = []
     for cls in classes:
         # a row whose label reaches past every column's view cannot be told
@@ -236,23 +253,78 @@ def schreier_sets_upto(bound: int) -> Iterator[FinSet]:
 
 
 def default_search_bound(t0: FinSet, t1: FinSet) -> int:
-    """Heuristic ceiling 2*max+2 for separator elements; adequate in every
-    sweep run here but carries no proof."""
-    return 2 * max(t0.max_or_0, t1.max_or_0) + 2
+    """M = max(max t0, max t1): if t0 and t1 have a separator at all, their
+    first one (length-then-lex) has every element <= M.
+
+    Proof.  An element of s above M lies in no block of t0 or t1, so it
+    never hits and changes neither kernel value.  Those elements form a
+    suffix of s (s is increasing); dropping it leaves a prefix s' with
+    parity(s', t0) = parity(s, t0) and parity(s', t1) = parity(s, t1).  s'
+    is not empty, since the empty set gives 1 on both sides and separates
+    nothing, so s' is schreier: #s' <= #s <= min s = min s'.  So s' is a
+    separator, and when s' != s it is shorter, hence earlier in
+    length-then-lex order.  The first separator therefore has no element
+    above M, and a search within M finds it or proves there is none.
+    """
+    return max(t0.max_or_0, t1.max_or_0)
+
+
+# Candidate rows in the first grid of ``first_separators``; each later grid
+# takes twice as many, up to about ``kernel._BLOCK_ENTRIES`` entries.
+_FIRST_ROWS = 32
+
+
+def first_separators(ts: Sequence[FinSet], pairs,
+                     bound: int) -> list[Optional[tuple[int, ...]]]:
+    """For each index pair (i, j) of ``pairs`` (shape (P, 2)), the elements
+    of the first schreier set s (length-then-lex, elements <= bound) with
+    parity(s, ts[i]) != parity(s, ts[j]), or None when there is none.
+
+    The candidates come in chunks of growing size, each one
+    ``parity_matrix`` grid against every column of ``ts``.  A pair leaves
+    the search at the first row where its two columns differ, and the
+    search ends once no pair is pending.  The result shares the chunks'
+    element tuples, so it holds no set per pair.  Every ts[j] must be
+    empty or decompose, whatever the bound.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    found: list[Optional[tuple[int, ...]]] = [None] * len(pairs)
+    pending = np.arange(len(pairs))
+    rows = _schreier_tuples(bound)
+    next(rows)  # the empty first coordinate gives 1 on both sides
+    size = _FIRST_ROWS
+    most = max(size, _BLOCK_ENTRIES // max(1, len(ts)))
+    while pending.size:
+        chunk = list(islice(rows, size))
+        grid = parity_matrix(chunk, ts)  # decomposes every t, even for no rows
+        if chunk:
+            # pairs in slices, so the compare temporaries stay block-sized
+            step = max(1, _BLOCK_ENTRIES // len(chunk))
+            left = []
+            for lo in range(0, len(pending), step):
+                part = pending[lo:lo + step]
+                diff = grid[:, pairs[part, 0]] != grid[:, pairs[part, 1]]
+                hit = diff.any(axis=0)
+                for p, r in zip(part[hit].tolist(),
+                                diff.argmax(axis=0)[hit].tolist()):
+                    found[p] = chunk[r]
+                left.append(part[~hit])
+            pending = np.concatenate(left)
+        if len(chunk) < size:
+            break
+        size = min(2 * size, most)
+    return found
 
 
 def distinguishing_search(t0: FinSet, t1: FinSet,
                           bound: Optional[int] = None) -> Optional[FinSet]:
     """The first schreier set s (length-then-lex, elements <= bound) whose
-    kernel values at t0 and t1 differ; None when the bound is too tight."""
+    kernel values at t0 and t1 differ; None when there is none within the
+    bound.  The bound defaults to ``default_search_bound``, within which
+    None means no separator exists at all."""
     if t0 == t1:
         raise ValueError("the two sets must differ")
-    b0 = block_sets(t0)
-    b1 = block_sets(t1)
     if bound is None:
         bound = default_search_bound(t0, t1)
-    # the empty first coordinate gives 1 on both sides, so it never separates
-    for els in _schreier_tuples(bound):
-        if _parity_blocks(els, b0) != _parity_blocks(els, b1):
-            return FinSet(els)
-    return None
+    (els,) = first_separators((t0, t1), [(0, 1)], bound)
+    return None if els is None else FinSet(els)

@@ -12,19 +12,27 @@ hits of s against those blocks and keeps only the parity:
 with s = {m_0 < ... < m_k}.  Conventions: inner(empty, t) = 0 and
 inner(s, empty) = 0, so parity(empty, t) = parity(s, empty) = 1.
 
-``inner``/``parity`` are the scalar oracle.  ``parity_matrix`` evaluates
-many pairs at once from a label table: ``label[m, j]`` is the index of the
-block of the j-th second coordinate that holds m, or -1.  Position i of a
-first coordinate s hits exactly when ``label[s_i, j] == i``, so one table
-gather per position, XOR-accumulated into a uint8 array, gives the parity
-of every pair.  The grid is filled in blocks of a fixed number of entries,
+``inner``/``parity`` are the scalar oracle.  ``parity_matrix`` is the one
+fast path: it evaluates many pairs at once from a label table, where
+``label[m, j]`` is the index of the block of the j-th second coordinate that
+holds m, or -1.  Position i of a first coordinate s hits exactly when
+``label[s_i, j] == i``, so one table gather per position, XOR-accumulated
+into a uint8 array, gives the parity of every pair.  First coordinates may
+be FinSets or bare increasing element tuples (the picks of a block average,
+the candidate rows of a separator search), so a caller need not build a
+FinSet per row.  The grid is filled in blocks of a fixed number of entries,
 so it is the only array whose size grows with the number of pairs.
+
+``decompose`` is memoized (``_DECOMPOSE_MEMO`` entries): a ``Decomposition``
+is frozen, so a repeated second coordinate shares one, and a refused set
+raises again on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -94,8 +102,18 @@ def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+# Decompositions kept by ``decompose``.  Its callers repeat a set within a
+# few calls (a powers witness is decomposed to be built and again to be
+# checked), so 64 entries take nearly every repeat of ``verify --max 8``
+# (688 builds for 12,812 calls; 395 with no bound), while a larger memo
+# mostly keeps sets decomposed once.
+_DECOMPOSE_MEMO = 64
+
+
+@lru_cache(maxsize=_DECOMPOSE_MEMO)
 def decompose(t: FinSet) -> Decomposition:
-    """The unique block decomposition of a nonempty t in S2."""
+    """The unique block decomposition of a nonempty t in S2 (memoized; an
+    error is raised afresh on every call, never cached)."""
     return Decomposition(tuple(FinSet(b) for b in _decompose_elems(t.elems)))
 
 
@@ -140,7 +158,8 @@ _BLOCK_ENTRIES = 1 << 18
 def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
     """``out[i, j] == parity(ss[i], ts[j])`` as a uint8 array of shape
     (len(ss), len(ts)); with ``transposed``, its transpose in row-major
-    order.  Every ts[j] must be empty or decompose.
+    order.  Each ss[i] is a FinSet or the increasing tuple of its
+    elements; every ts[j] must be empty or decompose.
 
     The label table has a row for each value 0..max t and one more row of
     -1, ``miss``: the padding of a short s, and every element above max t,
@@ -162,11 +181,14 @@ def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
             idx.extend([i] * len(b))
     label[values, cols] = idx
 
-    width = min(depth, max(map(len, ss), default=0))
-    pos = np.full((len(ss), width), miss, dtype=np.intp)
-    for r, s in enumerate(ss):
-        head = s.elems[:width]
-        pos[r, :len(head)] = head
+    heads = [s if type(s) is tuple else s.elems for s in ss]
+    width = min(depth, max(map(len, heads), default=0))
+    # each head cut or padded with ``miss`` to the width, read in one pass
+    pad = (miss,) * width
+    pos = np.fromiter(chain.from_iterable(h[:width] + pad[len(h):]
+                                          for h in heads),
+                      dtype=np.intp, count=len(ss) * width)
+    pos = pos.reshape(len(ss), width)
     np.minimum(pos, miss, out=pos)
 
     if not transposed:
@@ -195,6 +217,7 @@ def _fill_block(dest: np.ndarray, label: np.ndarray, pos: np.ndarray) -> None:
         dest ^= label[pos[:, i]] == i
 
 
+# No caller in the package; kept while bench/tracer.py TARGETS name it.
 def _parity_blocks(s_elems: tuple[int, ...], block_sets: tuple) -> int:
     """Hot-path kernel over pre-built block membership sets (frozensets)."""
     c = 0
@@ -204,6 +227,7 @@ def _parity_blocks(s_elems: tuple[int, ...], block_sets: tuple) -> int:
     return (c + 1) & 1
 
 
+# No caller in the package; kept while bench/tracer.py TARGETS name it.
 def block_sets(t) -> tuple:
     """Frozenset view of the blocks of t, for sweep loops."""
     if isinstance(t, Decomposition):

@@ -26,8 +26,7 @@ from .family import (SCHREIER, SCHREIER_SQUARE, All, Cube, Powers, Restrict,
                      product_family, tail_threshold)
 from .finset import EMPTY, FinSet, interval
 from .ordinal import Ordinal
-from .kernel import (NotInS2Error, _parity_blocks, block_sets, decompose,
-                     inner, parity, parity_matrix)
+from .kernel import NotInS2Error, decompose, inner, parity, parity_matrix
 
 _MAX_RECORDED_FAILURES = 20
 # Padded columns per parity grid in ``kernel.local_constancy``, which bounds
@@ -451,7 +450,7 @@ def _suite_parity_local_constancy(cap):
         # is below every pad, so no cut is 0)
         for k in range(96, padded.shape[1], 97):
             i = (k0 + k + 1) % cuts[k0 + k]
-            want = _parity_blocks(ss_by_max[i].elems, block_sets(t2s[k0 + k]))
+            want = parity(ss_by_max[i], t2s[k0 + k])
             col.check(padded[i, k] == want, lambda: "vector spot-check "
                       f"s={ss_by_max[i]}, t2={t2s[k0 + k]}", want,
                       int(padded[i, k]))
@@ -571,11 +570,17 @@ def _suite_compacta_search_bound(cap):
     t_bound = _eff(10, cap)
     s_bound = min(22, 2 * t_bound + 2)
     col = _Collector()
-    ts = [t for t in _members(SCHREIER_SQUARE, t_bound)]
-    for t0, t1 in itertools.combinations(ts, 2):
-        s = compacta.distinguishing_search(t0, t1, s_bound)
-        col.check(s is not None, lambda: f"{t0} vs {t1}",
-                  f"separator within {s_bound}", "none found")
+    ts = _members(SCHREIER_SQUARE, t_bound)
+    # every pair at once, in itertools.combinations order
+    pairs = np.column_stack(np.triu_indices(len(ts), 1))
+    found = compacta.first_separators(ts, pairs, s_bound)
+    col.cases += len(found)
+    for (t0, t1), s in zip(itertools.combinations(ts, 2), found):
+        # the first separator lies within the proved bound
+        bound = compacta.default_search_bound(t0, t1)
+        if s is None or s[-1] > bound:
+            col.fail(lambda: f"{t0} vs {t1}", f"separator within {bound}",
+                     "none found" if s is None else FinSet(s))
     return col
 
 
@@ -656,23 +661,25 @@ def _suite_averaging_parity_table(cap):
                 if (averaging.block_average(ext).index_count > 10_000):
                     continue
                 k = chain.depth
-                t1 = averaging.union_functional(ext)
-                t0 = averaging.union_functional(chain)
-                b1 = block_sets(t1.decomposition) if t1.decomposition else ()
-                b0 = block_sets(t0.decomposition) if t0.decomposition else ()
+                # the union functionals are the kernel at the unions: one
+                # grid per average, its picks against those second coordinates
+                t1 = ext.union()
+                t0 = chain.union()
                 want_v = 1 if k % 2 == 0 else 0
-                for v in averaging.block_average(chain).indices():
-                    got0 = _parity_blocks(v.elems, b0)
-                    got1 = _parity_blocks(v.elems, b1)
-                    col.check(got0 == want_v and got1 == want_v,
-                              lambda: f"n={n} s={s} v={v} {gen.describe()}",
-                              want_v, (got0, got1))
+                picks = list(averaging.block_average(chain).picks())
+                got = parity_matrix(picks, [t0, t1])
+                col.cases += len(picks)
+                for r in np.flatnonzero((got != want_v).any(axis=1)):
+                    col.fail(lambda: f"n={n} s={s} v={FinSet(picks[r])} "
+                             f"{gen.describe()}", want_v,
+                             (int(got[r, 0]), int(got[r, 1])))
                 want_w = 1 if k % 2 == 1 else 0
-                for w in averaging.block_average(ext).indices():
-                    got = _parity_blocks(w.elems, b1)
-                    col.check(got == want_w,
-                              lambda: f"n={n} s={s} w={w} {gen.describe()}",
-                              want_w, got)
+                picks = list(averaging.block_average(ext).picks())
+                got = parity_matrix(picks, [t1])[:, 0]
+                col.cases += len(picks)
+                for r in np.flatnonzero(got != want_w):
+                    col.fail(lambda: f"n={n} s={s} w={FinSet(picks[r])} "
+                             f"{gen.describe()}", want_w, int(got[r]))
     return col
 
 

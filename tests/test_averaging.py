@@ -128,6 +128,7 @@ class TestAverages:
         assert len(picks) == 32
         assert picks[0] == FinSet((4, 8))
         assert all(len(u) == 2 for u in picks)
+        assert [FinSet(u) for u in v.picks()] == picks
 
     def test_explicit_map_sums_to_one(self):
         v = block_average(build_chain(2, FinSet((3, 5))))

@@ -213,7 +213,7 @@ class TestCompacta:
         code, out, _ = run_cli(["compacta", "search", "--t0", "{2,3}",
                                 "--t1", "{2,4}"])
         assert code == 0
-        assert out == '{"bound":10,"separator":[3],"t0":[2,3],"t1":[2,4]}\n'
+        assert out == '{"bound":4,"separator":[3],"t0":[2,3],"t1":[2,4]}\n'
 
     def test_inject_golden(self, run_cli):
         code, out, _ = run_cli(["compacta", "inject", "--mode", "K",

@@ -1,6 +1,7 @@
 """Truncated kernel matrices, row injectivity, witnesses, and separators."""
 
 import hashlib
+import itertools
 import os
 from types import SimpleNamespace
 
@@ -9,9 +10,11 @@ import pytest
 
 from schreier_kit import compacta, kernel
 from schreier_kit.compacta import (
+    ThetaMatrix,
     build_matrix,
     default_search_bound,
     distinguishing_search,
+    first_separators,
     injectivity_report,
     matrix_from_sets,
     powers_witness,
@@ -187,6 +190,24 @@ class TestInjectivity:
         # collisions can be blamed on the truncation
         assert not any(rep.truncation_artifact)
 
+    @pytest.mark.parametrize("same_hash", [False, True])
+    def test_classes_of_repeated_rows(self, monkeypatch, same_hash):
+        if same_hash:
+            # every row in one hash bucket: only the row comparison splits it
+            monkeypatch.setattr(compacta, "hash", lambda _: 0, raising=False)
+        m = build_matrix("K", "w", Powers(2), 64, 128)
+        rows = [0, 3, 1, 3, 0, 2, 1, 3] * 8 + list(range(len(m.rows)))
+        m = ThetaMatrix(m.mode, m.alpha, m.index, m.row_bound, m.col_bound,
+                        tuple(m.rows[i] for i in rows), m.cols,
+                        m.entries[rows])
+        by_bytes = {}
+        for i, row in enumerate(m.entries):
+            by_bytes.setdefault(row.tobytes(), []).append(i)
+        rep = injectivity_report(m)
+        assert rep.classes == tuple(map(tuple, sorted(by_bytes.values())))
+        assert len(rep.collision_classes) == \
+            sum(len(c) > 1 for c in by_bytes.values())
+
     def test_truncation_artifacts_are_flagged(self):
         rows = [EMPTY, FinSet((12,)), FinSet((13,))]
         cols = enumerate_members(SCHREIER_SQUARE, 10)
@@ -238,8 +259,46 @@ class TestSearch:
             distinguishing_search(FinSet((2,)), FinSet((2,)))
 
     def test_default_bound_heuristic(self):
-        assert default_search_bound(FinSet((2, 3)), FinSet((2, 4))) == 10
-        assert default_search_bound(EMPTY, FinSet((3,))) == 8
+        assert default_search_bound(FinSet((2, 3)), FinSet((2, 4))) == 4
+        assert default_search_bound(EMPTY, FinSet((3,))) == 3
+
+    def test_a_larger_bound_finds_the_same_first_separator(self):
+        # the proof of ``default_search_bound``: nothing above it can matter
+        ts = enumerate_members(SCHREIER_SQUARE, 6)
+        for t0, t1 in itertools.combinations(ts, 2):
+            s = distinguishing_search(t0, t1)
+            assert s is not None and s.max <= default_search_bound(t0, t1)
+            assert distinguishing_search(t0, t1, 13) == s
+
+    def test_a_t_outside_s2_is_refused_at_any_bound(self):
+        for bound in (0, 5):
+            with pytest.raises(kernel.NotInS2Error):
+                distinguishing_search(FinSet((1, 2)), FinSet((3,)), bound)
+
+    def test_batched_search_matches_a_scalar_loop(self):
+        # every pair of S2 members in [1..9] against the first separator
+        # found by a loop over the scalar kernel, None results included
+        ts = enumerate_members(SCHREIER_SQUARE, 9)
+        pairs = list(itertools.combinations(range(len(ts)), 2))
+        for bound in (3, 6, 20):
+            rows = [s for s in schreier_sets_upto(bound) if s]
+            values = []  # values[r][j] == kernel.parity(rows[r], ts[j])
+
+            def value(r):
+                while len(values) <= r:
+                    values.append([kernel.parity(rows[len(values)], t)
+                                   for t in ts])
+                return values[r]
+
+            got = first_separators(ts, pairs, bound)
+            assert len(got) == len(pairs)
+            nones = 0
+            for (i, j), els in zip(pairs, got):
+                want = next((s.elems for r, s in enumerate(rows)
+                             if value(r)[i] != value(r)[j]), None)
+                assert els == want, (ts[i], ts[j], bound)
+                nones += want is None
+            assert (nones > 0) == (bound < 9), bound
 
 
 class TestSchreierHelpers:

@@ -92,6 +92,19 @@ class TestDecomposition:
                 decomposes = False
             assert decomposes == family.member(family.SCHREIER_SQUARE, s), str(s)
 
+    def test_decompose_is_memoized_and_never_caches_an_error(self):
+        t = FinSet((2, 3, 5, 8, 9))
+        first = decompose(t)
+        again = decompose(FinSet((2, 3, 5, 8, 9)))
+        assert again == first and again is first
+        size = decompose.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(NotInS2Error):
+                decompose(FinSet((1, 2)))
+            with pytest.raises(ValueError, match="empty set"):
+                decompose(EMPTY)
+        assert decompose.cache_info().currsize == size
+
     def test_invalid_block_tuples_are_rejected(self):
         with pytest.raises(ValueError, match="at least one block"):
             Decomposition(())
@@ -234,6 +247,18 @@ def test_parity_matrix_matches_the_scalar_oracle(grid):
     assert np.array_equal(got, want)
     assert np.array_equal(matrix_from_sets("K", ss, ts).entries, want)
     assert np.array_equal(matrix_from_sets("L", ts, ss).entries, want.T)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(kernel_grids())
+def test_parity_matrix_takes_element_tuples_as_first_coordinates(grid):
+    ss, ts = grid
+    want = parity_matrix(ss, ts)
+    assert np.array_equal(parity_matrix([s.elems for s in ss], ts), want)
+    mixed = [s.elems if k % 2 else s for k, s in enumerate(ss)]
+    assert np.array_equal(parity_matrix(mixed, ts), want)
+    assert np.array_equal(parity_matrix([s.elems for s in ss], ts,
+                                        transposed=True), want.T)
 
 
 @settings(derandomize=True, max_examples=100)
