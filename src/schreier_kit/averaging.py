@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .family import Cube, member
 from .finset import FinSet, interval
-from .kernel import Decomposition, parity
+from .kernel import Decomposition, parity_matrix
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
@@ -348,12 +348,12 @@ def evaluate(f: UnionFunctional, v: BlockAverage) -> Fraction:
 
 
 def evaluate_enumerated(f: UnionFunctional, v: BlockAverage) -> Fraction:
-    """The same value by brute enumeration of all picks; the oracle route."""
+    """The same value by brute enumeration of all picks, read from one
+    kernel grid against the support; the oracle route."""
     if v.index_count > _EXPLICIT_LIMIT:
         raise ValueError(f"{v.index_count} indices exceed the enumeration "
                          f"limit {_EXPLICIT_LIMIT}")
-    t = f.decomposition if f.decomposition else FinSet()
-    total = sum(parity(u, t) for u in v.indices())
+    total = int(parity_matrix(list(v.picks()), [f.support]).sum())
     return Fraction(total, v.index_count)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .family import (SCHREIER, All, IndexSet, base_family, enumerate_members,
                      member, product_family, restricted)
 from .finset import FinSet
-from .kernel import _BLOCK_ENTRIES, decompose, parity, parity_matrix
+from .kernel import decompose, parity, parity_matrix, rows_per_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +242,11 @@ def powers_witness(s0: FinSet, s1: FinSet) -> FinSet:
 def _schreier_tuples(bound: int) -> Iterator[tuple[int, ...]]:
     """The element tuples of ``schreier_sets_upto``, in the same order."""
     yield ()
-    for k in range(1, bound + 1):
+    # the singletons one at a time: ``combinations`` holds its whole pool,
+    # so a size-k pool of bound-k+1 elements is built only after the
+    # ``bound`` singletons have been yielded
+    yield from zip(range(1, bound + 1))
+    for k in range(2, bound + 1):
         # size-k schreier sets are exactly the k-subsets of [k..bound]
         yield from combinations(range(k, bound + 1), k)
 
@@ -270,15 +274,16 @@ def default_search_bound(t0: FinSet, t1: FinSet) -> int:
 
 
 # Candidate rows in the first grid of ``first_separators``; each later grid
-# takes twice as many, up to about ``kernel._BLOCK_ENTRIES`` entries.
+# takes twice as many, up to one fill block (``kernel.rows_per_block``).
 _FIRST_ROWS = 32
 
 
-def first_separators(ts: Sequence[FinSet], pairs,
+def first_separators(ts: Sequence[FinSet],
                      bound: int) -> list[Optional[tuple[int, ...]]]:
-    """For each index pair (i, j) of ``pairs`` (shape (P, 2)), the elements
-    of the first schreier set s (length-then-lex, elements <= bound) with
-    parity(s, ts[i]) != parity(s, ts[j]), or None when there is none.
+    """For each pair (ts[i], ts[j]), i < j, in ``itertools.combinations``
+    order, the elements of the first schreier set s (length-then-lex,
+    elements <= bound) with parity(s, ts[i]) != parity(s, ts[j]), or None
+    when there is none.
 
     The candidates come in chunks of growing size, each one
     ``parity_matrix`` grid against every column of ``ts``.  A pair leaves
@@ -287,29 +292,29 @@ def first_separators(ts: Sequence[FinSet], pairs,
     element tuples, so it holds no set per pair.  Every ts[j] must be
     empty or decompose, whatever the bound.
     """
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    found: list[Optional[tuple[int, ...]]] = [None] * len(pairs)
-    pending = np.arange(len(pairs))
+    left, right = np.triu_indices(len(ts), 1)
+    found: list[Optional[tuple[int, ...]]] = [None] * len(left)
+    pending = np.arange(len(left))
     rows = _schreier_tuples(bound)
     next(rows)  # the empty first coordinate gives 1 on both sides
     size = _FIRST_ROWS
-    most = max(size, _BLOCK_ENTRIES // max(1, len(ts)))
+    most = max(size, rows_per_block(len(ts)))
     while pending.size:
         chunk = list(islice(rows, size))
         grid = parity_matrix(chunk, ts)  # decomposes every t, even for no rows
         if chunk:
             # pairs in slices, so the compare temporaries stay block-sized
-            step = max(1, _BLOCK_ENTRIES // len(chunk))
-            left = []
+            step = rows_per_block(len(chunk))
+            rest = []
             for lo in range(0, len(pending), step):
                 part = pending[lo:lo + step]
-                diff = grid[:, pairs[part, 0]] != grid[:, pairs[part, 1]]
+                diff = grid[:, left[part]] != grid[:, right[part]]
                 hit = diff.any(axis=0)
                 for p, r in zip(part[hit].tolist(),
                                 diff.argmax(axis=0)[hit].tolist()):
                     found[p] = chunk[r]
-                left.append(part[~hit])
-            pending = np.concatenate(left)
+                rest.append(part[~hit])
+            pending = np.concatenate(rest)
         if len(chunk) < size:
             break
         size = min(2 * size, most)
@@ -326,5 +331,5 @@ def distinguishing_search(t0: FinSet, t1: FinSet,
         raise ValueError("the two sets must differ")
     if bound is None:
         bound = default_search_bound(t0, t1)
-    (els,) = first_separators((t0, t1), [(0, 1)], bound)
+    (els,) = first_separators((t0, t1), bound)
     return None if els is None else FinSet(els)

@@ -13,15 +13,19 @@ with s = {m_0 < ... < m_k}.  Conventions: inner(empty, t) = 0 and
 inner(s, empty) = 0, so parity(empty, t) = parity(s, empty) = 1.
 
 ``inner``/``parity`` are the scalar oracle.  ``parity_matrix`` is the one
-fast path: it evaluates many pairs at once from a label table, where
-``label[m, j]`` is the index of the block of the j-th second coordinate that
-holds m, or -1.  Position i of a first coordinate s hits exactly when
-``label[s_i, j] == i``, so one table gather per position, XOR-accumulated
-into a uint8 array, gives the parity of every pair.  First coordinates may
-be FinSets or bare increasing element tuples (the picks of a block average,
-the candidate rows of a separator search), so a caller need not build a
-FinSet per row.  The grid is filled in blocks of a fixed number of entries,
-so it is the only array whose size grows with the number of pairs.
+fast path: it evaluates many pairs at once from a label table with a row
+per distinct element m of the second coordinates, where ``label[m, j]`` is
+the index of the block of the j-th second coordinate that holds m, or -1;
+an element of no second coordinate reads a row of -1.  Position i of a
+first coordinate s hits exactly when ``label[s_i, j] == i``, so one table
+gather per position, XOR-accumulated into a uint8 array, gives the parity
+of every pair.  The table's size depends on how many distinct elements
+there are, not on how large they are.  First coordinates may be FinSets or
+bare increasing element tuples (the picks of a block average, the
+candidate rows of a separator search), so a caller need not build a
+FinSet per row.  The grid is filled in blocks of a fixed number of
+entries, so it is the only array whose size grows with the number of
+pairs.
 
 ``decompose`` is memoized (``_DECOMPOSE_MEMO`` entries): a ``Decomposition``
 is frozen, so a repeated second coordinate shares one, and a refused set
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -103,10 +107,13 @@ def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 # Decompositions kept by ``decompose``.  Its callers repeat a set within a
-# few calls (a powers witness is decomposed to be built and again to be
-# checked), so 64 entries take nearly every repeat of ``verify --max 8``
-# (688 builds for 12,812 calls; 395 with no bound), while a larger memo
-# mostly keeps sets decomposed once.
+# few calls: ``compacta.powers_witness`` decomposes its witness to check
+# it, and the ``compacta.witness_separates`` suite of ``verify`` decomposes
+# the same witness again.  With 64 entries the suite's second builds all
+# hit, and it ran in 0.099 s instead of 0.178 s (medians of eight
+# ``verify --max 8`` runs each, alternating, 2-core VM): ``_decompose_elems``
+# alone still leaves a frozen ``Decomposition`` and its block FinSets to
+# build and validate per call.
 _DECOMPOSE_MEMO = 64
 
 
@@ -155,52 +162,63 @@ def dependency_radius(fixed: FinSet) -> int:
 _BLOCK_ENTRIES = 1 << 18
 
 
+def rows_per_block(width: int) -> int:
+    """Rows of ``width`` entries each that make one fill block (at least one)."""
+    return max(1, _BLOCK_ENTRIES // max(1, width))
+
+
 def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
     """``out[i, j] == parity(ss[i], ts[j])`` as a uint8 array of shape
     (len(ss), len(ts)); with ``transposed``, its transpose in row-major
     order.  Each ss[i] is a FinSet or the increasing tuple of its
     elements; every ts[j] must be empty or decompose.
 
-    The label table has a row for each value 0..max t and one more row of
-    -1, ``miss``: the padding of a short s, and every element above max t,
-    read that row.  Only positions below the deepest decomposition can
-    hit.  The grid is filled block by block, each block a run of whole
-    rows of the result holding about ``_BLOCK_ENTRIES`` entries: per-pair
-    temporaries are block-sized and bool or the label dtype (one byte
-    below 128 blocks), and the grid itself is the only full-size array.
+    The label table has a row for each distinct element of the ts and one
+    more row of -1, ``miss``: the padding of a short s, and every element
+    of s that is in no t, read that row.  So its size does not depend on
+    how large the elements are.  Only positions below the deepest
+    decomposition can hit.  The grid is filled block by block, each block
+    a run of whole rows of the result holding about ``_BLOCK_ENTRIES``
+    entries: per-pair temporaries are block-sized and bool or the label
+    dtype (one byte below 128 blocks), and the grid itself is the only
+    full-size array.
     """
     decs = [_decompose_elems(t.elems) if t else () for t in ts]
     depth = max(map(len, decs), default=0)
-    miss = max((t.max_or_0 for t in ts), default=0) + 1
-    label = np.full((miss + 1, len(ts)), -1, dtype=np.min_scalar_type(-depth - 1))
-    values, cols, idx = [], [], []
-    for j, blocks in enumerate(decs):
-        for i, b in enumerate(blocks):
-            values.extend(b)
-            cols.extend([j] * len(b))
-            idx.extend([i] * len(b))
-    label[values, cols] = idx
+    # every element of every t, in order: the blocks of each t in order
+    values = list(chain.from_iterable(t.elems for t in ts))
+    # label row of each distinct element, in order of first appearance
+    row = {m: k for k, m in enumerate(dict.fromkeys(values))}
+    miss = len(row)
+    dtype = np.min_scalar_type(-depth - 1)
+    label = np.full((miss + 1, len(ts)), -1, dtype=dtype)
+    sizes = np.fromiter(map(len, chain.from_iterable(decs)), dtype=np.intp)
+    block = np.fromiter(chain.from_iterable(map(range, map(len, decs))),
+                        dtype=dtype, count=len(sizes))
+    col = np.repeat(np.arange(len(ts)),
+                    np.fromiter(map(len, ts), dtype=np.intp, count=len(ts)))
+    label[np.fromiter(map(row.__getitem__, values), dtype=np.intp,
+                      count=len(values)), col] = np.repeat(block, sizes)
 
     heads = [s if type(s) is tuple else s.elems for s in ss]
     width = min(depth, max(map(len, heads), default=0))
-    # each head cut or padded with ``miss`` to the width, read in one pass
-    pad = (miss,) * width
-    pos = np.fromiter(chain.from_iterable(h[:width] + pad[len(h):]
-                                          for h in heads),
+    # each head cut or padded to the width, mapped to label rows in one pass
+    pad = (None,) * width
+    flat = chain.from_iterable(h[:width] + pad[len(h):] for h in heads)
+    pos = np.fromiter(map(row.get, flat, repeat(miss)),
                       dtype=np.intp, count=len(ss) * width)
     pos = pos.reshape(len(ss), width)
-    np.minimum(pos, miss, out=pos)
 
     if not transposed:
         out = np.empty((len(ss), len(ts)), dtype=np.uint8)
-        step = max(1, _BLOCK_ENTRIES // max(1, len(ts)))
+        step = rows_per_block(len(ts))
         for r in range(0, len(ss), step):
             _fill_block(out[r:r + step], label, pos[r:r + step])
         return out
     # a block of rows of the transpose is a block of columns of the grid:
     # the label table's columns for those second coordinates
     out = np.empty((len(ts), len(ss)), dtype=np.uint8)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(ss)))
+    step = rows_per_block(len(ss))
     for r in range(0, len(ts), step):
         cols = label[:, r:r + step]
         part = np.empty((len(ss), cols.shape[1]), dtype=np.uint8)

@@ -572,8 +572,7 @@ def _suite_compacta_search_bound(cap):
     col = _Collector()
     ts = _members(SCHREIER_SQUARE, t_bound)
     # every pair at once, in itertools.combinations order
-    pairs = np.column_stack(np.triu_indices(len(ts), 1))
-    found = compacta.first_separators(ts, pairs, s_bound)
+    found = compacta.first_separators(ts, s_bound)
     col.cases += len(found)
     for (t0, t1), s in zip(itertools.combinations(ts, 2), found):
         # the first separator lies within the proved bound

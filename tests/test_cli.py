@@ -215,6 +215,17 @@ class TestCompacta:
         assert code == 0
         assert out == '{"bound":4,"separator":[3],"t0":[2,3],"t1":[2,4]}\n'
 
+    @pytest.mark.parametrize("big", [10 ** 12, 10 ** 30])
+    def test_search_with_a_large_element_answers_at_once(self, run_cli, big):
+        # neither the rows nor the kernel grid grow with the elements; an
+        # array sized by these elements would fail to allocate at once
+        for bound in ([], ["--bound", "3"]):
+            code, out, _ = run_cli(["compacta", "search", "--t0", "{2}",
+                                    "--t1", "{%d}" % big] + bound)
+            assert code == 0
+            assert out == ('{"bound":%d,"separator":[2],"t0":[2],"t1":[%d]}\n'
+                           % (big if not bound else 3, big))
+
     def test_inject_golden(self, run_cli):
         code, out, _ = run_cli(["compacta", "inject", "--mode", "K",
                                 "--alpha", "1", "--rows", "3", "--cols", "3"])

@@ -290,7 +290,7 @@ class TestSearch:
                                    for t in ts])
                 return values[r]
 
-            got = first_separators(ts, pairs, bound)
+            got = first_separators(ts, bound)
             assert len(got) == len(pairs)
             nones = 0
             for (i, j), els in zip(pairs, got):

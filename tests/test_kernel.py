@@ -261,6 +261,20 @@ def test_parity_matrix_takes_element_tuples_as_first_coordinates(grid):
                                         transposed=True), want.T)
 
 
+def test_parity_matrix_does_not_grow_with_the_elements():
+    # the label table has one row per distinct element of the ts, so
+    # elements far beyond any array length are fine on both sides
+    big, huge = 10 ** 12, 10 ** 30
+    ts = [FinSet((2, huge)), FinSet((3, big, huge)), FinSet((2, 5, huge)),
+          FinSet((big,)), EMPTY]
+    ss = [FinSet((huge,)), FinSet((2, huge)), FinSet((5, huge)),
+          FinSet((big,)), FinSet((3, big)), FinSet((huge + 1,)), EMPTY]
+    want = np.array([[parity(s, t) for t in ts] for s in ss], dtype=np.uint8)
+    assert np.array_equal(parity_matrix(ss, ts), want)
+    assert np.array_equal(parity_matrix([s.elems for s in ss], ts,
+                                        transposed=True), want.T)
+
+
 @settings(derandomize=True, max_examples=100)
 @given(kernel_grids())
 def test_parity_matrix_in_blocks_of_one_and_seven_rows(grid):
