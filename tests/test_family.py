@@ -221,7 +221,8 @@ class TestIndexSets:
 
     def test_residue_walk_gives_up_past_the_scan_limit(self, monkeypatch):
         monkeypatch.setattr(family, "_SCAN_LIMIT", 1000)
-        with pytest.raises(DegenerateIndexError):
+        with pytest.raises(DegenerateIndexError,
+                           match="gave up .* after 1,000 residue-walk steps"):
             family._meet(Powers(2), AP(5, 1000003))
 
 
@@ -319,6 +320,30 @@ def test_fuzzed_families_agree_with_their_oracles(expr):
             brute = not any(family._member(expr, tuple(sorted(s.elems + (m,))))
                             for m in range(1, 401) if m not in s)
             assert is_maximal(expr, s) == brute, (format_family(expr), str(s))
+
+
+STEP_SETS = [els for k in range(5) for els in itertools.combinations(range(1, 9), k)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzz_families())
+def test_fuzzed_steps_agree_with_scalar_membership(expr):
+    if not family._structurally_hereditary(expr):
+        with pytest.raises(ValueError, match="no steps"):
+            family._stepper(expr)
+        return
+    # every s in [1..8] with at most 4 elements, the empty set and
+    # non-members included, stepped once to each m in [9..40]
+    step = family._stepper(expr)[1]
+    for els in STEP_SETS:
+        state = family._state_of(expr, els)
+        assert (state is not None) == family._member(expr, els), els
+        for m in range(9, 41):
+            stepped = state is not None and step(state, m) is not None
+            assert stepped == family._member(expr, els + (m,)), (els, m)
+    found = enumerate_members(expr, 8)
+    assert found == enumerate_members_naive(expr, 8)
+    assert found == sorted(found, key=lambda s: (len(s), s.elems))
 
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
@@ -436,6 +461,26 @@ class TestEnumeration:
         for expr, bound in targets:
             assert enumerate_members(expr, bound) == \
                 enumerate_members_naive(expr, bound), format_family(expr)
+
+    def test_hereditary_enumeration_asks_no_membership_per_candidate(self):
+        family._member.cache_clear()
+        found = enumerate_members(SCHREIER_SQUARE, 12)
+        info = family._member.cache_info()
+        # the per-candidate route asked 1,951 questions here
+        assert info.hits + info.misses <= 4, info
+        assert len(found) == 1825
+        assert found == sorted(found, key=lambda s: (len(s), s.elems))
+
+    @pytest.mark.parametrize("expr", [
+        *(iterated_derivative(Cube(n, n), k)
+          for n in range(1, 4) for k in range(1, n + 2)),
+        derivative(SCHREIER_SQUARE),
+        iterated_derivative(SCHREIER_SQUARE, 2),
+    ])
+    def test_derived_enumeration_matches_a_filtered_powerset(self, expr):
+        want = [FinSet(els) for els in family._powerset(range(1, 9))
+                if family._member(expr, els)]
+        assert enumerate_members(expr, 8) == want
 
     def test_hereditary_downward_closure(self):
         for expr in [SCHREIER, SCHREIER_SQUARE, product_family(2),
