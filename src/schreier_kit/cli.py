@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", required=True)
     p.add_argument("--t1", required=True)
     p.add_argument("--bound", type=int, default=None,
-                   help="largest element tried (default 2*max+2)")
+                   help="largest element tried (default max(max t0, max t1), "
+                        "which finds the first separator if one exists)")
     p.set_defaults(handler=_cmd_compacta_search)
 
     tree = top.add_parser("tree", help="averaging chains")

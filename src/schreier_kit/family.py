@@ -260,6 +260,8 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
 
 def index_elements_between(index: IndexSet, lo: int, hi: int) -> list[int]:
     """Elements m of the index set with lo < m <= hi, ascending."""
+    if isinstance(index, AP):
+        return list(range(index.first_above(lo), hi + 1, index.step))
     out = []
     m = index.first_above(lo)
     while m is not None and m <= hi:
@@ -372,69 +374,12 @@ def _member(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
         return (all(expr.index.contains(m) for m in elems)
                 and _member(expr.base, elems))
     if isinstance(expr, Product):
-        return _product_member(expr.left, expr.right, elems)
+        if _stepper(expr) is not None:
+            return _state_of(expr, elems) is not None
+        return _composition_search(expr.left, expr.right, elems, _member)
     if isinstance(expr, Derived):
         return _member(expr.base, elems) and _has_tail_extension(expr.base, elems)
     raise TypeError(f"not a family expression: {expr!r}")
-
-
-def _structurally_hereditary(expr: FamilyExpr) -> bool:
-    """Conservative syntactic check that the family is closed under subsets.
-
-    Products need a spreading-closed right factor; plain schreier and cube
-    are, arbitrary right factors need not be (so those take the exhaustive
-    membership route and the powerset enumeration route).
-    """
-    if isinstance(expr, (Schreier, Cube)):
-        return True
-    if isinstance(expr, (Restrict, Derived)):
-        return _structurally_hereditary(expr.base)
-    if isinstance(expr, Product):
-        return (_structurally_hereditary(expr.left)
-                and isinstance(expr.right, (Schreier, Cube)))
-    return False
-
-
-def _longest_member_prefix(expr: FamilyExpr, elems: tuple[int, ...]) -> int:
-    """Largest L with elems[:L] in the family; only sound when hereditary."""
-    if isinstance(expr, Schreier):
-        return min(elems[0], len(elems)) if elems else 0
-    if isinstance(expr, Cube):
-        if elems and elems[0] < expr.floor:
-            return 0
-        return min(expr.size, len(elems))
-    L = 0
-    while L < len(elems) and _member(expr, elems[:L + 1]):
-        L += 1
-    return L
-
-
-def _min_block_count(expr: FamilyExpr, elems: tuple[int, ...]) -> Optional[int]:
-    """Fewest consecutive blocks, each in the (hereditary) family, or None."""
-    count = 0
-    i = 0
-    while i < len(elems):
-        L = _longest_member_prefix(expr, elems[i:])
-        if L == 0:
-            return None
-        i += L
-        count += 1
-    return count
-
-
-def _product_member(left: FamilyExpr, right: FamilyExpr, elems: tuple[int, ...]) -> bool:
-    if not elems:
-        return True
-    # greedy fast path: fewest-blocks decomposition decides membership when
-    # the right factor constrains only the count and the smallest minimum
-    if _structurally_hereditary(left) and isinstance(right, (Schreier, Cube)):
-        blocks = _min_block_count(left, elems)
-        if blocks is None:
-            return False
-        if isinstance(right, Schreier):
-            return blocks <= elems[0]
-        return blocks <= right.size and elems[0] >= right.floor
-    return _composition_search(left, right, elems, _member)
 
 
 def _composition_minima(elems: tuple[int, ...], block_ok) -> Iterator[tuple[int, ...]]:
@@ -466,7 +411,7 @@ def _composition_search(left: FamilyExpr, right: FamilyExpr,
 
 def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
     """Membership with every product decided by exhaustive composition
-    search; the test oracle for the greedy product route."""
+    search; the test oracle for the stepped product route."""
     return _member_exhaustive(expr, s.elems)
 
 
@@ -488,22 +433,26 @@ def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Steppers kept, one per expression and per subexpression.  The tests
-# build 170 (mostly the fuzz), uncapped verify 48.
+# Steppers kept, one per expression and per subexpression, the None of an
+# expression without steps included.  The tests build 484 (mostly the
+# fuzz), uncapped verify 48.
 _STEPPER_MEMO = 1 << 10
 
 
 @lru_cache(maxsize=_STEPPER_MEMO)
-def _stepper(expr: FamilyExpr) -> tuple[object, Callable[[object, int], object]]:
-    """(init, step) for a structurally hereditary expression.
+def _stepper(expr: FamilyExpr) -> Optional[tuple[object, Callable[[object, int], object]]]:
+    """(init, step) for a hereditary expression, or None: no steps.
 
     ``init`` is the state of the empty set, and ``step(state, m)`` is the
     state of elems + (m,) for a member elems with that state and any m
-    above its elements.  None means "not a member"; it is never the state
-    of a member, the empty set's included.  The states: schreier carries
-    (first element, count), cube the count, restrict its base's, a product
-    (the left state of its last block, the right state of its block
-    minima), a derivative (its elements, its base's state).
+    above its elements.  A state of None means "not a member": a
+    derivative whose empty set has no tail extension steps from None.  The
+    states: schreier carries (first element, count), cube the count,
+    restrict its base's, a product (the left state of its last block, the
+    right state of its block minima), a derivative (its elements, its
+    base's state).  A product steps only when its left factor does and its
+    right factor is spreading-closed, schreier or a cube; other products,
+    and all built on them, take the composition search instead.
     """
     if isinstance(expr, Schreier):
         def step(state, m):
@@ -519,21 +468,25 @@ def _stepper(expr: FamilyExpr) -> tuple[object, Callable[[object, int], object]]
             return count + 1 if count < size and m >= floor else None
         return 0, step
     if isinstance(expr, Restrict):
-        init, base_step = _stepper(expr.base)
+        base = _stepper(expr.base)
+        if base is None:
+            return None
+        init, base_step = base
         contains = expr.index.contains
 
         def step(state, m):
             return base_step(state, m) if contains(m) else None
         return init, step
     if isinstance(expr, Product):
-        if not isinstance(expr.right, (Schreier, Cube)):
-            raise ValueError("no steps for a product whose right factor "
-                             "is not schreier or a cube")
-        # the fewest-blocks greedy of _product_member, one element at a
-        # time: m extends the last block when the left factor admits it, and
-        # otherwise opens a block whose minimum m joins the minima.  The
-        # empty set has no last block (None).
-        block_init, block_step = _stepper(expr.left)
+        left = _stepper(expr.left)
+        if left is None or not isinstance(expr.right, (Schreier, Cube)):
+            return None
+        # the fewest blocks, one element at a time: m extends the last block
+        # when the left factor admits it, and otherwise opens a block whose
+        # minimum m joins the minima.  The right factor reads only the count
+        # of the minima and the first one, elems[0], so the fewest blocks
+        # decide.  The empty set has no last block (None).
+        block_init, block_step = left
         mins_init, mins_step = _stepper(expr.right)
 
         def step(state, m):
@@ -552,7 +505,10 @@ def _stepper(expr: FamilyExpr) -> tuple[object, Callable[[object, int], object]]
         return (None, mins_init), step
     if isinstance(expr, Derived):
         base = expr.base
-        base_init, base_step = _stepper(base)
+        inner = _stepper(base)
+        if inner is None:
+            return None
+        base_init, base_step = inner
 
         def step(state, m):
             elems, inner = state
@@ -720,15 +676,13 @@ _ENUM_LIMIT = 100_000
 def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
     """All members inside [1..bound], in length-then-lex order; refused
     beyond ``_ENUM_LIMIT`` members for a hereditary family."""
-    idx = effective_index(expr)
-    universe = [m for m in range(1, bound + 1) if idx.contains(m)]
-    if _structurally_hereditary(expr):
+    universe = index_elements_between(effective_index(expr), 0, bound)
+    if _stepper(expr) is not None:
         found = _enumerate_hereditary(expr, universe)
     else:
         if len(universe) > 22:
             raise ValueError("non-hereditary enumeration limited to 22 candidates")
         found = [els for els in _powerset(universe) if _member(expr, els)]
-        found.sort(key=lambda els: (len(els), els))
     return [FinSet(els) for els in found]
 
 
@@ -739,11 +693,9 @@ def _enumerate_hereditary(expr: FamilyExpr, universe: list[int]) -> list:
     member reachable through its member prefixes.  Each level extends the
     previous one, in order, by increasing m, so the order needs no sort.
     The frontier carries each member's stepped state, so a candidate costs
-    one step and no membership call.  ``_member`` keeps its own scalar
-    greedy rather than folding its tuple through the steps: a lone question
-    has no carried state to reuse, the fold was no faster on capped verify
-    (median wall 0.912 s against 0.894 s over 8 alternating pairs on a
-    2-core VM), and the greedy is the oracle the tests hold the steps to.
+    one step and no membership call.  ``_member`` folds a lone product
+    tuple through the same steps from the empty set; the composition
+    search, a separate route, is the oracle the tests hold the steps to.
     """
     init, step = _stepper(expr)
     if init is None:

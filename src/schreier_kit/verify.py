@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,7 +76,9 @@ def _eff(default: int, cap: Optional[int]) -> int:
     return default if cap is None else max(1, min(default, cap))
 
 
-@cache
+# Enumerations kept: capped verify asks 104 distinct (expression, bound)
+# keys and uncapped verify 160.
+@lru_cache(maxsize=256)
 def _members(expr, bound: int) -> tuple[FinSet, ...]:
     return tuple(enumerate_members(expr, bound))
 

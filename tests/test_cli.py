@@ -356,6 +356,13 @@ class TestHarness:
         code, out, _ = run_cli(["--help"])
         assert code == 0 and out.startswith("usage")
 
+    def test_search_help_names_the_proved_default_bound(self, run_cli):
+        code, out, _ = run_cli(["compacta", "search", "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        assert "(default max(max t0, max t1)," in text
+        assert "2*max+2" not in text
+
     def test_unknown_command_exits_2(self, run_cli):
         code, _, _ = run_cli(["bogus"])
         assert code == 2

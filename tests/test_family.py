@@ -140,6 +140,8 @@ class TestIndexSets:
         assert index_elements_between(From(5), 3, 7) == [5, 6, 7]
         assert index_elements_between(Powers(2), 1, 16) == [2, 4, 8, 16]
         assert index_elements_between(AP(3, 2), 4, 11) == [5, 7, 9, 11]
+        assert index_elements_between(AP(3, 2), 11, 11) == []
+        assert index_elements_between(From(5), 0, 4) == []
         assert index_elements_between(Explicit((2, 5, 9)), 2, 9) == [5, 9]
 
     def test_effective_index_folds_restrictions(self):
@@ -323,27 +325,49 @@ def test_fuzzed_families_agree_with_their_oracles(expr):
 
 
 STEP_SETS = [els for k in range(5) for els in itertools.combinations(range(1, 9), k)]
+# 9..13 meet every residue of the fuzzed progressions (steps <= 5) and the
+# top of the explicit sets (<= 12); 16, 27 and 32 are powers of 2, 3 and 4,
+# and 40 lies past all of them
+STEP_PROBES = (9, 10, 11, 12, 13, 16, 27, 32, 40)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(fuzz_families())
-def test_fuzzed_steps_agree_with_scalar_membership(expr):
-    if not family._structurally_hereditary(expr):
-        with pytest.raises(ValueError, match="no steps"):
-            family._stepper(expr)
-        return
-    # every s in [1..8] with at most 4 elements, the empty set and
-    # non-members included, stepped once to each m in [9..40]
-    step = family._stepper(expr)[1]
-    for els in STEP_SETS:
-        state = family._state_of(expr, els)
-        assert (state is not None) == family._member(expr, els), els
-        for m in range(9, 41):
-            stepped = state is not None and step(state, m) is not None
-            assert stepped == family._member(expr, els + (m,)), (els, m)
+def test_fuzzed_steps_agree_with_exhaustive_membership(expr):
     found = enumerate_members(expr, 8)
     assert found == enumerate_members_naive(expr, 8)
     assert found == sorted(found, key=lambda s: (len(s), s.elems))
+    stepper = family._stepper(expr)
+    if stepper is None:
+        return
+    # every s in [1..8] with at most 4 elements, the empty set and
+    # non-members included, stepped once to each probe
+    step = stepper[1]
+    for els in STEP_SETS:
+        state = family._state_of(expr, els)
+        assert (state is not None) == family._member_exhaustive(expr, els), els
+        for m in STEP_PROBES:
+            stepped = state is not None and step(state, m) is not None
+            assert stepped == family._member_exhaustive(expr, els + (m,)), (els, m)
+
+
+def test_only_products_with_a_schreier_or_cube_right_factor_step():
+    for text in ["schreier", "cube(2,3)", "S2", "prod(S2, cube(1,2))",
+                 "restrict(prod(cube(2,2), schreier), powers(3))"]:
+        assert family._stepper(parse_family(text)) is not None, text
+    for text in ["prod(schreier, restrict(schreier, powers(2)))",
+                 "prod(schreier, S2)",
+                 "prod(prod(cube(1,1), restrict(cube(1,1), {3,4})), schreier)",
+                 "restrict(prod(schreier, prod(schreier, cube(1,1))), from(2))"]:
+        expr = parse_family(text)
+        assert family._stepper(expr) is None, text
+        assert family._stepper(family.Derived(expr)) is None, text
+    # the powerset route yields length-then-lex order without a sort
+    expr = parse_family("prod(schreier, restrict(schreier, powers(2)))")
+    found = enumerate_members(expr, 12)
+    assert found == enumerate_members_naive(expr, 12)
+    assert found == sorted(found, key=lambda s: (len(s), s.elems))
+    assert len(found) > 100
 
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
@@ -372,6 +396,19 @@ class TestMembership:
         r = restricted(SCHREIER, Powers(2))
         assert member(r, FinSet((2, 4)))
         assert not member(r, FinSet((2, 3)))
+
+    @pytest.mark.parametrize("left", [
+        derivative(Cube(1, 0)),  # the empty set is no member: init None
+        derivative(Cube(2, 2)),
+        iterated_derivative(SCHREIER, 2),
+        derivative(SCHREIER_SQUARE),
+    ])
+    def test_products_of_derivatives_step_like_composition_search(self, left):
+        for right in (SCHREIER, Cube(1, 2)):
+            expr = Product(left, right)
+            for els in family._powerset(range(1, 9)):
+                assert family._member(expr, els) == family._composition_search(
+                    left, right, els, family._member), (format_family(right), els)
 
     def test_fast_path_agrees_with_composition_search(self):
         targets = [SCHREIER_SQUARE, product_family(2),
@@ -470,6 +507,14 @@ class TestEnumeration:
         assert info.hits + info.misses <= 4, info
         assert len(found) == 1825
         assert found == sorted(found, key=lambda s: (len(s), s.elems))
+
+    def test_universe_costs_the_index_elements_not_the_bound(self):
+        assert sets(restricted(SCHREIER, Explicit(FinSet((3, 5)))), 10 ** 12) \
+            == ["∅", "{3}", "{5}", "{3,5}"]
+        tens = [10 ** k for k in range(31)]
+        found = enumerate_members(restricted(Cube(1, 2), Powers(10)), 10 ** 30)
+        assert [s.elems for s in found] == \
+            [()] + [(a,) for a in tens] + list(itertools.combinations(tens, 2))
 
     @pytest.mark.parametrize("expr", [
         *(iterated_derivative(Cube(n, n), k)
