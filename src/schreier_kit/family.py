@@ -15,7 +15,7 @@ the subsets of M.  "S2" abbreviates prod(schreier, schreier) and prints
 back as "S2".
 
 Membership, one-point extensions, tail thresholds, maximality tests,
-bounded enumeration, Cantor-Bendixson style derivatives, and symbolic
+bounded enumeration, exact Cantor-Bendixson derivatives, and symbolic
 ranks in Cantor normal form all operate on these expressions.
 """
 
@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from typing import Callable, Iterator, Optional, Union
+from functools import lru_cache
+from itertools import combinations
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .finset import FinSet
 from .ordinal import ONE, OMEGA, Ordinal
@@ -258,10 +259,10 @@ def _meet(a: IndexSet, b: IndexSet) -> IndexSet:
     return _ap_meet(a, b) or Explicit(FinSet())
 
 
-def index_elements_between(index: IndexSet, lo: int, hi: int) -> list[int]:
-    """Elements m of the index set with lo < m <= hi, ascending."""
+def index_elements_between(index: IndexSet, lo: int, hi: int) -> Sequence[int]:
+    """Elements m with lo < m <= hi, ascending; a range for a progression."""
     if isinstance(index, AP):
-        return list(range(index.first_above(lo), hi + 1, index.step))
+        return range(index.first_above(lo), hi + 1, index.step)
     out = []
     m = index.first_above(lo)
     while m is not None and m <= hi:
@@ -373,13 +374,14 @@ def _member(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if isinstance(expr, Restrict):
         return (all(expr.index.contains(m) for m in elems)
                 and _member(expr.base, elems))
+    if _stepper(expr) is not None:
+        return _state_of(expr, elems) is not None
     if isinstance(expr, Product):
-        if _stepper(expr) is not None:
-            return _state_of(expr, elems) is not None
         return _composition_search(expr.left, expr.right, elems, _member)
-    if isinstance(expr, Derived):
-        return _member(expr.base, elems) and _has_tail_extension(expr.base, elems)
-    raise TypeError(f"not a family expression: {expr!r}")
+    # a derivative of a base without steps (_stepper raised for anything else)
+    base = expr.base
+    return _member(base, elems) and _is_limit(
+        base, lambda p: _member(base, elems + (p,)), elems[-1] if elems else 0)
 
 
 def _composition_minima(elems: tuple[int, ...], block_ok) -> Iterator[tuple[int, ...]]:
@@ -433,24 +435,25 @@ def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Steppers kept, one per expression and per subexpression, the None of an
-# expression without steps included.  The tests build 484 (mostly the
-# fuzz), uncapped verify 48.
-_STEPPER_MEMO = 1 << 10
+# Entries kept by each per-expression memo (_stepper, _tail_threshold and
+# _probe_indexes), one per expression and subexpression, a stepper's None
+# included.  Capped verify builds 40, 24 and 18, uncapped 48, 24 and 18;
+# the tests 1,160, 638 and 636 (mostly the fuzz; steppers are evicted).
+_EXPR_MEMO = 1 << 10
 
 
-@lru_cache(maxsize=_STEPPER_MEMO)
+@lru_cache(maxsize=_EXPR_MEMO)
 def _stepper(expr: FamilyExpr) -> Optional[tuple[object, Callable[[object, int], object]]]:
     """(init, step) for a hereditary expression, or None: no steps.
 
     ``init`` is the state of the empty set, and ``step(state, m)`` is the
     state of elems + (m,) for a member elems with that state and any m
     above its elements.  A state of None means "not a member": a
-    derivative whose empty set has no tail extension steps from None.  The
-    states: schreier carries (first element, count), cube the count,
-    restrict its base's, a product (the left state of its last block, the
-    right state of its block minima), a derivative (its elements, its
-    base's state).  A product steps only when its left factor does and its
+    derivative whose empty set is no limit steps from None.  The states:
+    schreier carries (first element, count), cube the count, restrict and
+    a derivative their base's (``_is_limit`` probes steps from it), and a
+    product (the left state of its last block, the right state of its
+    block minima).  A product steps only when its left factor does and its
     right factor is spreading-closed, schreier or a cube; other products,
     and all built on them, take the composition search instead.
     """
@@ -510,16 +513,13 @@ def _stepper(expr: FamilyExpr) -> Optional[tuple[object, Callable[[object, int],
             return None
         base_init, base_step = inner
 
-        def step(state, m):
-            elems, inner = state
-            inner = base_step(inner, m)
-            elems += (m,)
-            if inner is None or not _has_tail_extension(base, elems):
-                return None
-            return elems, inner
-        if base_init is None or not _has_tail_extension(base, ()):
-            return None, step
-        return ((), base_init), step
+        def limit(state, last):
+            """state, or None when it is not a member of the derivative"""
+            if state is not None and _is_limit(
+                    base, lambda p: base_step(state, p) is not None, last):
+                return state
+            return None
+        return limit(base_init, 0), lambda state, m: limit(base_step(state, m), m)
     raise TypeError(f"not a family expression: {expr!r}")
 
 
@@ -554,7 +554,7 @@ def tail_threshold(expr: FamilyExpr, s: FinSet) -> int:
     return _tail_threshold(expr)
 
 
-@cache
+@lru_cache(maxsize=_EXPR_MEMO)
 def _tail_threshold(expr: FamilyExpr) -> int:
     if isinstance(expr, Schreier):
         return 1
@@ -590,7 +590,7 @@ def effective_index(expr: FamilyExpr) -> IndexSet:
     raise TypeError(f"not a family expression: {expr!r}")
 
 
-@cache
+@lru_cache(maxsize=_EXPR_MEMO)
 def _probe_indexes(expr: FamilyExpr) -> tuple[IndexSet, ...]:
     """Index sets whose elements a tail point may come from, one per way the
     family can place it: in a product it extends the last block (a left
@@ -598,7 +598,8 @@ def _probe_indexes(expr: FamilyExpr) -> tuple[IndexSet, ...]:
     left index met with a right one).  Membership need not be constant on
     one index above the tail threshold: in prod(S2, restrict(cube(1,1),
     powers(3))) at s = {} the All probe admits 3, 9 and 27, not the points
-    between.  The union of the probes decides ``is_maximal``."""
+    between.  The probes decide ``is_maximal``, the infinite ones
+    ``_is_limit``."""
     if isinstance(expr, Product):
         left = _probe_indexes(expr.left)
         out = left + tuple(_meet(a, b) for a in left
@@ -613,21 +614,24 @@ def _probe_indexes(expr: FamilyExpr) -> tuple[IndexSet, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _tail_extends(expr: FamilyExpr, elems: tuple[int, ...], lo: int) -> bool:
-    """Does s gain a member one-point extension at the first element above
-    lo of some probe index?  lo must be past the tail threshold."""
-    for index in _probe_indexes(expr):
-        probe = index.first_above(lo)
-        if probe is not None and _member(expr, elems + (probe,)):
-            return True
-    return False
+def _is_limit(base: FamilyExpr, extends: Callable[[int], bool], last: int) -> bool:
+    """Do infinitely many m > last extend a member of base?  ``extends(m)``
+    is asked at the first point above lo of each infinite probe index.
 
-
-def _has_tail_extension(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
-    """One probe per probe index above the tail threshold decides whether
-    infinitely many one-point tail extensions stay in the family."""
-    lo = max(elems[-1] if elems else 0, _tail_threshold(expr))
-    return _tail_extends(expr, elems, lo)
+    Let lo be past last, the tail threshold and every finite (Explicit)
+    probe index.  For a stepping base with no derivative inside, the m > lo
+    that extend form a union of active probe indexes: a leaf admits all of
+    its index or none, a restriction meets, and a product joins the left
+    indexes that extend the last block to the left-by-right meets that open
+    one.  So an extending m > lo lies in an active infinite index, all of
+    whose points above lo extend: the first points decide both ways.  The
+    +1 per nested derivative of ``_tail_threshold`` and bases without steps
+    are fuzzed, not proved.
+    """
+    pieces = _probe_indexes(base)
+    lo = max(last, _tail_threshold(base),
+             *(p.members.max_or_0 for p in pieces if not p.definitely_infinite))
+    return any(extends(p.first_above(lo)) for p in pieces if p.definitely_infinite)
 
 
 def is_maximal(expr: FamilyExpr, s: FinSet) -> bool:
@@ -638,18 +642,14 @@ def is_maximal(expr: FamilyExpr, s: FinSet) -> bool:
     for m in range(1, hi + 1):
         if m not in s and _member(expr, tuple(sorted(s.elems + (m,)))):
             return False
-    return not _tail_extends(expr, s.elems, hi)
+    probes = (index.first_above(hi) for index in _probe_indexes(expr))
+    return not any(_member(expr, s.elems + (m,)) for m in probes if m is not None)
 
 
 def derivative(expr: FamilyExpr) -> Derived:
-    """The family of members that are limits of other members (pointwise
-    convergence); computed one-point-extension-wise via tail probes."""
-    if not effective_index(expr).definitely_infinite:
-        import warnings
-
-        warnings.warn("derivative over a possibly finite index set is "
-                      "degenerate: every member becomes isolated eventually",
-                      stacklevel=2)
+    """The members that are limits of other members (pointwise convergence):
+    s stays when infinitely many one-point extensions above max s are
+    members (``_is_limit``), so over a finite index set none stays."""
     return Derived(expr)
 
 
@@ -686,16 +686,16 @@ def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
     return [FinSet(els) for els in found]
 
 
-def _enumerate_hereditary(expr: FamilyExpr, universe: list[int]) -> list:
+def _enumerate_hereditary(expr: FamilyExpr, universe: Sequence[int]) -> list:
     """The members inside the universe, in length-then-lex order.
 
     Members grow one increasing element at a time, and heredity makes every
     member reachable through its member prefixes.  Each level extends the
     previous one, in order, by increasing m, so the order needs no sort.
-    The frontier carries each member's stepped state, so a candidate costs
-    one step and no membership call.  ``_member`` folds a lone product
-    tuple through the same steps from the empty set; the composition
-    search, a separate route, is the oracle the tests hold the steps to.
+    The frontier carries each member's stepped state and the universe
+    position past its last element (a range universe is sliced, never
+    listed), so a candidate costs one step and no membership call; the
+    composition search is the oracle the tests hold the steps to.
     """
     init, step = _stepper(expr)
     if init is None:
@@ -704,22 +704,21 @@ def _enumerate_hereditary(expr: FamilyExpr, universe: list[int]) -> list:
     frontier = [((), init, 0)]
     while frontier:
         nxt = []
-        for els, state, start in frontier:
-            for i in range(start, len(universe)):
-                grown = step(state, universe[i])
+        for els, state, i in frontier:
+            for m in universe[i:]:
+                i += 1
+                grown = step(state, m)
                 if grown is not None:
                     if len(out) + len(nxt) == _ENUM_LIMIT:
                         raise ValueError(f"more than {_ENUM_LIMIT} members within "
                                          f"[1..{universe[-1]}]; lower the bound")
-                    nxt.append((els + (universe[i],), grown, i + 1))
+                    nxt.append((els + (m,), grown, i))
         out.extend(els for els, _, _ in nxt)
         frontier = nxt
     return out
 
 
-def _powerset(universe: list[int]) -> Iterator[tuple[int, ...]]:
-    from itertools import combinations
-
+def _powerset(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:
     for k in range(len(universe) + 1):
         yield from combinations(universe, k)
 

@@ -136,13 +136,15 @@ class TestExpressionLanguage:
 class TestIndexSets:
     def test_elements_between(self):
         # the window is the half-open (lo, hi]
-        assert index_elements_between(All(), 3, 6) == [4, 5, 6]
-        assert index_elements_between(From(5), 3, 7) == [5, 6, 7]
-        assert index_elements_between(Powers(2), 1, 16) == [2, 4, 8, 16]
-        assert index_elements_between(AP(3, 2), 4, 11) == [5, 7, 9, 11]
-        assert index_elements_between(AP(3, 2), 11, 11) == []
-        assert index_elements_between(From(5), 0, 4) == []
-        assert index_elements_between(Explicit((2, 5, 9)), 2, 9) == [5, 9]
+        assert list(index_elements_between(All(), 3, 6)) == [4, 5, 6]
+        assert list(index_elements_between(From(5), 3, 7)) == [5, 6, 7]
+        assert list(index_elements_between(Powers(2), 1, 16)) == [2, 4, 8, 16]
+        assert list(index_elements_between(AP(3, 2), 4, 11)) == [5, 7, 9, 11]
+        assert list(index_elements_between(AP(3, 2), 11, 11)) == []
+        assert list(index_elements_between(From(5), 0, 4)) == []
+        assert list(index_elements_between(Explicit((2, 5, 9)), 2, 9)) == [5, 9]
+        # a progression's window is a range, not a list of its elements
+        assert len(index_elements_between(All(), 0, 10 ** 18)) == 10 ** 18
 
     def test_effective_index_folds_restrictions(self):
         expr = restricted(SCHREIER, Powers(2))
@@ -351,6 +353,52 @@ def test_fuzzed_steps_agree_with_exhaustive_membership(expr):
             assert stepped == family._member_exhaustive(expr, els + (m,)), (els, m)
 
 
+# A brute horizon for "infinitely many one-point extensions above s": 120
+# consecutive points meet every residue of the fuzzed progressions and of
+# their meets, and the powers of 2, 3 and 4 up to 10**9 reach the powers
+# indexes.
+HORIZON = tuple(range(300, 420)) + tuple(sorted(
+    {b ** k for b in (2, 3, 4) for k in range(30) if 420 <= b ** k <= 10 ** 9}))
+
+
+def derived_brute(expr, elems, depth, horizon=HORIZON):
+    """Is elems in the depth-th derivative of expr?  Membership by
+    composition search, and one member extension on the horizon above
+    elems in the derivative one below for each derivative."""
+    if depth == 0:
+        return family._member_exhaustive(expr, elems)
+    last = elems[-1] if elems else 0
+    return derived_brute(expr, elems, depth - 1, horizon) and any(
+        derived_brute(expr, elems + (m,), depth - 1, horizon)
+        for m in horizon if m > last)
+
+
+DERIVED_SETS = [els for k in range(4) for els in itertools.combinations(range(1, 9), k)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzz_families())
+def test_fuzzed_derivatives_agree_with_a_brute_horizon(expr):
+    # both routes: the steps of a stepping base, _member for the others
+    derived = family.Derived(expr)
+    for els in DERIVED_SETS:
+        assert family._member(derived, els) == derived_brute(expr, els, 1), \
+            (format_family(expr), els)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(fuzz_families())
+def test_fuzzed_double_derivatives_agree_with_a_recursive_brute(expr):
+    # a derivative of a derivative probes through the inner one's steps; the
+    # +1 of _tail_threshold is reached by the closed form of the iterated
+    # schreier derivatives, not by this fuzz
+    twice = family.Derived(family.Derived(expr))
+    for els in DERIVED_SETS:
+        if len(els) <= 1:
+            assert family._member(twice, els) == derived_brute(expr, els, 2), \
+                (format_family(expr), els)
+
+
 def test_only_products_with_a_schreier_or_cube_right_factor_step():
     for text in ["schreier", "cube(2,3)", "S2", "prod(S2, cube(1,2))",
                  "restrict(prod(cube(2,2), schreier), powers(3))"]:
@@ -523,8 +571,13 @@ class TestEnumeration:
         iterated_derivative(SCHREIER_SQUARE, 2),
     ])
     def test_derived_enumeration_matches_a_filtered_powerset(self, expr):
+        base, depth = expr, 0
+        while isinstance(base, family.Derived):
+            base, depth = base.base, depth + 1
+        # above 8 these bases read only how many elements there are, so a
+        # short horizon is the whole tail
         want = [FinSet(els) for els in family._powerset(range(1, 9))
-                if family._member(expr, els)]
+                if derived_brute(base, els, depth, range(300, 306))]
         assert enumerate_members(expr, 8) == want
 
     def test_hereditary_downward_closure(self):
@@ -582,6 +635,26 @@ class TestDerivatives:
             ["∅", "{2}", "{3}", "{4}", "{5}", "{6}"]
         assert sets(iterated_derivative(c, 2), 6) == ["∅"]
         assert sets(iterated_derivative(c, 3), 6) == []
+
+    @pytest.mark.parametrize("text", [
+        # every nonempty member has its minimum in a finite set, or there
+        # are finitely many members: the empty set is no limit
+        "prod(cube(1,1), restrict(cube(1,1), {3,4,5,8,10}))",
+        "prod(prod(restrict(schreier, from(3)), schreier), restrict(schreier, {4,9}))",
+        "prod(restrict(prod(cube(3,3), cube(3,3)), {5,10,11}), schreier)",
+        "restrict(cube(3,3), {9,10})",
+    ])
+    def test_finite_index_pieces_give_no_limit(self, text):
+        expr = parse_family(text)
+        assert member(expr, EMPTY) and not member(derivative(expr), EMPTY)
+
+    def test_iterated_schreier_derivatives_have_a_closed_form(self):
+        # the k-th derivative keeps the s with #s + k <= min s: its first
+        # flip lies at k + 1, the +1 per derivative of _tail_threshold
+        for k in range(1, 5):
+            want = [FinSet(els) for els in family._powerset(range(1, 11))
+                    if not els or len(els) + k <= els[0]]
+            assert enumerate_members(iterated_derivative(SCHREIER, k), 10) == want
 
     def test_annihilation_step_count(self):
         for n in range(1, 4):
