@@ -17,7 +17,7 @@ from .family import (AP, All, Cube, DegenerateIndexError, Derived, Explicit,
                      member_by_composition_search, parse_family, parse_index,
                      product_family, rank, rank_is_rule_derived, restricted,
                      tail_threshold)
-from .finset import EMPTY, FinSet, interval
+from .finset import EMPTY, FinSet, TextSyntaxError, interval
 from .ordinal import OMEGA, ONE, Ordinal, OrdinalSyntaxError, ZERO
 from .kernel import (Decomposition, NotInS2Error, block_sets, decompose,
                      dependency_radius, inner, parity)

@@ -24,7 +24,7 @@ from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
 from .family import (enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
                      rank_is_rule_derived)
-from .finset import FinSet
+from .finset import FinSet, Scanner
 from .kernel import decompose, inner, parity
 
 # Most chains (chain sets times generators) one ``tree sweep`` may build.
@@ -45,15 +45,10 @@ def _elems(s: FinSet) -> list[int]:
 
 
 def _parse_alpha(text: str):
-    if text == "w":
-        return "w"
-    try:
-        n = int(text)
-    except ValueError:
-        raise ValueError(f"level must be a positive integer or 'w', got {text!r}")
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    return n
+    p = Scanner(text, "level must be a positive integer or 'w': ")
+    level = "w" if p.take("w") else p.nat(1, "got 0")
+    p.end()
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,7 @@ def _cmd_compacta_matrix(args) -> int:
         with open(args.pbm, "w") as fh:
             compacta.write(m, "pbm", fh)
     if args.format == "json":
-        _emit({"alpha": args.alpha, "col_bound": m.col_bound,
+        _emit({"alpha": str(m.alpha), "col_bound": m.col_bound,
                "cols": [_elems(c) for c in m.cols],
                "entries": m.entries.tolist(),
                "index": format_index(m.index), "mode": m.mode,

@@ -27,16 +27,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .finset import FinSet
+from .finset import FinSet, Scanner, TextSyntaxError
 from .ordinal import ONE, OMEGA, Ordinal
 
 
-class FamilySyntaxError(ValueError):
-    """Malformed family text.  ``offset`` is the 1-based byte position."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
+class FamilySyntaxError(TextSyntaxError):
+    """Malformed family or index-set text."""
 
 
 class NotAMemberError(ValueError):
@@ -824,80 +820,25 @@ def parse_index(text: str) -> IndexSet:
     return index
 
 
-# Deeper family nesting is refused at parse time; it would otherwise run
-# the recursive membership and formatting routines out of stack.
-_MAX_NESTING = 100
-
-
-class _FamParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def err(self, message: str):
-        raise FamilySyntaxError(message, self.pos + 1)
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.err(f"expected {ch!r}")
-        self.pos += 1
-
-    def word(self) -> str:
-        self.ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def nat(self) -> int:
-        self.ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.err("expected a natural number")
-        return int(self.text[start:self.pos])
-
-    def nat_at_least(self, low: int, message: str) -> int:
-        """A natural >= low; otherwise ``message`` at the number's offset."""
-        self.ws()
-        at = self.pos
-        n = self.nat()
-        if n < low:
-            self.pos = at
-            self.err(message)
-        return n
+class _FamParser(Scanner):
+    error = FamilySyntaxError
 
     def family(self) -> FamilyExpr:
-        self.ws()
-        start = self.pos
         head = self.word()
+        start = self.pos - len(head)
         if head == "schreier":
             return SCHREIER
         if head == "S2":
             return SCHREIER_SQUARE
         if head == "cube":
             self.expect("(")
-            floor = self.nat_at_least(1, "cube floor must be >= 1")
+            floor = self.nat(1, "cube floor must be >= 1")
             self.expect(",")
             size = self.nat()
             self.expect(")")
             return Cube(floor, size)
         if head in ("prod", "restrict"):
-            if self.depth == _MAX_NESTING:
-                self.pos = start
-                self.err(f"family nested deeper than {_MAX_NESTING} levels")
-            self.depth += 1
+            self.nest("family", start)
             self.expect("(")
             first = self.family()
             self.expect(",")
@@ -908,46 +849,30 @@ class _FamParser:
             self.expect(")")
             self.depth -= 1
             return expr
-        self.pos = start
-        self.err("expected a family expression")
+        self.err("expected a family expression", start)
 
     def index_set(self) -> IndexSet:
-        self.ws()
         if self.peek() == "{":
-            self.pos += 1
-            items = []
-            if self.peek() != "}":
-                items.append(self.nat())
-                while self.peek() == ",":
-                    self.pos += 1
-                    items.append(self.nat())
-            self.expect("}")
-            return Explicit(FinSet.of(items))
-        start = self.pos
+            return Explicit(self.set_literal())
         head = self.word()
+        start = self.pos - len(head)
         if head == "all":
             return All()
         if head == "from":
             self.expect("(")
-            n = self.nat_at_least(1, "from() needs a start >= 1")
+            n = self.nat(1, "from() needs a start >= 1")
             self.expect(")")
             return From(n)
         if head == "powers":
             self.expect("(")
-            b = self.nat_at_least(2, "powers base must be >= 2")
+            b = self.nat(2, "powers base must be >= 2")
             self.expect(")")
             return Powers(b)
         if head == "ap":
             self.expect("(")
-            s = self.nat_at_least(1, "ap() needs a start >= 1")
+            s = self.nat(1, "ap() needs a start >= 1")
             self.expect(",")
-            d = self.nat_at_least(1, "ap() needs a step >= 1")
+            d = self.nat(1, "ap() needs a step >= 1")
             self.expect(")")
             return AP(s, d)
-        self.pos = start
-        self.err("expected an index set")
-
-    def end(self):
-        self.ws()
-        if self.pos != len(self.text):
-            self.err("unexpected trailing input")
+        self.err("expected an index set", start)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,12 @@ class FinSet:
 
     @classmethod
     def parse(cls, text: str) -> "FinSet":
-        """Accepts "{2,5,8}", "{}" and the empty-set glyph."""
-        t = text.strip()
-        if t in ("∅", "{}"):
-            return cls()
-        if not (t.startswith("{") and t.endswith("}")):
-            raise ValueError(f"not a set literal: {text!r}")
-        body = t[1:-1].strip()
-        if not body:
-            return cls()
-        try:
-            items = [int(p.strip()) for p in body.split(",")]
-        except ValueError:
-            raise ValueError(f"not a set literal: {text!r}") from None
-        return cls.of(items)
+        """Accepts "{2,5,8}", "{}" and the empty-set glyph; anything else
+        raises a ``TextSyntaxError`` that starts "not a set literal"."""
+        p = Scanner(text, "not a set literal: ")
+        s = cls() if p.take("∅") else p.set_literal()
+        p.end()
+        return s
 
     def csv_cell(self) -> str:
         """Space-separated elements; empty string for the empty set."""
@@ -128,6 +121,110 @@ class FinSet:
 
 
 EMPTY = FinSet()
+
+
+class TextSyntaxError(ValueError):
+    """Malformed input text.  ``offset`` is the 1-based byte position."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (offset {offset})")
+        self.offset = offset
+
+
+# Deeper nesting is refused at parse time; it would otherwise run the
+# recursive parsers, and the routines that read what they build, out of
+# stack.
+_MAX_NESTING = 100
+
+_WORD = re.compile(r"[A-Za-z0-9_]*")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+class Scanner:
+    """The one lexer of every input grammar: set literals, family and
+    index expressions, ordinals and matrix levels.  Blanks (space and tab)
+    may separate tokens, words are ASCII letters, digits and ``_``, numbers
+    are ASCII digits; every error carries the byte offset where it is met.
+    Each grammar subclasses it and names its own ``error``."""
+
+    error = TextSyntaxError
+
+    def __init__(self, text: str, context: str = ""):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.context = context  # prefix of every error message
+
+    def err(self, message: str, at: Optional[int] = None):
+        """Raise ``error`` at ``at`` (default the cursor).  Text decoded
+        from command-line bytes maps undecodable bytes to lone surrogates;
+        ``surrogateescape`` counts each as the one byte it came from."""
+        head = self.text[:self.pos if at is None else at]
+        raise self.error(self.context + message,
+                         len(head.encode(errors="surrogateescape")) + 1)
+
+    def peek(self) -> str:
+        """The next character after any blanks, or "" at the end."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str) -> None:
+        if not self.take(ch):
+            self.err(f"expected {ch!r}")
+
+    def word(self) -> str:
+        self.peek()
+        start = self.pos
+        self.pos = _WORD.match(self.text, start).end()
+        return self.text[start:self.pos]
+
+    def nat(self, low: int = 0, message: str = "") -> int:
+        """A natural number >= low; a smaller one raises ``message`` at
+        its offset."""
+        self.peek()
+        start = self.pos
+        m = _DIGITS.match(self.text, start)
+        if m is None:
+            self.err("expected a natural number")
+        self.pos = m.end()
+        try:
+            n = int(m.group())
+        except ValueError:  # past the interpreter's int-string digit limit
+            self.err("natural number too long", start)
+        if n < low:
+            self.err(message, start)
+        return n
+
+    def set_literal(self) -> FinSet:
+        """``{n, ...}`` with every element >= 1, in any order."""
+        self.expect("{")
+        items = []
+        if not self.take("}"):
+            items.append(self.nat(1, "set elements must be >= 1"))
+            while self.take(","):
+                items.append(self.nat(1, "set elements must be >= 1"))
+            self.expect("}")
+        return FinSet.of(items)
+
+    def nest(self, what: str, at: Optional[int] = None) -> None:
+        """Enter one more nesting level; the caller leaves it with
+        ``depth -= 1``.  Level ``_MAX_NESTING + 1`` is refused at ``at``."""
+        if self.depth == _MAX_NESTING:
+            self.err(f"{what} nested deeper than {_MAX_NESTING} levels", at)
+        self.depth += 1
+
+    def end(self) -> None:
+        if self.peek():
+            self.err("unexpected trailing input")
 
 
 def interval(a: int, b: int) -> FinSet:

@@ -14,13 +14,11 @@ from __future__ import annotations
 import weakref
 from functools import lru_cache
 
+from .finset import Scanner, TextSyntaxError
 
-class OrdinalSyntaxError(ValueError):
-    """Malformed ordinal text.  ``offset`` is the 1-based byte position."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
+class OrdinalSyntaxError(TextSyntaxError):
+    """Malformed ordinal text."""
 
 
 # One instance per normal form, keyed by its terms, for as long as anything
@@ -163,7 +161,7 @@ class Ordinal:
         mergeable terms, zero coefficients) is normalized, never rejected.
         Compound exponents need parentheses except for w-towers: ``w^w^2``
         reads as w^(w^2), while w^(w*2) and w^(w+1) must be written with
-        parentheses.
+        parentheses.  Exponents nest at most 100 deep.
         """
         p = _OrdParser(text)
         x = p.sum()
@@ -249,36 +247,8 @@ def _format_exponent(e: Ordinal) -> str:
     return "(" + str(e) + ")"
 
 
-class _OrdParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def err(self, message: str):
-        raise OrdinalSyntaxError(message, self.pos + 1)
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def nat(self) -> int:
-        self.ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.err("expected a natural number")
-        return int(self.text[start:self.pos])
+class _OrdParser(Scanner):
+    error = OrdinalSyntaxError
 
     def sum(self) -> Ordinal:
         out = self.term()
@@ -287,41 +257,26 @@ class _OrdParser:
         return out
 
     def term(self) -> Ordinal:
-        c = self.peek()
-        if c == "w":
-            self.pos += 1
-            e = _ONE
-            if self.take("^"):
-                e = self.exponent()
-            coeff = 1
-            if self.take("*"):
-                coeff = self.nat()
-            return Ordinal.omega_power(e, coeff)
-        if c.isdigit():
+        if self.take("w"):
+            e = self.exponent() if self.take("^") else _ONE
+            return Ordinal.omega_power(e, self.nat() if self.take("*") else 1)
+        if "0" <= self.peek() <= "9":
             return Ordinal.nat(self.nat())
         self.err("expected 'w' or a natural number")
 
     def exponent(self) -> Ordinal:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
-            inner = self.sum()
-            if not self.take(")"):
-                self.err("expected ')'")
-            return inner
-        if c == "w":
-            self.pos += 1
-            if self.take("^"):
-                return Ordinal.omega_power(self.exponent())
-            return _OMEGA
-        if c.isdigit():
-            return Ordinal.nat(self.nat())
-        self.err("expected an exponent")
-
-    def end(self):
-        self.ws()
-        if self.pos != len(self.text):
-            self.err("unexpected trailing input")
+        self.nest("ordinal")
+        if self.take("("):
+            e = self.sum()
+            self.expect(")")
+        elif self.take("w"):
+            e = Ordinal.omega_power(self.exponent()) if self.take("^") else _OMEGA
+        elif "0" <= self.peek() <= "9":
+            e = Ordinal.nat(self.nat())
+        else:
+            self.err("expected an exponent")
+        self.depth -= 1
+        return e
 
 
 _ZERO = Ordinal()

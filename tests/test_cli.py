@@ -130,6 +130,31 @@ class TestFam:
                        f"(offset {offset})\n")
 
 
+# One malformed value for each argument that takes a literal, with the
+# byte offset its error must report.
+@pytest.mark.parametrize("argv,offset", [
+    pytest.param(["fam", "parse", "cube(²,1)"], 6, id="expr"),
+    pytest.param(["fam", "member", "schreier", "--s", "{1,+2}"], 4, id="s"),
+    pytest.param(["theta", "eval", "--s", "{2}", "--t", "{1_0}"], 3, id="t"),
+    pytest.param(["compacta", "search", "--t0", "{٣}", "--t1", "{4}"], 2,
+                 id="t0"),
+    pytest.param(["compacta", "search", "--t0", "{3}", "--t1", "∅ 3"], 5,
+                 id="t1"),
+    pytest.param(["compacta", "witness", "--s0", "{0,2}", "--s1", "{2,16}"], 2,
+                 id="s0"),
+    pytest.param(["compacta", "witness", "--s0", "{2,8}", "--s1", "{2,\n16}"],
+                 4, id="s1"),
+    pytest.param(["compacta", "matrix", "--mode", "K", "--alpha", "1",
+                  "--index", "powers(٣)"], 8, id="index"),
+    pytest.param(["compacta", "inject", "--mode", "L", "--alpha", "3_0"], 2,
+                 id="alpha"),
+])
+def test_malformed_literals_exit_2_with_the_byte_offset(run_cli, argv, offset):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"(offset {offset})\n"), err
+
+
 class TestTheta:
     def test_eval_golden(self, run_cli):
         code, out, _ = run_cli(["theta", "eval", "--s", "{2,5,8}",
@@ -165,6 +190,13 @@ class TestCompacta:
                        "entries": [[1, 1, 1], [1, 0, 1], [1, 1, 0]],
                        "index": "all", "mode": "K", "row_bound": 2,
                        "rows": [[], [1], [2]]}
+
+    def test_matrix_json_prints_the_parsed_level(self, run_cli):
+        argv = ["compacta", "matrix", "--mode", "K", "--rows", "2",
+                "--cols", "2", "--format", "json", "--alpha"]
+        code, out, _ = run_cli(argv + ["03"])
+        assert (code, out) == run_cli(argv + ["3"])[:2]
+        assert json.loads(out)["alpha"] == "3"
 
     @pytest.mark.parametrize("mode, sha", [
         ("K", "a720e8e797bee76b53997f4cbd723f6479cf0c5b677859ae4a46704071f4139a"),

@@ -108,6 +108,8 @@ class TestExpressionLanguage:
         ("prod(schreier)", 14, "expected ','"),
         ("restrict(schreier,)", 19, "expected an index set"),
         ("cube(2,2)x", 10, "trailing"),
+        ("cube(²,1)", 6, "expected a natural number"),
+        ("restrict(schreier, {0,3})", 21, "set elements must be >= 1"),
     ])
     def test_family_syntax_errors(self, text, offset, message):
         with pytest.raises(FamilySyntaxError) as exc:

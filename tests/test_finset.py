@@ -1,12 +1,22 @@
 """The finite-set ground type: construction, order relation, text forms."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreier_kit.finset import EMPTY, FinSet, interval
+from schreier_kit.family import FamilySyntaxError, parse_family, parse_index
+from schreier_kit.finset import EMPTY, FinSet, TextSyntaxError, interval
+from schreier_kit.ordinal import Ordinal, OrdinalSyntaxError
 
 finsets = st.frozensets(st.integers(1, 60), max_size=8).map(FinSet.of)
+
+# Pieces of every input grammar, near misses among them: non-ASCII digits,
+# "_" and "+" that int() would accept, the empty-set glyph, a newline.
+_TOKENS = ["schreier", "S2", "cube", "prod", "restrict", "all", "from",
+           "powers", "ap", "w", "{", "}", "(", ")", ",", "^", "*", "+", "_",
+           " ", "\t", "\n", "0", "1", "3", "42", "²", "٣", "∅", "x"]
+texts = st.one_of(st.text(max_size=30),
+                  st.lists(st.sampled_from(_TOKENS), max_size=24).map("".join))
 
 
 class TestConstruction:
@@ -107,16 +117,49 @@ class TestText:
         assert FinSet.parse("{}") == EMPTY
         assert FinSet.parse("∅") == EMPTY
 
-    @pytest.mark.parametrize("bad", ["2,5", "{2;5}", "{a}", "{2,}"])
+    @pytest.mark.parametrize("bad", ["2,5", "{2;5}", "{a}", "{2,}",
+                                     "{+3}", "{1_0}", "{٣}"])
     def test_parse_rejects_non_literals(self, bad):
         with pytest.raises(ValueError, match="not a set literal"):
             FinSet.parse(bad)
+
+    @pytest.mark.parametrize("text,offset,message", [
+        ("∅ 3", 5, "unexpected trailing input"),  # "∅" is three bytes
+        ("{0}", 2, "set elements must be >= 1"),
+        ("{x}", 2, "expected a natural number"),
+        ("{2,\n5}", 4, "expected a natural number"),
+        ("{1_0}", 3, "expected '}'"),
+        # past the interpreter's limit on digits int() converts
+        pytest.param("{" + "9" * 5000 + "}", 2, "natural number too long",
+                     id="5000-digits"),
+    ])
+    def test_parse_errors_carry_byte_offsets(self, text, offset, message):
+        with pytest.raises(TextSyntaxError) as exc:
+            FinSet.parse(text)
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"not a set literal: {message} (offset {offset})"
 
     def test_csv_cells(self):
         assert FinSet((2, 5, 8)).csv_cell() == "2 5 8"
         assert EMPTY.csv_cell() == ""
         assert FinSet.from_csv_cell("2 5 8") == FinSet((2, 5, 8))
         assert FinSet.from_csv_cell("") == EMPTY
+
+
+@pytest.mark.parametrize("parse,error", [
+    (parse_family, FamilySyntaxError),
+    (parse_index, FamilySyntaxError),
+    (Ordinal.parse, OrdinalSyntaxError),
+    (FinSet.parse, TextSyntaxError),
+])
+@settings(max_examples=400)
+@given(text=texts)
+def test_every_grammar_parses_or_fails_at_a_byte_offset(parse, error, text):
+    try:
+        parse(text)
+    except TextSyntaxError as exc:
+        assert type(exc) is error
+        assert 1 <= exc.offset <= len(text.encode()) + 1
 
 
 @given(finsets)

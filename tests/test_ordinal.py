@@ -67,12 +67,19 @@ class TestParseAndPrint:
         ("w^(w+1", 7, "expected ')'"),
         ("w 2", 3, "unexpected trailing input"),
         ("42x", 3, "unexpected trailing input"),
+        ("w^²", 3, "expected an exponent"),
+        # the 101st nested exponent starts after the 101st "^"
+        pytest.param("w^" * 2000 + "1", 203,
+                     "ordinal nested deeper than 100 levels", id="w^-2000-deep"),
     ])
     def test_syntax_errors_carry_byte_offsets(self, text, offset, message):
         with pytest.raises(OrdinalSyntaxError) as exc:
             Ordinal.parse(text)
         assert exc.value.offset == offset
         assert message in str(exc.value)
+
+    def test_exponents_nest_100_deep(self):
+        assert str(o("w^" * 100 + "1")) == "w^" * 99 + "w"
 
     def test_repr_is_executable(self):
         x = o("w^2+w*4+1")
