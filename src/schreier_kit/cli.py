@@ -24,7 +24,7 @@ from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
 from .family import (enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
                      rank_is_rule_derived)
-from .finset import FinSet, Scanner
+from .finset import FinSet, Scanner, TextSyntaxError
 from .kernel import decompose, inner, parity
 
 # Most chains (chain sets times generators) one ``tree sweep`` may build.
@@ -49,6 +49,20 @@ def _parse_alpha(text: str):
     level = "w" if p.take("w") else p.nat(1, "got 0")
     p.end()
     return level
+
+
+def _integer(text: str) -> int:
+    """An integer flag: an optional leading '-', then ASCII digits, under
+    the literals' lexical rule; argparse reports a refusal with its
+    offset and exits 2."""
+    p = Scanner(text)
+    try:
+        sign = -1 if p.take("-") else 1
+        n = sign * p.nat()
+        p.end()
+    except TextSyntaxError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fam_parse)
     p = fam_sub.add_parser("enum", help="members within a truncation")
     p.add_argument("expr")
-    p.add_argument("--max", type=int, required=True,
+    p.add_argument("--max", type=_integer, required=True,
                    help="largest element considered")
     _add_format(p, ("json", "csv"), "json")
     p.set_defaults(handler=_cmd_fam_enum)
@@ -331,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="family level: positive integer or 'w'")
         q.add_argument("--index", default="all",
                        help="index-set expression, default 'all'")
-        q.add_argument("--rows", type=int, default=rows_default,
+        q.add_argument("--rows", type=_integer, default=rows_default,
                        help="row truncation bound")
-        q.add_argument("--cols", type=int, default=cols_default,
+        q.add_argument("--cols", type=_integer, default=cols_default,
                        help="column truncation bound")
 
     p = comp_sub.add_parser("matrix", help="export a kernel matrix")
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = comp_sub.add_parser("search", help="first-coordinate separator")
     p.add_argument("--t0", required=True)
     p.add_argument("--t1", required=True)
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_integer, default=None,
                    help="largest element tried (default max(max t0, max t1), "
                         "which finds the first separator if one exists)")
     p.set_defaults(handler=_cmd_compacta_search)
@@ -360,25 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
     tree = top.add_parser("tree", help="averaging chains")
     tree_sub = tree.add_subparsers(dest="command", required=True)
     p = tree_sub.add_parser("check", help="one cancellation identity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--s", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=None,
                    help="seeded block generator instead of canonical")
     p.set_defaults(handler=_cmd_tree_check)
     p = tree_sub.add_parser("sweep", help="cancellation across a grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--support-max", type=int, default=9,
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--support-max", type=_integer, default=9,
                    help="chain sets range over subsets of [1..this]")
-    p.add_argument("--m-max", type=int, default=12,
+    p.add_argument("--m-max", type=_integer, default=12,
                    help="extension points tried up to this")
-    p.add_argument("--seeds", type=int, default=0,
+    p.add_argument("--seeds", type=_integer, default=0,
                    help="number of seeded generators besides canonical")
     p.set_defaults(handler=_cmd_tree_sweep)
 
     ver = top.add_parser("verify", help="run invariant suites")
     ver.add_argument("--suite", default=None, help="run one suite by name")
-    ver.add_argument("--max", type=int, default=None,
+    ver.add_argument("--max", type=_integer, default=None,
                      help="cap all truncation bounds")
     ver.set_defaults(handler=_cmd_verify)
 

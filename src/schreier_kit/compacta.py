@@ -11,10 +11,11 @@ Both modes fill the grid, one byte per entry, with one
 label table of the second coordinates' block indices is gathered once per
 position of the first coordinates, so no entry costs a Python call.  The
 fill works in blocks of a fixed number of entries, and the CSV and PBM
-writers render pieces of about a mebibyte, each block of rows from one
-byte buffer with only the set labels formatted per row.  So the grid is
-the only full-size array a matrix export holds: ``write`` sends the text
-out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.
+writers render pieces of about a mebibyte, every block of rows in the one
+byte buffer of the export, with only the set labels formatted per row.  So
+the grid is the only full-size array a matrix export holds: ``write``
+sends the text out piece by piece, and ``to_csv``/``to_pbm`` join the same
+pieces.
 
 Separators are found on grids too, by one search path: ``first_separators``
 takes schreier rows in length-then-lex order, a growing chunk at a time,
@@ -104,25 +105,28 @@ _PIECE_BYTES = 1 << 20
 def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     """The CSV or PBM text of ``m`` as a header and then blocks of rows.
 
-    Each block is rendered in one uint8 buffer holding, per row, every
-    digit followed by its separator, the last separator being the newline,
-    and decoded once; CSV then puts each row's set label in front.
+    Each block is rendered in the leading rows of one uint8 buffer,
+    allocated once per call, holding per row every digit followed by its
+    separator, the last separator being the newline, and decoded once; CSV
+    then puts each row's set label in front.
     """
     h, w = m.entries.shape
     if fmt == "csv":
         yield "," + ",".join(t.csv_cell() for t in m.cols) + "\n"
     else:
         yield f"P1\n{w} {h}\n"
-    sep = ord("," if fmt == "csv" else " ")
     width = max(2 * w, 1)   # a row of no columns is its newline alone
     step = max(1, _PIECE_BYTES // width)
+    # separators and newlines are written once; each block overwrites the
+    # digits of the buffer's leading rows
+    buf = np.empty((min(step, h), width), dtype=np.uint8)
+    buf[:, 1:2 * w:2] = ord("," if fmt == "csv" else " ")
+    buf[:, -1] = ord("\n")
     for r in range(0, h, step):
         block = m.entries[r:r + step]
-        buf = np.empty((len(block), width), dtype=np.uint8)
-        np.add(block, ord("0"), out=buf[:, :2 * w:2])
-        buf[:, 1:2 * w:2] = sep
-        buf[:, -1] = ord("\n")
-        text = str(buf.data, "ascii")
+        rows = buf[:len(block)]
+        np.add(block, ord("0"), out=rows[:, :2 * w:2])
+        text = str(rows.data, "ascii")
         if fmt == "csv":
             text = "".join(s.csv_cell() + "," + text[k * width:(k + 1) * width]
                            for k, s in enumerate(m.rows[r:r + step]))

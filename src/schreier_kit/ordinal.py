@@ -27,7 +27,12 @@ _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 # Entries in each memo.  The memos hold the only strong references to most
 # results: an evicted one leaves the table and is validated again when it is
-# rebuilt.  1536 holds what ``verify --max 8`` reuses.
+# rebuilt.  ``verify --max 8`` calls ``_add`` about 87,500 times, most of
+# them for the exponent sums of ``_mul``, and ``_mul`` 28,840 times; its
+# ordinal suites ask each distinct pair once.  At 1536 entries the memos
+# answer 52,621 and 293 of those calls, at 256 entries 43,558 and 1, at
+# 16,384 entries 56,071 and 5,352; six alternating runs of each size read
+# the same suite times within their noise (2-core VM).
 _MEMO_SIZE = 1536
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -100,62 +102,109 @@ def _ordinal_corpus(cap: Optional[int] = None) -> list[Ordinal]:
     return out if cap is None else out[:max(4, cap * 4)]
 
 
+def _ids(values: dict, xs) -> np.ndarray:
+    """The ids of ``xs`` in ``values``, a dict from value to id that gains
+    each new value with the next id.  Ordinals are interned, so equal
+    values are one object and share one id."""
+    return np.array([values.setdefault(x, len(values)) for x in xs],
+                    dtype=np.intp)
+
+
+def _table(op, xs, ys, values: dict) -> np.ndarray:
+    """Ids of ``op(x, y)`` for every x in ``xs`` and y in ``ys``, each
+    asked once, in a (len(xs), len(ys)) array."""
+    return _ids(values, [op(x, y) for x in xs for y in ys]).reshape(
+        len(xs), len(ys))
+
+
+def _first(bad: np.ndarray) -> list[list[int]]:
+    """The indices of the first recorded failures among the True entries
+    of ``bad``, in row-major order: the order of the loops it replaces."""
+    return np.argwhere(bad)[:_MAX_RECORDED_FAILURES].tolist()
+
+
 def _suite_ordinal_associativity(cap):
     col = _Collector()
     corpus = _ordinal_corpus(cap)
-    # b + c and b * c do not depend on a: one row of them per b
-    rows = [[(c, b + c, b * c) for c in corpus] for b in corpus]
-    for a in corpus:
-        for b, row in zip(corpus, rows):
-            ab_add = a + b
-            ab_mul = a * b
-            for c, bc_add, bc_mul in row:
-                lhs, rhs = ab_add + c, a + bc_add
-                col.check(lhs == rhs, lambda: f"add {a}|{b}|{c}", rhs, lhs)
-                lhs, rhs = ab_mul * c, a * bc_mul
-                col.check(lhs == rhs, lambda: f"mul {a}|{b}|{c}", rhs, lhs)
+    n = len(corpus)
+    each = np.arange(n)
+    sides = []
+    for op in (operator.add, operator.mul):
+        values: dict = {}
+        ab = _table(op, corpus, corpus, values)  # b op c too: same table
+        # (a op b) op c and a op (b op c) from one ask per distinct a op b
+        distinct = list(values)
+        left = _table(op, distinct, corpus, values)
+        right = _table(op, corpus, distinct, values)
+        sides.append((list(values), left[ab[:, :, None], each],
+                      right[each[:, None, None], ab]))
+    col.cases += 2 * n ** 3
+    # failures in (a, b, c) order, the sum before the product
+    bad = np.stack([lhs != rhs for _, lhs, rhs in sides], axis=-1)
+    for a, b, c, k in _first(bad):
+        values, lhs, rhs = sides[k]
+        col.fail(lambda: f"{('add', 'mul')[k]} {corpus[a]}|{corpus[b]}|"
+                 f"{corpus[c]}", values[rhs[a, b, c]], values[lhs[a, b, c]])
     return col
 
 
 def _suite_ordinal_distributivity(cap):
     col = _Collector()
     corpus = _ordinal_corpus(cap)
-    # b + c does not depend on a, and a * c not on b
-    rows = [[b + c for c in corpus] for b in corpus]
-    for a in corpus:
-        products = [a * c for c in corpus]
-        for b, ab, row in zip(corpus, products, rows):
-            for c, ac, bc in zip(corpus, products, row):
-                lhs = a * bc
-                rhs = ab + ac
-                col.check(lhs == rhs, lambda: f"{a}|{b}|{c}", rhs, lhs)
+    n = len(corpus)
+    values: dict = {}
+    bc = _table(operator.add, corpus, corpus, values)
+    # a * (b + c) once per distinct b + c
+    lhs = _table(operator.mul, corpus, list(values), values)[:, bc]
+    # a*b + a*c once per pair of distinct products of a
+    rhs = np.empty((n, n, n), dtype=np.intp)
+    for a, x in enumerate(corpus):
+        products: dict = {}
+        at = _ids(products, [x * c for c in corpus])
+        sums = _table(operator.add, list(products), list(products), values)
+        rhs[a] = sums[at[:, None], at]
+    col.cases += n ** 3
+    values = list(values)
+    for a, b, c in _first(lhs != rhs):
+        col.fail(lambda: f"{corpus[a]}|{corpus[b]}|{corpus[c]}",
+                 values[rhs[a, b, c]], values[lhs[a, b, c]])
     return col
 
 
 def _suite_ordinal_order(cap):
     col = _Collector()
     corpus = _ordinal_corpus(cap)
-    for a in corpus:
-        for b in corpus:
-            lt, gt, eq = a < b, b < a, a == b
-            col.check(lt + gt + eq == 1, lambda: f"trichotomy {a}|{b}",
-                      "exactly one of <,>,=", f"{lt},{gt},{eq}")
-    # transitivity on a thinner slice to stay quadratic-ish
+    n = len(corpus)
+    # each ordered pair asked of < once
+    lt = np.array([[a < b for b in corpus] for a in corpus])
+    eq = np.array([[a == b for b in corpus] for a in corpus])
+    col.cases += n * n
+    for a, b in _first(lt.astype(int) + lt.T + eq != 1):
+        col.fail(lambda: f"trichotomy {corpus[a]}|{corpus[b]}",
+                 "exactly one of <,>,=",
+                 f"{bool(lt[a, b])},{bool(lt[b, a])},{bool(eq[a, b])}")
+    # transitivity on a thinner slice, every a < c read from the asked pairs
     small = corpus[::3]
-    for a in small:
-        for b in small:
-            if not a < b:
-                continue
-            for c in small:
-                if b < c:
-                    col.check(a < c, lambda: f"transitivity {a}|{b}|{c}",
-                              True, False)
-    for a in corpus:
-        for b in corpus:
-            for c in corpus:
-                if b < c:
-                    ok = a + b < a + c
-                    col.check(ok, lambda: f"monotone {a}|{b}|{c}", True, ok)
+    lt3 = lt[::3, ::3]
+    chains = lt3[:, :, None] & lt3[None, :, :]
+    col.cases += int(chains.sum())
+    for a, b, c in _first(chains & ~lt3[:, None, :]):
+        col.fail(lambda: f"transitivity {small[a]}|{small[b]}|{small[c]}",
+                 True, False)
+    # a + b < a + c for every b < c, asked once per distinct pair of sums
+    values: dict = {}
+    sums = _table(operator.add, corpus, corpus, values)
+    a, b, c = np.nonzero(np.broadcast_to(lt, (n, n, n)))
+    pairs, which = np.unique(np.stack([sums[a, b], sums[a, c]], axis=1),
+                             axis=0, return_inverse=True)
+    values = list(values)
+    asked = np.array([values[x] < values[y] for x, y in pairs.tolist()],
+                     dtype=bool)
+    ok = asked[which.reshape(-1)]
+    col.cases += ok.size
+    for (k,) in _first(~ok):
+        col.fail(lambda: f"monotone {corpus[a[k]]}|{corpus[b[k]]}|"
+                 f"{corpus[c[k]]}", True, False)
     return col
 
 
@@ -523,17 +572,32 @@ def _suite_compacta_witness_separates(cap):
     top = _eff(10, cap)
     col = _Collector()
     rows = _powers_schreier(top, 4)
+    i0, i1 = np.triu_indices(len(rows), 1)  # itertools.combinations order
+    # each pair's witness, or the error that refused it
+    witnesses = []
     for s0, s1 in itertools.combinations(rows, 2):
         try:
-            t = compacta.powers_witness(s0, s1)
+            witnesses.append(compacta.powers_witness(s0, s1))
         except (ValueError, AssertionError) as e:
-            col.check(False, lambda: f"{s0} vs {s1}", "witness", repr(e))
-            continue
-        ok = member(SCHREIER_SQUARE, t)
-        d = decompose(t)
-        sep = parity(s0, d) != parity(s1, d)
-        col.check(ok and sep, lambda: f"{s0} vs {s1}",
-                  "witness in S2 and separating", f"in_S2={ok}, separates={sep}")
+            witnesses.append(e)
+    # one grid column per distinct witness in S2, each asked of member once
+    distinct = dict.fromkeys(t for t in witnesses if isinstance(t, FinSet))
+    members = [t for t in distinct if member(SCHREIER_SQUARE, t)]
+    column = {t: j for j, t in enumerate(members)}
+    grid = parity_matrix(rows, members)
+    at = np.array([column.get(t, -1) for t in witnesses], dtype=np.intp)
+    ok = at >= 0
+    sep = np.zeros(len(witnesses), dtype=bool)
+    sep[ok] = grid[i0[ok], at[ok]] != grid[i1[ok], at[ok]]
+    col.cases += len(witnesses)
+    for (k,) in _first(~sep):
+        t = witnesses[k]
+        label = lambda: f"{rows[i0[k]]} vs {rows[i1[k]]}"
+        if isinstance(t, Exception):
+            col.fail(label, "witness", repr(t))
+        else:
+            col.fail(label, "witness in S2 and separating",
+                     f"in_S2={ok[k]}, separates={sep[k]}")
     return col
 
 
@@ -731,12 +795,15 @@ def _suite_averaging_convexity(cap):
             if v.index_count > 10_000:
                 continue
             table = v.explicit()
-            total = sum(table.values(), Fraction(0))
+            # the exact total over the weights' common denominator
+            weights = table.values()
+            den = math.lcm(*{w.denominator for w in weights})
+            num = sum(w.numerator * (den // w.denominator) for w in weights)
             ok = (len(table) == v.index_count
-                  and all(w > 0 for w in table.values()) and total == 1)
+                  and all(w.numerator > 0 for w in weights) and num == den)
             col.check(ok, lambda: f"n={n} s={s}",
                       "positive weights summing to 1",
-                      f"count={len(table)}, sum={total}")
+                      f"count={len(table)}, sum={Fraction(num, den)}")
     return col
 
 

@@ -155,6 +155,38 @@ def test_malformed_literals_exit_2_with_the_byte_offset(run_cli, argv, offset):
     assert err.startswith("error: ") and err.endswith(f"(offset {offset})\n"), err
 
 
+# A valid command line around each integer flag; its value goes last.
+INTEGER_FLAGS = {
+    "--max": ["fam", "enum", "schreier"],
+    "--rows": ["compacta", "matrix", "--mode", "K", "--alpha", "1"],
+    "--cols": ["compacta", "inject", "--mode", "K", "--alpha", "1"],
+    "--bound": ["compacta", "search", "--t0", "{1}", "--t1", "{2}"],
+    "--n": ["tree", "check", "--s", "{}", "--m", "3"],
+    "--m": ["tree", "check", "--n", "1", "--s", "{}"],
+    "--seed": ["tree", "check", "--n", "1", "--s", "{}", "--m", "3"],
+    "--support-max": ["tree", "sweep", "--n", "2"],
+    "--m-max": ["tree", "sweep", "--n", "2"],
+    "--seeds": ["tree", "sweep", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("value,offset", [
+    ("x", 1), ("1_0", 2), ("٣", 1), ("+3", 1), ("", 1), ("3 4", 3),
+    ("-", 2), ("2.0", 2)])
+@pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+def test_integer_flags_follow_the_lexical_rule(run_cli, flag, value, offset):
+    code, out, err = run_cli(INTEGER_FLAGS[flag] + [flag, value])
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err
+    assert err.endswith(f"(offset {offset})\n"), err
+
+
+@pytest.mark.parametrize("flag", list(INTEGER_FLAGS))
+def test_integer_flags_read_their_value(run_cli, flag):
+    code, _, _ = run_cli(INTEGER_FLAGS[flag] + [flag, "2"])
+    assert code == 0
+
+
 class TestTheta:
     def test_eval_golden(self, run_cli):
         code, out, _ = run_cli(["theta", "eval", "--s", "{2,5,8}",

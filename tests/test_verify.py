@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from schreier_kit import verify
+from schreier_kit import averaging, compacta, ordinal, verify
+from schreier_kit.family import SCHREIER_SQUARE, member
+from schreier_kit.kernel import decompose, parity
 
 
 def test_registry_names_are_stable():
@@ -161,3 +164,225 @@ class TestLocalConstancyGrid:
         monkeypatch.setattr(verify, "parity_matrix", faulty)
         report = verify.run_suite("kernel.local_constancy", 4)
         assert [f["case"] for f in report.failures] == ["s=∅, t=∅, pad={1}"]
+
+
+# ---------------------------------------------------------------------------
+# the per-case loops that the table-driven suites replace, kept as references
+# ---------------------------------------------------------------------------
+
+
+def loop_associativity(cap):
+    col = verify._Collector()
+    corpus = verify._ordinal_corpus(cap)
+    for a in corpus:
+        for b in corpus:
+            for c in corpus:
+                lhs, rhs = (a + b) + c, a + (b + c)
+                col.check(lhs == rhs, lambda: f"add {a}|{b}|{c}", rhs, lhs)
+                lhs, rhs = (a * b) * c, a * (b * c)
+                col.check(lhs == rhs, lambda: f"mul {a}|{b}|{c}", rhs, lhs)
+    return col
+
+
+def loop_distributivity(cap):
+    col = verify._Collector()
+    corpus = verify._ordinal_corpus(cap)
+    for a in corpus:
+        for b in corpus:
+            for c in corpus:
+                lhs, rhs = a * (b + c), a * b + a * c
+                col.check(lhs == rhs, lambda: f"{a}|{b}|{c}", rhs, lhs)
+    return col
+
+
+def loop_order(cap):
+    col = verify._Collector()
+    corpus = verify._ordinal_corpus(cap)
+    for a in corpus:
+        for b in corpus:
+            lt, gt, eq = a < b, b < a, a == b
+            col.check(lt + gt + eq == 1, lambda: f"trichotomy {a}|{b}",
+                      "exactly one of <,>,=", f"{lt},{gt},{eq}")
+    small = corpus[::3]
+    for a in small:
+        for b in small:
+            if not a < b:
+                continue
+            for c in small:
+                if b < c:
+                    col.check(a < c, lambda: f"transitivity {a}|{b}|{c}",
+                              True, False)
+    for a in corpus:
+        for b in corpus:
+            for c in corpus:
+                if b < c:
+                    ok = a + b < a + c
+                    col.check(ok, lambda: f"monotone {a}|{b}|{c}", True, ok)
+    return col
+
+
+def loop_witness_separates(cap):
+    col = verify._Collector()
+    rows = verify._powers_schreier(verify._eff(10, cap), 4)
+    for s0, s1 in itertools.combinations(rows, 2):
+        try:
+            t = compacta.powers_witness(s0, s1)
+        except (ValueError, AssertionError) as e:
+            col.check(False, lambda: f"{s0} vs {s1}", "witness", repr(e))
+            continue
+        ok = member(SCHREIER_SQUARE, t)
+        d = decompose(t)
+        sep = parity(s0, d) != parity(s1, d)
+        col.check(ok and sep, lambda: f"{s0} vs {s1}",
+                  "witness in S2 and separating",
+                  f"in_S2={ok}, separates={sep}")
+    return col
+
+
+def loop_convexity(cap):
+    col = verify._Collector()
+    for n in (2, 3):
+        for s in verify._chain_supports(verify._eff(6, cap), n):
+            chain = averaging.build_chain(n, s, averaging.SeededBlocks(5))
+            v = averaging.block_average(chain)
+            if v.index_count > 10_000:
+                continue
+            table = v.explicit()
+            total = sum(table.values(), Fraction(0))
+            ok = (len(table) == v.index_count
+                  and all(w > 0 for w in table.values()) and total == 1)
+            col.check(ok, lambda: f"n={n} s={s}",
+                      "positive weights summing to 1",
+                      f"count={len(table)}, sum={total}")
+    return col
+
+
+LOOPS = {
+    "ordinal.associativity": loop_associativity,
+    "ordinal.left_distributivity": loop_distributivity,
+    "ordinal.order_and_monotonicity": loop_order,
+    "compacta.witness_separates": loop_witness_separates,
+    "averaging.convexity": loop_convexity,
+}
+
+
+def assert_matches_loop(name, cap):
+    report = verify.run_suite(name, cap)
+    col = LOOPS[name](cap)
+    assert report.cases == col.cases
+    assert report.failures == col.failures
+    return report
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_table_suites_match_their_loops(name, cap):
+    assert assert_matches_loop(name, cap).ok
+
+
+def plant(monkeypatch, op, wrong):
+    """Make ``ordinal.<op>`` answer 0, a wrong value interned like every
+    other, for the pairs where ``wrong(a, b)``."""
+    real = getattr(ordinal, op)
+
+    def faulty(a, b):
+        return ordinal.ZERO if wrong(a, b) else real(a, b)
+
+    monkeypatch.setattr(ordinal, op, faulty)
+
+
+ORDINAL_SUITES = list(LOOPS)[:3]
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@pytest.mark.parametrize("op", ["_add", "_mul"])
+@pytest.mark.parametrize("name", ORDINAL_SUITES)
+def test_one_planted_ordinal_fault(monkeypatch, name, op, cap):
+    corpus = verify._ordinal_corpus(cap)
+    x, y = corpus[3], corpus[2]  # w and 1 under every cap
+    plant(monkeypatch, op, lambda a, b: a is x and b is y)
+    report = assert_matches_loop(name, cap)
+    if name != "ordinal.order_and_monotonicity" or op == "_add":
+        assert 0 < len(report.failures)
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@pytest.mark.parametrize("op", ["_add", "_mul"])
+@pytest.mark.parametrize("name", ORDINAL_SUITES)
+def test_many_planted_ordinal_faults(monkeypatch, name, op, cap):
+    corpus = verify._ordinal_corpus(cap)
+    plant(monkeypatch, op, lambda a, b: b is corpus[1] or b is corpus[3])
+    report = assert_matches_loop(name, cap)
+    if name != "ordinal.order_and_monotonicity" or op == "_add":
+        assert len(report.failures) == verify._MAX_RECORDED_FAILURES
+
+
+def flip(monkeypatch, entries):
+    """Flip the grid entries ``entries(ss, ts)`` names in every
+    ``verify.parity_matrix`` answer."""
+    real = verify.parity_matrix
+
+    def faulty(ss, ts):
+        grid = real(ss, ts)
+        for i, j in entries(ss, ts):
+            grid[i, j] ^= 1
+        return grid
+
+    monkeypatch.setattr(verify, "parity_matrix", faulty)
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+def test_one_flipped_witness_entry_names_its_pair(monkeypatch, cap):
+    rows = verify._powers_schreier(verify._eff(10, cap), 4)
+    s0, s1 = list(itertools.combinations(rows, 2))[len(rows) + 3]
+    t = compacta.powers_witness(s0, s1)
+    flip(monkeypatch, lambda ss, ts: [(ss.index(s0), ts.index(t))])
+    report = verify.run_suite("compacta.witness_separates", cap)
+    assert report.cases == loop_witness_separates(cap).cases
+    assert {"case": f"{s0} vs {s1}", "expected": "witness in S2 and separating",
+            "actual": "in_S2=True, separates=False"} in report.failures
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+def test_many_flipped_witness_entries_are_capped(monkeypatch, cap):
+    # flipping whole rows unseparates exactly the pairs with one flipped row
+    rows = verify._powers_schreier(verify._eff(10, cap), 4)
+    flipped = range(0, len(rows), 2)
+    flip(monkeypatch, lambda ss, ts: [(i, j) for i in flipped
+                                      for j in range(len(ts))])
+    report = verify.run_suite("compacta.witness_separates", cap)
+    assert report.cases == loop_witness_separates(cap).cases
+    unseparated = [f"{rows[i0]} vs {rows[i1]}" for i0, i1
+                   in itertools.combinations(range(len(rows)), 2)
+                   if (i0 in flipped) != (i1 in flipped)]
+    assert len(unseparated) > verify._MAX_RECORDED_FAILURES
+    assert [f["case"] for f in report.failures] == unseparated[:20]
+
+
+def test_a_witness_outside_s2_is_a_failure(monkeypatch):
+    rows = verify._powers_schreier(verify._eff(10, 4), 4)
+    s0, s1 = rows[1], rows[2]
+    t = compacta.powers_witness(s0, s1)
+    monkeypatch.setattr(verify, "member",
+                        lambda expr, u: u != t and member(expr, u))
+    report = verify.run_suite("compacta.witness_separates", 4)
+    assert {"case": f"{s0} vs {s1}",
+            "expected": "witness in S2 and separating",
+            "actual": "in_S2=False, separates=False"} in report.failures
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@pytest.mark.parametrize("bad", ["double", "negate"])
+def test_planted_weight_fault_matches_the_loop(monkeypatch, cap, bad):
+    real = averaging.BlockAverage.explicit
+
+    def faulty(self):
+        table = real(self)
+        if self.level == 3 and len(table) > 1:
+            u = next(iter(table))
+            table[u] = 2 * table[u] if bad == "double" else -table[u]
+        return table
+
+    monkeypatch.setattr(averaging.BlockAverage, "explicit", faulty)
+    report = assert_matches_loop("averaging.convexity", cap)
+    assert report.failures
