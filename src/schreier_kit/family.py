@@ -351,7 +351,7 @@ def restricted(expr: FamilyExpr, index: IndexSet) -> FamilyExpr:
 
 # (expression, elements) pairs kept by each membership memo.  Enumeration
 # steps from carried states and asks none, so a 14 x 14 kernel matrix asks
-# none; capped verify asks 8,311 keys, uncapped verify 96,014 and
+# none; capped verify asks 6,913 keys, uncapped verify 75,451 and
 # `fam enum schreier --max 23` 545,714 (its maximality scans), which an
 # unbounded memo kept to the end (about 100 MB for the latter).
 _MEMBER_MEMO = 1 << 14
@@ -363,21 +363,8 @@ def member(expr: FamilyExpr, s: FinSet) -> bool:
 
 @lru_cache(maxsize=_MEMBER_MEMO)
 def _member(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
-    if isinstance(expr, Schreier):
-        return not elems or len(elems) <= elems[0]
-    if isinstance(expr, Cube):
-        return len(elems) <= expr.size and (not elems or elems[0] >= expr.floor)
-    if isinstance(expr, Restrict):
-        return (all(expr.index.contains(m) for m in elems)
-                and _member(expr.base, elems))
-    if _stepper(expr) is not None:
-        return _state_of(expr, elems) is not None
-    if isinstance(expr, Product):
-        return _composition_search(expr.left, expr.right, elems, _member)
-    # a derivative of a base without steps (_stepper raised for anything else)
-    base = expr.base
-    return _member(base, elems) and _is_limit(
-        base, lambda p: _member(base, elems + (p,)), elems[-1] if elems else 0)
+    state = _state_of(expr, elems)
+    return state is not None and _stepper(expr)[2](state)
 
 
 def _composition_minima(elems: tuple[int, ...], block_ok) -> Iterator[tuple[int, ...]]:
@@ -408,22 +395,24 @@ def _composition_search(left: FamilyExpr, right: FamilyExpr,
 
 
 def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
-    """Membership with every product decided by exhaustive composition
-    search; the test oracle for the stepped product route."""
+    """Membership from the definitions, every product by exhaustive
+    composition search of at most 24 elements; the oracle for ``member``."""
     return _member_exhaustive(expr, s.elems)
 
 
 @lru_cache(maxsize=_MEMBER_MEMO)
 def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
+    if isinstance(expr, Schreier):
+        return not elems or len(elems) <= elems[0]
+    if isinstance(expr, Cube):
+        return len(elems) <= expr.size and (not elems or elems[0] >= expr.floor)
     if isinstance(expr, Product):
         return _composition_search(expr.left, expr.right, elems,
                                    _member_exhaustive)
     if isinstance(expr, Restrict):
         return (all(expr.index.contains(m) for m in elems)
                 and _member_exhaustive(expr.base, elems))
-    if isinstance(expr, Derived):
-        raise TypeError("derivatives have no composition-search route")
-    return _member(expr, elems)
+    raise TypeError(f"no composition-search route for {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +421,36 @@ def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
 
 
 # Entries kept by each per-expression memo (_stepper, _tail_threshold and
-# _probe_indexes), one per expression and subexpression, a stepper's None
-# included.  Capped verify builds 40, 24 and 18, uncapped 48, 24 and 18;
-# the tests 1,160, 638 and 636 (mostly the fuzz; steppers are evicted).
+# _probe_indexes), one per expression and subexpression.  Capped verify
+# builds 40, 24 and 18, uncapped 48, 24 and 18; the tests 1,269, 642 and 640
+# (mostly the fuzz; steppers are evicted).
 _EXPR_MEMO = 1 << 10
 
 
-@lru_cache(maxsize=_EXPR_MEMO)
-def _stepper(expr: FamilyExpr) -> Optional[tuple[object, Callable[[object, int], object]]]:
-    """(init, step) for a hereditary expression, or None: no steps.
+def _hereditary(expr: FamilyExpr) -> bool:
+    """Every product in expr has a spreading right factor, schreier or a
+    cube, so dropping an element keeps a member: prod(schreier,
+    restrict(schreier, powers(2))) holds {2,3} but not {3}."""
+    if isinstance(expr, Product):
+        return isinstance(expr.right, (Schreier, Cube)) and _hereditary(expr.left)
+    if isinstance(expr, (Restrict, Derived)):
+        return _hereditary(expr.base)
+    return True
 
-    ``init`` is the state of the empty set, and ``step(state, m)`` is the
-    state of elems + (m,) for a member elems with that state and any m
-    above its elements.  A state of None means "not a member": a
-    derivative whose empty set is no limit steps from None.  The states:
-    schreier carries (first element, count), cube the count, restrict and
-    a derivative their base's (``_is_limit`` probes steps from it), and a
-    product (the left state of its last block, the right state of its
-    block minima).  A product steps only when its left factor does and its
-    right factor is spreading-closed, schreier or a cube; other products,
-    and all built on them, take the composition search instead.
+
+@lru_cache(maxsize=_EXPR_MEMO)
+def _stepper(expr: FamilyExpr) -> tuple[object, Callable[[object, int], object],
+                                        Callable[[object], bool]]:
+    """(init, step, final): the family as an automaton on increasing tuples.
+
+    ``init`` is the state of the empty set; ``step(state, m)``, for m above
+    the elements, is the state of elems + (m,), or None when no member
+    starts with it; ``final(state)`` says whether elems is a member, since a
+    derivative of a non-hereditary base is not prefix-closed.  A product's
+    state is the set of (left state of the last block, right state of the
+    minima) pairs that its compositions reach, the subset construction of
+    Rabin and Scott (IBM J. Res. Dev. 3(2), 1959); a hereditary product
+    keeps only its fewest-blocks pair.
     """
     if isinstance(expr, Schreier):
         def step(state, m):
@@ -459,74 +458,93 @@ def _stepper(expr: FamilyExpr) -> Optional[tuple[object, Callable[[object, int],
             if not count:
                 return m, 1
             return (first, count + 1) if count < first else None
-        return (0, 0), step
+        return (0, 0), step, lambda state: True
     if isinstance(expr, Cube):
         floor, size = expr.floor, expr.size
 
         def step(count, m):
             return count + 1 if count < size and m >= floor else None
-        return 0, step
+        return 0, step, lambda state: True
     if isinstance(expr, Restrict):
-        base = _stepper(expr.base)
-        if base is None:
-            return None
-        init, base_step = base
+        init, base_step, final = _stepper(expr.base)
         contains = expr.index.contains
 
         def step(state, m):
             return base_step(state, m) if contains(m) else None
-        return init, step
+        return init, step, final
     if isinstance(expr, Product):
-        left = _stepper(expr.left)
-        if left is None or not isinstance(expr.right, (Schreier, Cube)):
-            return None
-        # the fewest blocks, one element at a time: m extends the last block
-        # when the left factor admits it, and otherwise opens a block whose
-        # minimum m joins the minima.  The right factor reads only the count
-        # of the minima and the first one, elems[0], so the fewest blocks
-        # decide.  The empty set has no last block (None).
-        block_init, block_step = left
-        mins_init, mins_step = _stepper(expr.right)
+        block_init, block_step, block_final = _stepper(expr.left)
+        mins_init, mins_step, mins_final = _stepper(expr.right)
+        # the empty set has no last block (None) and is a member
+        if _hereditary(expr):
+            # the fewest blocks, one element at a time: m extends the last
+            # block when the left factor admits it, and otherwise opens a
+            # block whose minimum m joins the minima.  The right factor reads
+            # only the count of the minima and the first one, elems[0], so
+            # the fewest blocks decide, if the left factor is hereditary:
+            # prod(prod(schreier, restrict(schreier, powers(2))), schreier)
+            # holds {2,4,5,6,8,9}, which the fewest blocks miss.
+            def step(state, m):
+                last, mins = state
+                if last is not None:
+                    grown = block_step(last, m)
+                    if grown is not None:
+                        return grown, mins
+                block = block_step(block_init, m)
+                if block is None:
+                    return None
+                mins = mins_step(mins, m)
+                return None if mins is None else (block, mins)
+            return (None, mins_init), step, lambda state: True
 
-        def step(state, m):
-            last, mins = state
-            if last is not None:
-                grown = block_step(last, m)
-                if grown is not None:
-                    return grown, mins
-            if block_init is None:
-                return None
+        # every pair extends its last block by m, or, when that block is a
+        # member, opens a block at m
+        def step(pairs, m):
             block = block_step(block_init, m)
-            if block is None:
-                return None
-            mins = mins_step(mins, m)
-            return None if mins is None else (block, mins)
-        return (None, mins_init), step
+            grown = set()
+            for last, mins in pairs:
+                if last is not None and (extended := block_step(last, m)) is not None:
+                    grown.add((extended, mins))
+                if block is not None and (last is None or block_final(last)):
+                    opened = mins_step(mins, m)
+                    if opened is not None:
+                        grown.add((block, opened))
+            return frozenset(grown) or None
+
+        def final(pairs):
+            return any(last is None or block_final(last) and mins_final(mins)
+                       for last, mins in pairs)
+        return frozenset({(None, mins_init)}), step, final
     if isinstance(expr, Derived):
         base = expr.base
-        inner = _stepper(base)
-        if inner is None:
-            return None
-        base_init, base_step = inner
+        base_init, base_step, base_final = _stepper(base)
+        # a hereditary derivative holds the prefixes of its members, so its
+        # steps may prune the non-members; then every stepped state is final
+        prune = _hereditary(base)
 
         def limit(state, last):
-            """state, or None when it is not a member of the derivative"""
-            if state is not None and _is_limit(
-                    base, lambda p: base_step(state, p) is not None, last):
-                return state
-            return None
-        return limit(base_init, 0), lambda state, m: limit(base_step(state, m), m)
+            return base_final(state) and _is_limit(base, lambda p: (
+                grown := base_step(state, p)) is not None and base_final(grown), last)
+
+        def step(state, m):
+            grown = base_step(state[0], m)
+            if grown is None or prune and not limit(grown, m):
+                return None
+            return grown, m
+
+        def final(state):
+            return prune and state[1] > 0 or limit(*state)
+        return (base_init, 0), step, final
     raise TypeError(f"not a family expression: {expr!r}")
 
 
 def _state_of(expr: FamilyExpr, elems: tuple[int, ...]):
-    """The stepped state of the increasing tuple elems, or None when it is
-    not a member."""
-    state, step = _stepper(expr)
+    """The state of the increasing tuple elems; None if no member starts so."""
+    state, step, _ = _stepper(expr)
     for m in elems:
+        state = step(state, m)
         if state is None:
             break
-        state = step(state, m)
     return state
 
 
@@ -615,14 +633,14 @@ def _is_limit(base: FamilyExpr, extends: Callable[[int], bool], last: int) -> bo
     is asked at the first point above lo of each infinite probe index.
 
     Let lo be past last, the tail threshold and every finite (Explicit)
-    probe index.  For a stepping base with no derivative inside, the m > lo
-    that extend form a union of active probe indexes: a leaf admits all of
-    its index or none, a restriction meets, and a product joins the left
-    indexes that extend the last block to the left-by-right meets that open
-    one.  So an extending m > lo lies in an active infinite index, all of
-    whose points above lo extend: the first points decide both ways.  The
-    +1 per nested derivative of ``_tail_threshold`` and bases without steps
-    are fuzzed, not proved.
+    probe index.  For a base with no derivative inside, the m > lo that
+    extend form a union of active probe indexes: a leaf admits all of its
+    index or none, a restriction meets, and a product joins, over every
+    composition its state carries, the left indexes that extend the last
+    block to the left-by-right meets that open one.  So an extending m > lo
+    lies in an active infinite index, all of whose points above lo extend:
+    the first points decide both ways.  The +1 per nested derivative of
+    ``_tail_threshold`` is fuzzed, not proved.
     """
     pieces = _probe_indexes(base)
     lo = max(last, _tail_threshold(base),
@@ -662,41 +680,23 @@ def iterated_derivative(expr: FamilyExpr, steps: int) -> FamilyExpr:
 # ---------------------------------------------------------------------------
 
 
-# The most members one hereditary enumeration builds before it gives up
-# with a ValueError.  Members are held in memory (the largest enumeration in
-# the tests, verify suites, demos and benchmark is 6718, S2 within [1..14]),
-# and schreier alone has 267,914,296 members within [1..40].
+# The most sets one enumeration holds (members, and the prefixes a
+# derivative of a non-hereditary base walks through) before it gives up
+# with a ValueError.  The tests, verify suites, demos and benchmark hold at
+# most 6718 (S2 within [1..14]); schreier has 267,914,296 within [1..40].
 _ENUM_LIMIT = 100_000
 
 
 def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
     """All members inside [1..bound], in length-then-lex order; refused
-    beyond ``_ENUM_LIMIT`` members for a hereditary family."""
+    beyond ``_ENUM_LIMIT`` sets held.  The frontier grows every prefix of a
+    member by increasing elements, each level in order, so it needs no
+    sort; it carries each prefix's state and universe position (a range
+    universe is sliced, never listed), so a candidate costs one step, and
+    the final states are the members."""
     universe = index_elements_between(effective_index(expr), 0, bound)
-    if _stepper(expr) is not None:
-        found = _enumerate_hereditary(expr, universe)
-    else:
-        if len(universe) > 22:
-            raise ValueError("non-hereditary enumeration limited to 22 candidates")
-        found = [els for els in _powerset(universe) if _member(expr, els)]
-    return [FinSet(els) for els in found]
-
-
-def _enumerate_hereditary(expr: FamilyExpr, universe: Sequence[int]) -> list:
-    """The members inside the universe, in length-then-lex order.
-
-    Members grow one increasing element at a time, and heredity makes every
-    member reachable through its member prefixes.  Each level extends the
-    previous one, in order, by increasing m, so the order needs no sort.
-    The frontier carries each member's stepped state and the universe
-    position past its last element (a range universe is sliced, never
-    listed), so a candidate costs one step and no membership call; the
-    composition search is the oracle the tests hold the steps to.
-    """
-    init, step = _stepper(expr)
-    if init is None:
-        return []
-    out = [()]
+    init, step, final = _stepper(expr)
+    out = [()] if final(init) else []
     frontier = [((), init, 0)]
     while frontier:
         nxt = []
@@ -709,9 +709,9 @@ def _enumerate_hereditary(expr: FamilyExpr, universe: Sequence[int]) -> list:
                         raise ValueError(f"more than {_ENUM_LIMIT} members within "
                                          f"[1..{universe[-1]}]; lower the bound")
                     nxt.append((els + (m,), grown, i))
-        out.extend(els for els, _, _ in nxt)
+        out.extend(els for els, state, _ in nxt if final(state))
         frontier = nxt
-    return out
+    return [FinSet(els) for els in out]
 
 
 def _powerset(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -212,9 +212,14 @@ def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
     if depth == 0:
         return Ordinal.nat(rng.randrange(0, 5))
     n_terms = rng.randrange(0, 4)
-    exps: set = set()
+    # a list in draw order: a set of interned ordinals iterates in
+    # identity-hash order, and sorting it would then make a different
+    # number of comparisons in each process
+    exps: list = []
     while len(exps) < n_terms:
-        exps.add(_random_ordinal(rng, depth - 1))
+        e = _random_ordinal(rng, depth - 1)
+        if e not in exps:
+            exps.append(e)
     terms = tuple((e, rng.randrange(1, 6))
                   for e in sorted(exps, reverse=True))
     return Ordinal(terms)

@@ -1,4 +1,4 @@
-"""The acceptance gate: ten end-to-end criteria, one test per criterion.
+"""The acceptance gate: eleven end-to-end criteria, one test per criterion.
 
 Each test prints a single PASS line with its case count and wall time, so a
 verbose run doubles as the acceptance protocol.  The budgets are asserted,
@@ -8,8 +8,10 @@ not just reported.
 import contextlib
 import io
 import os
+import json
 import subprocess
 import sys
+import time
 
 from schreier_kit import family, verify
 from schreier_kit.family import SCHREIER, enumerate_members, is_maximal
@@ -120,3 +122,35 @@ def test_A10_reports_and_matrices_are_byte_deterministic():
     assert len(set(runs)) == 1
     print(f"A10 byte determinism: PASS ({len(runs)} runs x "
           f"{len(runs[0])} streams identical)")
+
+
+# Small inputs that must not take seconds: each command runs in a fresh
+# process, with the answer it must print (stdout lines, or the one JSON
+# line's "member" field) and a budget several times its need.
+SMALL_INPUTS = [
+    (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
+      "--s", "{" + ",".join(map(str, range(2, 24))) + "}"], False),
+    (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
+      "--s", "{" + ",".join(map(str, range(2, 28))) + "}"], False),
+    (["fam", "member", "prod(schreier, restrict(cube(1,2), ap(2,2)))",
+      "--s", "{" + ",".join(map(str, range(2, 23))) + "}"], False),
+    (["fam", "enum", "prod(schreier, restrict(schreier, powers(2)))",
+      "--max", "16"], 4774),
+]
+
+
+def test_A11_small_inputs_answer_within_seconds():
+    budget, slowest = 5.0, 0.0
+    for argv, want in SMALL_INPUTS:
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "schreier_kit", *argv],
+                              capture_output=True, text=True, timeout=budget)
+        wall = time.perf_counter() - start
+        assert wall < budget, f"{argv} took {wall:.1f}s, budget {budget}s"
+        assert done.returncode == 0, (argv, done.stderr)
+        lines = done.stdout.splitlines()
+        got = json.loads(lines[0])["member"] if argv[1] == "member" else len(lines)
+        assert got == want, argv
+        slowest = max(slowest, wall)
+    print(f"A11 small inputs: PASS ({len(SMALL_INPUTS)} cases, "
+          f"slowest {slowest:.2f}s)")

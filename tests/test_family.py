@@ -341,12 +341,10 @@ def test_fuzzed_steps_agree_with_exhaustive_membership(expr):
     found = enumerate_members(expr, 8)
     assert found == enumerate_members_naive(expr, 8)
     assert found == sorted(found, key=lambda s: (len(s), s.elems))
-    stepper = family._stepper(expr)
-    if stepper is None:
-        return
     # every s in [1..8] with at most 4 elements, the empty set and
-    # non-members included, stepped once to each probe
-    step = stepper[1]
+    # non-members included, stepped once to each probe; without a
+    # derivative a state is None exactly off the members
+    step = family._stepper(expr)[1]
     for els in STEP_SETS:
         state = family._state_of(expr, els)
         assert (state is not None) == family._member_exhaustive(expr, els), els
@@ -381,7 +379,7 @@ DERIVED_SETS = [els for k in range(4) for els in itertools.combinations(range(1,
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(fuzz_families())
 def test_fuzzed_derivatives_agree_with_a_brute_horizon(expr):
-    # both routes: the steps of a stepping base, _member for the others
+    # the steps of every base, hereditary or not
     derived = family.Derived(expr)
     for els in DERIVED_SETS:
         assert family._member(derived, els) == derived_brute(expr, els, 1), \
@@ -401,23 +399,48 @@ def test_fuzzed_double_derivatives_agree_with_a_recursive_brute(expr):
                 (format_family(expr), els)
 
 
-def test_only_products_with_a_schreier_or_cube_right_factor_step():
+def test_every_product_and_its_derivative_steps():
     for text in ["schreier", "cube(2,3)", "S2", "prod(S2, cube(1,2))",
-                 "restrict(prod(cube(2,2), schreier), powers(3))"]:
-        assert family._stepper(parse_family(text)) is not None, text
-    for text in ["prod(schreier, restrict(schreier, powers(2)))",
+                 "restrict(prod(cube(2,2), schreier), powers(3))",
+                 "prod(schreier, restrict(schreier, powers(2)))",
                  "prod(schreier, S2)",
                  "prod(prod(cube(1,1), restrict(cube(1,1), {3,4})), schreier)",
                  "restrict(prod(schreier, prod(schreier, cube(1,1))), from(2))"]:
         expr = parse_family(text)
-        assert family._stepper(expr) is None, text
-        assert family._stepper(family.Derived(expr)) is None, text
-    # the powerset route yields length-then-lex order without a sort
-    expr = parse_family("prod(schreier, restrict(schreier, powers(2)))")
-    found = enumerate_members(expr, 12)
-    assert found == enumerate_members_naive(expr, 12)
-    assert found == sorted(found, key=lambda s: (len(s), s.elems))
-    assert len(found) > 100
+        for stepped in (expr, family.Derived(expr)):
+            init, step, final = family._stepper(stepped)
+            assert init is not None and callable(step) and callable(final), text
+        found = enumerate_members(expr, 12)
+        assert found == enumerate_members_naive(expr, 12), text
+        # the frontier yields length-then-lex order without a sort
+        assert found == sorted(found, key=lambda s: (len(s), s.elems)), text
+    assert len(enumerate_members(
+        parse_family("prod(schreier, restrict(schreier, powers(2)))"), 12)) > 100
+
+
+# Products whose left factor is not hereditary: prod(schreier,
+# restrict(schreier, powers(2))) holds {2,3} but not {3}, so the last block
+# cannot always be closed early and the fewest blocks do not decide.
+NON_HEREDITARY_LEFT = [
+    "prod(prod(schreier, restrict(schreier, powers(2))), schreier)",
+    "prod(restrict(prod(schreier, restrict(cube(1,2), powers(2))), from(2)), schreier)",
+    "prod(prod(cube(1,2), restrict(cube(1,2), ap(2,2))), schreier)",
+]
+
+
+def test_products_with_a_non_hereditary_left_factor_keep_every_composition():
+    expr = parse_family(NON_HEREDITARY_LEFT[0])
+    # {2} {4,5,6,8,9} and {2,4,5,6} {8,9} are its compositions; the fewest
+    # blocks take {2,4,5,6,8} as one left member and then cannot place 9
+    s = FinSet((2, 4, 5, 6, 8, 9))
+    assert member_by_composition_search(expr, s)
+    assert member(expr, s)
+    subsets = [els for k in range(7) for els in itertools.combinations(range(1, 11), k)]
+    for text in NON_HEREDITARY_LEFT:
+        expr = parse_family(text)
+        for els in subsets:
+            assert family._member(expr, els) == family._member_exhaustive(expr, els), \
+                (text, els)
 
 
 SCHREIER_AT_4 = ["∅", "{1}", "{2}", "{3}", "{4}", "{2,3}", "{2,4}", "{3,4}"]
@@ -448,10 +471,14 @@ class TestMembership:
         assert not member(r, FinSet((2, 3)))
 
     @pytest.mark.parametrize("left", [
-        derivative(Cube(1, 0)),  # the empty set is no member: init None
+        derivative(Cube(1, 0)),  # the empty set is no member
         derivative(Cube(2, 2)),
         iterated_derivative(SCHREIER, 2),
         derivative(SCHREIER_SQUARE),
+        # not prefix-closed: a block may open only after a member block
+        derivative(parse_family("prod(schreier, restrict(schreier, {1,2}))")),
+        derivative(parse_family(
+            "prod(prod(schreier, restrict(cube(1,3), {1,2,3,4})), schreier)")),
     ])
     def test_products_of_derivatives_step_like_composition_search(self, left):
         for right in (SCHREIER, Cube(1, 2)):
@@ -469,13 +496,16 @@ class TestMembership:
                 assert member(expr, s) == member_by_composition_search(expr, s), \
                     f"{format_family(expr)} disagrees at {s}"
 
-    def test_composition_search_is_limited_to_24_elements(self):
+    def test_only_the_composition_search_oracle_is_limited_to_24_elements(self):
         expr = parse_family("prod(schreier, restrict(schreier, powers(2)))")
         s = FinSet(tuple(range(26, 51)))
         assert len(s) == 25
-        for route in (member, member_by_composition_search):
-            with pytest.raises(ValueError, match="limited to 24 elements"):
-                route(expr, s)
+        with pytest.raises(ValueError, match="limited to 24 elements"):
+            member_by_composition_search(expr, s)
+        # the first block minimum, 26, is no power of 2; the blocks
+        # {4..7} {8..15} {16..28} have the minima {4,8,16}
+        assert not member(expr, s)
+        assert member(expr, FinSet(tuple(range(4, 29))))
 
 
 def cut_compositions(elems, block_ok):
@@ -649,6 +679,25 @@ class TestDerivatives:
     def test_finite_index_pieces_give_no_limit(self, text):
         expr = parse_family(text)
         assert member(expr, EMPTY) and not member(derivative(expr), EMPTY)
+
+    def test_a_derivative_of_a_non_hereditary_base_is_not_prefix_closed(self):
+        # the base holds the empty set, {1}, {2} and every {2,m}: only {2}
+        # has infinitely many extensions
+        base = parse_family("prod(schreier, restrict(schreier, {1,2}))")
+        derived = derivative(base)
+        assert member(derived, FinSet((2,))) and not member(derived, EMPTY)
+        want = [FinSet(els) for els in family._powerset(range(1, 9))
+                if derived_brute(base, els, 1)]
+        assert enumerate_members(derived, 8) == want == [FinSet((2,))]
+        # nor past its first element: {1,2} is in this derivative, {1} is
+        # not, so its steps may not drop the non-members
+        base = parse_family(
+            "prod(prod(schreier, restrict(cube(1,3), {1,2,3,4})), schreier)")
+        derived = derivative(base)
+        assert member(derived, FinSet((1, 2))) and not member(derived, FinSet((1,)))
+        want = [FinSet(els) for els in family._powerset(range(1, 7))
+                if derived_brute(base, els, 1)]
+        assert enumerate_members(derived, 6) == want
 
     def test_iterated_schreier_derivatives_have_a_closed_form(self):
         # the k-th derivative keeps the s with #s + k <= min s: its first
