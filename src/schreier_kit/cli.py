@@ -11,6 +11,7 @@ verification fails, 2 on bad input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -295,6 +296,11 @@ def _add_format(p: argparse.ArgumentParser, choices, default) -> None:
     p.add_argument("--format", choices=choices, default=default)
 
 
+# Built once per process: building takes about 2 ms, and ``verify`` and
+# the bench call ``main`` several times in one process.  Parsing leaves
+# the parser unchanged, and argparse looks up sys.stdout and sys.stderr
+# when it prints, so a redirected stream still gets help and usage text.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schreier-kit",

@@ -6,16 +6,18 @@ or S2), both optionally restricted to an index set and truncated to
 [1..bound]; the entry is the parity kernel of the pair.  L-mode swaps the
 roles, so each row is one kernel function of the second coordinate.
 
-Both modes fill the grid, one byte per entry, with one
+Both modes fill the grid, one bit per entry, with one packed
 ``kernel.parity_matrix`` call (L-mode asks for the transposed layout): a
 label table of the second coordinates' block indices is gathered once per
 position of the first coordinates, so no entry costs a Python call.  The
-fill works in blocks of a fixed number of entries, and the CSV and PBM
-writers render pieces of about a mebibyte, every block of rows in the one
-byte buffer of the export, with only the set labels formatted per row.  So
-the grid is the only full-size array a matrix export holds: ``write``
-sends the text out piece by piece, and ``to_csv``/``to_pbm`` join the same
-pieces.
+fill works in blocks of a fixed number of entries, each packed as soon as
+it is filled, and the CSV and PBM writers render pieces of about a
+mebibyte, unpacking every block of rows into the one byte buffer of the
+export, with only the set labels formatted per row.  So the packed grid is
+the only full-size array a matrix export holds: ``write`` sends the text
+out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.  The
+equal-row report compares packed rows: the padding bits are zero, so two
+rows are equal exactly when their packed forms are.
 
 Separators are found on grids too, by one search path: ``first_separators``
 takes schreier rows in length-then-lex order, a growing chunk at a time,
@@ -49,11 +51,17 @@ class ThetaMatrix:
     col_bound: int
     rows: tuple[FinSet, ...]
     cols: tuple[FinSet, ...]
-    entries: np.ndarray = field(repr=False)
+    bits: np.ndarray = field(repr=False)   # entries of each row, packed by
+                                           # ``np.packbits``, padding zero
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The 0/1 grid, a fresh uint8 array of shape ``shape``."""
+        return np.unpackbits(self.bits, axis=1, count=len(self.cols))
 
 
 def build_matrix(mode: str, alpha, index: IndexSet = All(),
@@ -84,12 +92,12 @@ def matrix_from_sets(mode: str, rows: list[FinSet],
 
 def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
     if mode == "K":
-        entries = parity_matrix(rows, cols)
+        bits = parity_matrix(rows, cols, packed=True)
     else:
-        entries = parity_matrix(cols, rows, transposed=True)
+        bits = parity_matrix(cols, rows, transposed=True, packed=True)
     return ThetaMatrix(mode=mode, alpha=alpha, index=index,
                        row_bound=row_bound, col_bound=col_bound,
-                       rows=tuple(rows), cols=tuple(cols), entries=entries)
+                       rows=tuple(rows), cols=tuple(cols), bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +113,12 @@ _PIECE_BYTES = 1 << 20
 def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     """The CSV or PBM text of ``m`` as a header and then blocks of rows.
 
-    Each block is rendered in the leading rows of one uint8 buffer,
-    allocated once per call, holding per row every digit followed by its
-    separator, the last separator being the newline, and decoded once; CSV
-    then puts each row's set label in front.
+    Each block is unpacked and rendered in the leading rows of one uint8
+    buffer, allocated once per call, holding per row every digit followed
+    by its separator, the last separator being the newline, and decoded
+    once; CSV then puts each row's set label in front.
     """
-    h, w = m.entries.shape
+    h, w = m.shape
     if fmt == "csv":
         yield "," + ",".join(t.csv_cell() for t in m.cols) + "\n"
     else:
@@ -123,7 +131,7 @@ def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     buf[:, 1:2 * w:2] = ord("," if fmt == "csv" else " ")
     buf[:, -1] = ord("\n")
     for r in range(0, h, step):
-        block = m.entries[r:r + step]
+        block = np.unpackbits(m.bits[r:r + step], axis=1, count=w)
         rows = buf[:len(block)]
         np.add(block, ord("0"), out=rows[:, :2 * w:2])
         text = str(rows.data, "ascii")
@@ -173,15 +181,15 @@ class InjectivityReport:
 
 
 def injectivity_report(m: ThetaMatrix) -> InjectivityReport:
-    # rows grouped by a hash of their bytes, each match confirmed against
-    # the first row of its class, so no copy of a row outlives its hashing;
-    # classes open in row order, which is their sorted order
+    # packed rows grouped by a hash of their bytes, each match confirmed
+    # against the first row of its class, so no copy of a row outlives its
+    # hashing; classes open in row order, which is their sorted order
     by_hash: dict[int, list[list[int]]] = {}
     classes: list[list[int]] = []
-    for i, row in enumerate(m.entries):
+    for i, row in enumerate(m.bits):
         bucket = by_hash.setdefault(hash(row.tobytes()), [])
         for cls in bucket:
-            if np.array_equal(m.entries[cls[0]], row):
+            if np.array_equal(m.bits[cls[0]], row):
                 cls.append(i)
                 break
         else:

@@ -291,18 +291,40 @@ class Cube:
             raise ValueError("cube size must be >= 0")
 
 
+def _hash_once(cls):
+    """Give a frozen dataclass the hash its fields give, computed once at
+    construction.  The generated hash of a nested expression walks the
+    whole tree, and every memo keyed by an expression hashes its key on
+    each lookup: 879 ns for prod(schreier, restrict(schreier, powers(2)))
+    against 67 ns for a 3-tuple (2-core VM)."""
+    init, fields_hash = cls.__init__, cls.__hash__
+
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        object.__setattr__(self, "_hash", fields_hash(self))
+
+    def __hash__(self):
+        return self._hash
+
+    cls.__init__, cls.__hash__ = __init__, __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Product:
     left: "FamilyExpr"
     right: "FamilyExpr"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Restrict:
     base: "FamilyExpr"
     index: IndexSet
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Derived:
     """One Cantor-Bendixson derivative of the base family."""

@@ -25,7 +25,8 @@ bare increasing element tuples (the picks of a block average, the
 candidate rows of a separator search), so a caller need not build a
 FinSet per row.  The grid is filled in blocks of a fixed number of
 entries, so it is the only array whose size grows with the number of
-pairs.
+pairs: one byte per entry, or one bit with ``packed``, where each block
+is ``np.packbits``-ed as soon as it is filled.
 
 ``decompose`` is memoized (``_DECOMPOSE_MEMO`` entries): a ``Decomposition``
 is frozen, so a repeated second coordinate shares one, and a refused set
@@ -166,11 +167,14 @@ def rows_per_block(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, width))
 
 
-def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
+def parity_matrix(ss, ts, transposed: bool = False,
+                  packed: bool = False) -> np.ndarray:
     """``out[i, j] == parity(ss[i], ts[j])`` as a uint8 array of shape
     (len(ss), len(ts)); with ``transposed``, its transpose in row-major
-    order.  Each ss[i] is a FinSet or the increasing tuple of its
-    elements; every ts[j] must be empty or decompose.
+    order; with ``packed``, each row of that array ``np.packbits``-ed to
+    one bit per entry, its padding bits zero.  Each ss[i] is a FinSet or
+    the increasing tuple of its elements; every ts[j] must be empty or
+    decompose.
 
     The label table has a row for each distinct element of the ts and one
     more row of -1, ``miss``: the padding of a short s, and every element
@@ -179,7 +183,7 @@ def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
     decomposition can hit.  The grid is filled block by block, each block
     a run of whole rows of the result holding about ``_BLOCK_ENTRIES``
     entries: per-pair temporaries are block-sized and bool or the label
-    dtype (one byte below 128 blocks), and the grid itself is the only
+    dtype (one byte below 128 blocks), and the result itself is the only
     full-size array.
     """
     decs = [_decompose_elems(t.elems) if t else () for t in ts]
@@ -208,21 +212,37 @@ def parity_matrix(ss, ts, transposed: bool = False) -> np.ndarray:
                       dtype=np.intp, count=len(ss) * width)
     pos = pos.reshape(len(ss), width)
 
+    nrows, ncols = (len(ts), len(ss)) if transposed else (len(ss), len(ts))
+    out = np.empty((nrows, (ncols + 7) // 8 if packed else ncols),
+                   dtype=np.uint8)
+    step = rows_per_block(ncols)
     if not transposed:
-        out = np.empty((len(ss), len(ts)), dtype=np.uint8)
-        step = rows_per_block(len(ts))
-        for r in range(0, len(ss), step):
-            _fill_block(out[r:r + step], label, pos[r:r + step])
+        if packed:
+            part = np.empty((min(step, nrows), ncols), dtype=np.uint8)
+        for r in range(0, nrows, step):
+            rows = pos[r:r + step]
+            if packed:
+                grid = part[:len(rows)]
+                _fill_block(grid, label, rows)
+                out[r:r + step] = np.packbits(grid, axis=1)
+            else:
+                _fill_block(out[r:r + step], label, rows)
         return out
     # a block of rows of the transpose is a block of columns of the grid:
     # the label table's columns for those second coordinates
-    out = np.empty((len(ts), len(ss)), dtype=np.uint8)
-    step = rows_per_block(len(ss))
-    for r in range(0, len(ts), step):
+    part = np.empty((ncols, min(step, nrows)), dtype=np.uint8)
+    for r in range(0, nrows, step):
         cols = label[:, r:r + step]
-        part = np.empty((len(ss), cols.shape[1]), dtype=np.uint8)
-        _fill_block(part, cols, pos)
-        out[r:r + step] = part.T
+        grid = part[:, :cols.shape[1]]
+        _fill_block(grid, cols, pos)
+        if packed:
+            # packed along the rows of a row-major copy: packing the grid
+            # along its columns, or its transposed view, is about five
+            # times slower
+            out[r:r + step] = np.packbits(np.ascontiguousarray(grid.T),
+                                          axis=1)
+        else:
+            out[r:r + step] = grid.T
     return out
 
 

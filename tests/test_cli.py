@@ -253,9 +253,25 @@ class TestCompacta:
         finally:
             tracemalloc.stop()
         assert code == 0
-        # the 987 x 6718 grid is 6.3 MiB; rendering either text whole, as
-        # one str plus its copies, peaks at 49.6 MiB
+        # the 987 x 6718 grid is 6.3 MiB at one byte per entry; rendering
+        # either text whole, as one str plus its copies, peaks at 49.6 MiB
         assert peak < 24 * 2**20, peak
+
+    def test_matrix_export_holds_the_grid_at_one_bit(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        tracemalloc.start()
+        try:
+            code = cli.main(["compacta", "matrix", "--mode", "K",
+                             "--alpha", "w", "--rows", "14", "--cols", "14",
+                             "--pbm", str(tmp_path / "m.pbm")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # packed, the grid is 0.8 MiB; at one byte per entry the export
+        # peaks near 15 MiB
+        assert peak < 12 * 2**20, peak
 
     def test_matrix_pbm_file(self, run_cli, tmp_path):
         target = tmp_path / "m.pbm"

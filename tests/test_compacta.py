@@ -67,6 +67,20 @@ class TestMatrixConstruction:
             for j, s in enumerate(ml.cols):
                 assert ml.entries[i, j] == kernel.parity(s, t)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+    def test_grid_is_held_at_one_bit_per_entry(self, n):
+        firsts = list(schreier_sets_upto(5))
+        seconds = enumerate_members(SCHREIER_SQUARE, 6)
+        for m in (matrix_from_sets("K", firsts, seconds[:n]),
+                  matrix_from_sets("L", seconds, firsts[:n])):
+            assert m.bits.shape == (len(m.rows), (n + 7) // 8)
+            grid = m.entries
+            assert grid.dtype == np.uint8 and grid.shape == m.shape
+            for i, r in enumerate(m.rows):
+                for j, c in enumerate(m.cols):
+                    s, t = (r, c) if m.mode == "K" else (c, r)
+                    assert grid[i, j] == kernel.parity(s, t)
+
     def test_empty_row_and_column_are_all_ones(self):
         m = build_matrix("K", "w", All(), 5, 5)
         assert m.rows[0] == EMPTY and m.cols[0] == EMPTY
@@ -199,7 +213,7 @@ class TestInjectivity:
         rows = [0, 3, 1, 3, 0, 2, 1, 3] * 8 + list(range(len(m.rows)))
         m = ThetaMatrix(m.mode, m.alpha, m.index, m.row_bound, m.col_bound,
                         tuple(m.rows[i] for i in rows), m.cols,
-                        m.entries[rows])
+                        m.bits[rows])
         by_bytes = {}
         for i, row in enumerate(m.entries):
             by_bytes.setdefault(row.tobytes(), []).append(i)

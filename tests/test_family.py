@@ -84,6 +84,26 @@ class TestExpressionLanguage:
         assert format_family(Product(SCHREIER, SCHREIER)) == "S2"
         assert format_family(parse_family("prod(schreier, schreier)")) == "S2"
 
+    def test_nested_expressions_hash_their_fields_once(self):
+        calls = []
+
+        class Leaf:
+            def __hash__(self):
+                calls.append(1)
+                return 7
+
+        leaf = Leaf()
+        for node in (Product(leaf, SCHREIER), Restrict(leaf, Powers(2)),
+                     family.Derived(leaf)):
+            calls.clear()
+            fields = tuple(vars(node)[f] for f in node.__dataclass_fields__)
+            assert [hash(node) for _ in range(3)] == [hash(fields)] * 3
+            assert len(calls) == 1   # ``fields``: the node hashed it when built
+        for text in self.CANONICAL:
+            a, b = parse_family(text), parse_family(text)
+            assert a == b and hash(a) == hash(b)
+            assert hash(derivative(a)) == hash(derivative(b))
+
     def test_index_literals_are_normalized(self):
         assert format_index(parse_index("{2,1,1}")) == "{1,2}"
         assert format_index(parse_index("all")) == "all"

@@ -285,7 +285,34 @@ def test_parity_matrix_in_blocks_of_one_and_seven_rows(grid):
             # a block is ``rows`` whole rows of the result
             mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ts))
             assert np.array_equal(parity_matrix(ss, ts), want)
+            assert np.array_equal(parity_matrix(ss, ts, packed=True),
+                                  np.packbits(want, axis=1))
             mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ss))
             got = parity_matrix(ss, ts, transposed=True)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want.T)
+            got = parity_matrix(ss, ts, transposed=True, packed=True)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.packbits(want.T, axis=1))
+
+
+@pytest.fixture(scope="module")
+def s2_upto_14():
+    sets = family.enumerate_members(family.SCHREIER_SQUARE, 14)
+    assert len(sets) == 6718
+    return sets
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 6718])
+def test_packed_parity_matrix_is_the_packed_grid(s2_upto_14, n):
+    # ``n`` columns of the result, in both layouts: ``n`` second
+    # coordinates, then ``n`` first coordinates of the transpose
+    few = s2_upto_14[::700]
+    for ss, ts, transposed in ((few, s2_upto_14[:n], False),
+                               (s2_upto_14[:n], few, True)):
+        grid = parity_matrix(ss, ts, transposed=transposed)
+        got = parity_matrix(ss, ts, transposed=transposed, packed=True)
+        assert got.dtype == np.uint8
+        assert got.shape == (len(grid), (n + 7) // 8)
+        assert np.array_equal(got, np.packbits(grid, axis=1))
+        assert not np.unpackbits(got, axis=1)[:, n:].any()  # zero padding
