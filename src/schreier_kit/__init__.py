@@ -3,8 +3,9 @@ truncated 0/1 compacta, and exact-rational averaging identities."""
 
 from .averaging import (BlockAverage, CanonicalBlocks, ChainError, DeltaChain,
                         SeededBlocks, UnionFunctional, block_average,
-                        build_chain, cancellation_value, evaluate,
-                        evaluate_enumerated, self_pairing, union_functional)
+                        build_chain, cancellation_runs, cancellation_value,
+                        evaluate, evaluate_enumerated, self_pairing,
+                        union_functional)
 from .compacta import (InjectivityReport, ThetaMatrix, build_matrix,
                        distinguishing_search, injectivity_report,
                        matrix_from_sets, powers_witness, to_csv, to_pbm)

@@ -29,13 +29,20 @@ the FinSets of ``evaluate``.
 The structural checks of ``DeltaChain`` decide validity on every
 construction (its docstring says why they suffice).  They are local: each
 span is checked against its predecessor and the first against the level.
-So ``extend``, ``build_chain`` and ``cancellation_value`` check exactly one
+So ``extend``, ``build_chain`` and ``cancellation_runs`` check exactly one
 new span per step (``_next_span``), the same set of checks as rebuilding
-the chain: ``cancellation_value`` builds no chain for the extension, and
-``build_chain`` builds one, at the end.  The cancellation
-pairing is memoized on plain integer tuples ``(chain spans, extended spans)``: a
-one-step extension depends on m only through max(n, previous end, m), so
-a sweep meets the same few hundred keys again and again.
+the chain: ``cancellation_runs`` builds no chain for the extension, and
+``build_chain`` builds one, at the end.
+
+Both generators draw a block from max(n, previous end, m) alone, so a
+one-step extension depends on m only through that maximum.
+``cancellation_runs`` therefore pairs a run of consecutive m with equal
+blocks once: every m up to max(n, previous end) shares one run, and above
+it the canonical blocks change only at powers of two.  ``tree sweep``, the
+cancellation suite and ``cancellation_value`` (its one-m case) all go
+through it.  The pairing is memoized on plain integer tuples
+``(chain spans, extended spans)``, so a sweep meets the same few hundred
+keys again and again.
 """
 
 from __future__ import annotations
@@ -54,8 +61,9 @@ from .kernel import Decomposition, parity_matrix
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
-# keys kept by the cancellation memo: an uncapped verify suite asks it for at
-# most 1439 distinct keys, the bench's tree sweep for 330
+# keys kept by the cancellation memo, looked up once per run of equal
+# extensions: uncapped verify asks it for 853 distinct keys in 23,426
+# lookups, the bench's tree sweep for 330 keys in 4,314
 _SPAN_MEMO = 4096
 
 Span = tuple[int, int]  # a block [start, end] of consecutive integers
@@ -77,6 +85,9 @@ class CanonicalBlocks:
     The first start p_1 is the least power of two strictly above
     max(n, m_1); each later start is the least power of two strictly above
     both the previous block's end and the new chain element.
+
+    ``next_start(n, prev_end, m)`` depends on its arguments only through
+    max(n, prev_end, m); ``cancellation_runs`` relies on that contract.
     """
 
     def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
@@ -95,6 +106,10 @@ class SeededBlocks:
     hashing, so chains and their extensions are stable across runs; it is
     memoized on (seed, spread, level, floor), so a repeated key does not
     reseed a Random.
+
+    ``next_start(n, prev_end, m)`` depends on n, prev_end and m only
+    through the floor max(n, prev_end, m); ``cancellation_runs`` relies on
+    that contract.
     """
 
     seed: int
@@ -367,20 +382,49 @@ def self_pairing(chain: DeltaChain) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def cancellation_error(support: FinSet, m: int, value: Fraction) -> AssertionError:
+    """The error that a failed cancellation at ``support + m`` raises."""
+    return AssertionError(f"cancellation failed at {support} + {m}: got {value}")
+
+
 def cancellation_value(chain: DeltaChain, m: int,
                        generator: Optional[BlockGenerator] = None) -> Fraction:
     """Pair the extended chain's functional against the chain average minus
-    the extended average.  Exactly (-1)^k at depth k, and asserted so.
+    the extended average.  Exactly (-1)^k at depth k, and asserted so; the
+    one-m case of ``cancellation_runs``.
+    """
+    (_, value), = cancellation_runs(chain, m, m + 1, generator)
+    if value != (-1) ** chain.depth:
+        raise cancellation_error(chain.support, m, value)
+    return value
+
+
+def cancellation_runs(chain: DeltaChain, lo: int, stop: int,
+                      generator: Optional[BlockGenerator] = None
+                      ) -> Iterator[tuple[range, Fraction]]:
+    """The cancellation pairings for every m in [lo, stop), lazily, as
+    ``(run, value)`` pairs.  A run is a range of consecutive m whose
+    extensions draw the same block, and it is paired once.  By the
+    ``next_start`` contract every m up to max(level, last end) shares the
+    block of ``lo``, drawn and checked once by ``_next_span``; each m above
+    is drawn with every check ``extend`` makes.  The caller compares each
+    value with (-1)^k.
     """
     gen = generator if generator is not None else chain.generator
-    spans = chain.spans
-    span = _next_span(chain.level, chain.support.elems, spans, m, gen)
-    value = _cancellation_pairing(spans, spans + (span,))
-    k = chain.depth
-    if value != (-1) ** k:
-        raise AssertionError(
-            f"cancellation failed at {chain.support} + {m}: got {value}")
-    return value
+    level, elems, spans = chain.level, chain.support.elems, chain.spans
+    if not lo < stop:
+        return
+    # lo is checked before any range is built: range(True, 2) starts at 1
+    span = _next_span(level, elems, spans, lo, gen)
+    start = lo
+    m = max(lo, level, spans[-1][1] if spans else 0) + 1
+    while m < stop:
+        drawn = _next_span(level, elems, spans, m, gen)
+        if drawn != span:
+            yield range(start, m), _cancellation_pairing(spans, spans + (span,))
+            start, span = m, drawn
+        m += 1
+    yield range(start, stop), _cancellation_pairing(spans, spans + (span,))
 
 
 @lru_cache(maxsize=_SPAN_MEMO)

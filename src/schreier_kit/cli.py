@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import compacta, verify as verify_mod
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
+                        cancellation_error, cancellation_runs,
                         cancellation_value, union_functional)
 from .family import (enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
@@ -247,17 +248,18 @@ def _cmd_tree_sweep(args) -> int:
             itertools.combinations(range(1, args.support_max + 1), r)
             for r in sizes):
         s = FinSet(els)
+        sign = (-1) ** len(s)
         cases = 0
         bad: list[str] = []
         for gen in gens:
             chain = build_chain(args.n, s, gen)
-            for m in range(s.max_or_0 + 1, args.m_max + 1):
-                cases += 1
-                try:
-                    cancellation_value(chain, m)
-                except AssertionError as exc:
-                    bad.append(f"m={m} {gen.describe()}: {exc}")
-        sign = (-1) ** len(s)
+            for run, value in cancellation_runs(chain, s.max_or_0 + 1,
+                                                args.m_max + 1):
+                cases += len(run)
+                if value != sign:
+                    bad.extend(f"m={m} {gen.describe()}: "
+                               f"{cancellation_error(s, m, value)}"
+                               for m in run)
         _emit({"cases": cases, "failures": bad, "n": args.n,
                "ok": not bad, "s": _elems(s), "sign": sign})
         failed = failed or bool(bad)

@@ -707,17 +707,18 @@ def _suite_averaging_cancellation(cap):
     for n in range(1, 5):
         supports = [EMPTY] + _chain_supports(bound, n - 1)
         for s in supports:
+            want = (-1) ** len(s)
             for gen in gens:
                 chain = averaging.build_chain(n, s, gen)
-                for m in range(s.max_or_0 + 1, m_hi + 1):
-                    label = lambda: f"n={n} s={s} m={m} {gen.describe()}"
-                    try:
-                        got = averaging.cancellation_value(chain, m)
-                    except AssertionError as e:
-                        col.check(False, label, f"(-1)^{len(s)}", repr(e))
+                for run, got in averaging.cancellation_runs(
+                        chain, s.max_or_0 + 1, m_hi + 1):
+                    col.cases += len(run)
+                    if got == want:
                         continue
-                    want = Fraction(-1) ** len(s)
-                    col.check(got == want, label, want, got)
+                    for m in run:
+                        col.fail(lambda: f"n={n} s={s} m={m} {gen.describe()}",
+                                 f"(-1)^{len(s)}",
+                                 repr(averaging.cancellation_error(s, m, got)))
     return col
 
 

@@ -2,10 +2,11 @@
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 
-from schreier_kit import cli
+from schreier_kit import averaging, cli
 
 
 @pytest.fixture
@@ -19,3 +20,21 @@ def run_cli():
         return code, out.getvalue(), err.getvalue()
 
     return run
+
+
+@pytest.fixture
+def plant_pairing(monkeypatch):
+    """Make ``averaging._cancellation_pairing`` answer 1/3, a wrong value
+    at every depth, for the keys where ``wrong(spans, extended)``."""
+
+    def plant(wrong):
+        real = averaging._cancellation_pairing
+
+        def faulty(spans, extended):
+            if wrong(spans, extended):
+                return Fraction(1, 3)
+            return real(spans, extended)
+
+        monkeypatch.setattr(averaging, "_cancellation_pairing", faulty)
+
+    return plant

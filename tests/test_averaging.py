@@ -376,23 +376,27 @@ class TestSpanMemos:
             assert memo.cache_info().maxsize == averaging._SPAN_MEMO
 
     def test_a_sweep_goes_through_the_cancellation_memo(self):
-        # time-free guard: one miss per distinct (chain, extension) span pair
+        # time-free guard: one miss per distinct (chain, extension) span
+        # pair, and one lookup per run of consecutive m with equal extensions
         memo = averaging._cancellation_pairing
         memo.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["tree", "sweep", "--n", "3", "--seeds", "3"]) == 0
         gens = [CanonicalBlocks()] + [SeededBlocks(s) for s in range(1, 4)]
-        pairs, cases = set(), 0
+        pairs, runs, cases = set(), 0, 0
         for r in range(3):
             for els in itertools.combinations(range(1, 10), r):
                 for gen in gens:
                     chain = build_chain(3, FinSet(els), gen)
-                    for m in range(max(els, default=0) + 1, 13):
-                        pairs.add((chain.spans, chain.extend(m).spans))
-                        cases += 1
+                    ms = range(max(els, default=0) + 1, 13)
+                    extended = [chain.extend(m).spans for m in ms]
+                    pairs.update((chain.spans, ext) for ext in extended)
+                    runs += sum(1 for _ in itertools.groupby(extended))
+                    cases += len(ms)
         info = memo.cache_info()
-        assert info.misses == len(pairs)
-        assert info.hits == cases - len(pairs) > 0
+        assert info.misses == len(pairs) == 63
+        assert info.hits == runs - len(pairs) > 0
+        assert runs < cases
 
 
 @dataclass(frozen=True)
@@ -451,6 +455,34 @@ class TestSpanHelper:
                     chain.spans, chain.extend(m).spans)
                 assert cancellation_value(chain, m) == want
 
+    def test_runs_agree_with_the_per_m_route(self):
+        # m up to 70 passes max(level, last end) for most chains, so runs
+        # of several m above that floor are exercised as well as the floor run
+        joined_above_floor = 0
+        for level, support, gen in _grid():
+            chain = build_chain(level, support, gen)
+            if chain.depth == level:
+                continue
+            lo = support.max_or_0 + 1
+            floor = max(level, chain.spans[-1][1] if chain.spans else 0)
+            swept, blocks = [], []
+            for run, value in averaging.cancellation_runs(chain, lo, 71):
+                block = averaging._next_span(level, support.elems,
+                                             chain.spans, run.start, gen)
+                for m in run:
+                    assert averaging._next_span(level, support.elems,
+                                                chain.spans, m, gen) == block
+                    assert cancellation_value(chain, m) == value
+                    assert value == averaging._cancellation_pairing.__wrapped__(
+                        chain.spans, chain.extend(m).spans)
+                swept.extend(run)
+                blocks.append(block)
+                joined_above_floor += run.start > floor and len(run) > 1
+            assert swept == list(range(lo, 71))
+            # runs are maximal: neighbours draw different blocks
+            assert all(a != b for a, b in zip(blocks, blocks[1:]))
+        assert joined_above_floor > 100
+
     @pytest.mark.parametrize("flaw,level,support,message", [
         ("overlap", 3, FinSet((2, 5)), "increase strictly"),
         ("low first", 2, FinSet((3,)), "start above the level 2"),
@@ -469,6 +501,8 @@ class TestSpanHelper:
                 build_chain(level, support, rogue)
             with pytest.raises(ChainError, match=message):
                 cancellation_value(base, m, rogue)
+            with pytest.raises(ChainError, match=message):
+                list(averaging.cancellation_runs(base, m, m + 40, rogue))
 
     @pytest.mark.parametrize("level,support,m,message", [
         (3, FinSet((2, 5)), 5, "5 does not extend {2,5}"),
@@ -488,6 +522,9 @@ class TestSpanHelper:
         with pytest.raises(ChainError) as by_cancellation:
             cancellation_value(chain, m)
         assert str(by_cancellation.value) == str(by_extend.value)
+        with pytest.raises(ChainError) as by_runs:
+            list(averaging.cancellation_runs(chain, m, m + 40))
+        assert str(by_runs.value) == str(by_extend.value)
         assert message in str(by_extend.value)
 
     def test_a_sweep_builds_one_chain_per_chain_set_and_generator(

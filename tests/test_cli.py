@@ -1,6 +1,7 @@
 """The command-line surface: output bytes, exit codes, error routing."""
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from schreier_kit import cli, verify as verify_mod
+from schreier_kit import averaging, cli, verify as verify_mod
+from schreier_kit.averaging import CanonicalBlocks, SeededBlocks, build_chain
+from schreier_kit.finset import FinSet
 
 CSV_3X3 = (",,1,2,3,2 3\n"
            ",1,1,1,1,1\n"
@@ -315,6 +318,33 @@ class TestCompacta:
                        '[false,false,false,false]}\n')
 
 
+def loop_sweep(n, support_max, m_max, seeds):
+    """The lines of ``tree sweep`` by the per-m loop that the runs replace,
+    kept as a reference: one block and one pairing per m."""
+    gens = [CanonicalBlocks()] + [SeededBlocks(s) for s in range(1, seeds + 1)]
+    lines = []
+    for r in range(min(n, support_max + 1)):
+        for els in itertools.combinations(range(1, support_max + 1), r):
+            s = FinSet(els)
+            sign = (-1) ** len(s)
+            cases, bad = 0, []
+            for gen in gens:
+                chain = build_chain(n, s, gen)
+                for m in range(s.max_or_0 + 1, m_max + 1):
+                    cases += 1
+                    span = averaging._next_span(n, s.elems, chain.spans, m, gen)
+                    value = averaging._cancellation_pairing(
+                        chain.spans, chain.spans + (span,))
+                    if value != sign:
+                        bad.append(f"m={m} {gen.describe()}: cancellation "
+                                   f"failed at {s} + {m}: got {value}")
+            line = {"cases": cases, "failures": bad, "n": n, "ok": not bad,
+                    "s": list(els), "sign": sign}
+            lines.append(json.dumps(line, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
 class TestTree:
     def test_check_golden(self, run_cli):
         code, out, _ = run_cli(["tree", "check", "--n", "3", "--s", "{4,6}",
@@ -390,6 +420,43 @@ class TestTree:
         code, out, _ = run_cli(["tree", "sweep", "--n", "1", "--m-max",
                                 "1000000001"])
         assert (code, out) == (2, "")
+
+    def test_sweep_at_the_case_limit_runs_in_little_memory(self):
+        # a million values of m in one fresh process: the runs are drawn
+        # lazily, so the peak stays near the bare interpreter's.  A process
+        # spawned from this one may start with this one's peak as its
+        # ru_maxrss, so a small interpreter spawns the sweep and reports it.
+        spawner = ("import resource, subprocess, sys\n"
+                   "r = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE)\n"
+                   "peak = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                   "print(r.returncode, peak.ru_maxrss, r.stdout.decode(), "
+                   "end='')\n")
+        r = subprocess.run([sys.executable, "-c", spawner, sys.executable,
+                            "-m", "schreier_kit", "tree", "sweep", "--n", "1",
+                            "--m-max", "1000000"],
+                           capture_output=True, text=True)
+        code, peak_kb, out = r.stdout.split(" ", 2)
+        assert (code, r.stderr) == ("0", "")
+        assert out == ('{"cases":1000000,"failures":[],"n":1,"ok":true,'
+                       '"s":[],"sign":1}\n')
+        assert int(peak_kb) / 1024 < 60  # ru_maxrss is in kilobytes on Linux
+
+    @pytest.mark.parametrize("wrong", [
+        lambda spans, extended: extended == ((4, 7),),
+        lambda spans, extended: not spans,
+    ], ids=["one key", "every empty chain"])
+    def test_a_planted_pairing_fault_prints_the_per_m_lines(
+            self, run_cli, plant_pairing, wrong):
+        plant_pairing(wrong)
+        code, out, _ = run_cli(["tree", "sweep", "--n", "3", "--support-max",
+                                "5", "--m-max", "20", "--seeds", "2"])
+        assert code == 1
+        assert out == loop_sweep(3, 5, 20, 2)
+        # a failing run of several m prints one line per m
+        first = json.loads(out.splitlines()[0])
+        assert first["failures"][:3] == [
+            f"m={m} canonical: cancellation failed at ∅ + {m}: got 1/3"
+            for m in (1, 2, 3)]
 
     @pytest.mark.parametrize("flag", ["--seeds", "--support-max", "--m-max"])
     def test_sweep_rejects_negative_counts(self, run_cli, flag):

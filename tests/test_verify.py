@@ -10,6 +10,7 @@ import pytest
 
 from schreier_kit import averaging, compacta, ordinal, verify
 from schreier_kit.family import SCHREIER_SQUARE, member
+from schreier_kit.finset import EMPTY
 from schreier_kit.kernel import decompose, parity
 
 
@@ -257,12 +258,43 @@ def loop_convexity(cap):
     return col
 
 
+def loop_cancellation(cap):
+    col = verify._Collector()
+    bound = verify._eff(9, cap)
+    m_hi = verify._eff(12, cap)
+    seeds = verify._eff(100, cap)
+    gens = [averaging.CanonicalBlocks()]
+    gens += [averaging.SeededBlocks(seed) for seed in range(1, seeds + 1)]
+    empty_chain = averaging.build_chain(1, EMPTY)
+    base = averaging.evaluate(averaging.union_functional(empty_chain),
+                              averaging.block_average(empty_chain))
+    col.check(base == 1, lambda: "empty functional on empty average", 1, base)
+    for n in range(1, 5):
+        for s in [EMPTY] + verify._chain_supports(bound, n - 1):
+            for gen in gens:
+                chain = averaging.build_chain(n, s, gen)
+                for m in range(s.max_or_0 + 1, m_hi + 1):
+                    # one block and one pairing per m
+                    span = averaging._next_span(n, s.elems, chain.spans, m, gen)
+                    got = averaging._cancellation_pairing(
+                        chain.spans, chain.spans + (span,))
+                    if got == (-1) ** len(s):
+                        col.cases += 1
+                        continue
+                    e = AssertionError(
+                        f"cancellation failed at {s} + {m}: got {got}")
+                    col.check(False, lambda: f"n={n} s={s} m={m} "
+                              f"{gen.describe()}", f"(-1)^{len(s)}", repr(e))
+    return col
+
+
 LOOPS = {
     "ordinal.associativity": loop_associativity,
     "ordinal.left_distributivity": loop_distributivity,
     "ordinal.order_and_monotonicity": loop_order,
     "compacta.witness_separates": loop_witness_separates,
     "averaging.convexity": loop_convexity,
+    "averaging.cancellation_exact": loop_cancellation,
 }
 
 
@@ -386,3 +418,17 @@ def test_planted_weight_fault_matches_the_loop(monkeypatch, cap, bad):
     monkeypatch.setattr(averaging.BlockAverage, "explicit", faulty)
     report = assert_matches_loop("averaging.convexity", cap)
     assert report.failures
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@pytest.mark.parametrize("wrong", [
+    lambda spans, extended: extended == ((4, 7),),
+    lambda spans, extended: not spans,
+], ids=["one key", "every empty chain"])
+def test_planted_pairing_fault_matches_the_loop(plant_pairing, cap, wrong):
+    plant_pairing(wrong)
+    report = assert_matches_loop("averaging.cancellation_exact", cap)
+    assert len(report.failures) > 1
+    assert {"case": "n=1 s=∅ m=2 canonical", "expected": "(-1)^0",
+            "actual": "AssertionError('cancellation failed at ∅ + 2: got 1/3')"
+            } in report.failures
