@@ -46,8 +46,9 @@ for k in range(3):
     value = cancellation_value(prefix, 9 + k)
     print(f"depth {k}: difference pairing = {value}")
 
-# Any admissible block placement works, not just the dyadic one.  Seeded
-# generators draw reproducible random starts; the sign never moves.
+# Any admissible block placement works, not just the dyadic one.  A seeded
+# generator draws reproducible random starts, for the chain's blocks and for
+# the extension's new block alike; the sign never moves.
 seeded = build_chain(2, FinSet((3,)), SeededBlocks(7))
 print("seeded blocks:", [str(b) for b in seeded.blocks])
-print("seeded value:", cancellation_value(seeded, 6, SeededBlocks(41)))
+print("seeded value:", cancellation_value(seeded, 6))

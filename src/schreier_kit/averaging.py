@@ -61,6 +61,7 @@ from .kernel import Decomposition, parity_matrix
 
 _EXPLICIT_LIMIT = 200_000
 _DRAW_MEMO = 4096  # draws kept: uncapped verify asks for at most 2901 distinct ones
+_SPREAD = 8  # a seeded start lies in [floor + 1, floor + _SPREAD]
 # keys kept by the cancellation memo, looked up once per run of equal
 # extensions: uncapped verify asks it for 853 distinct keys in 23,426
 # lookups, the bench's tree sweep for 330 keys in 4,314
@@ -104,8 +105,8 @@ class SeededBlocks:
 
     The draw for level i depends only on (seed, i, floor), never on Python
     hashing, so chains and their extensions are stable across runs; it is
-    memoized on (seed, spread, level, floor), so a repeated key does not
-    reseed a Random.
+    memoized on that key, so a repeated key does not reseed a Random.  The
+    start lies in [floor + 1, floor + ``_SPREAD``].
 
     ``next_start(n, prev_end, m)`` depends on n, prev_end and m only
     through the floor max(n, prev_end, m); ``cancellation_runs`` relies on
@@ -113,19 +114,18 @@ class SeededBlocks:
     """
 
     seed: int
-    spread: int = 8
 
     def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
-        return _seeded_start(self.seed, self.spread, level, max(n, prev_end, m))
+        return _seeded_start(self.seed, level, max(n, prev_end, m))
 
     def describe(self) -> str:
         return f"seeded({self.seed})"
 
 
 @lru_cache(maxsize=_DRAW_MEMO)
-def _seeded_start(seed: int, spread: int, level: int, lo: int) -> int:
+def _seeded_start(seed: int, level: int, lo: int) -> int:
     rng = random.Random((seed * 1_000_003 + level) * 1_000_033 + lo)
-    return lo + 1 + rng.randrange(spread)
+    return lo + 1 + rng.randrange(_SPREAD)
 
 
 BlockGenerator = Union[CanonicalBlocks, SeededBlocks]
@@ -204,12 +204,12 @@ class DeltaChain:
         return DeltaChain(self.level, FinSet(self.support.elems[:j]),
                           self.spans[:j], self.generator)
 
-    def extend(self, m: int, generator: Optional[BlockGenerator] = None) -> "DeltaChain":
+    def extend(self, m: int) -> "DeltaChain":
         """Append the chain element m (m > max support) with a fresh block."""
-        gen = generator if generator is not None else self.generator
-        span = _next_span(self.level, self.support.elems, self.spans, m, gen)
+        span = _next_span(self.level, self.support.elems, self.spans, m,
+                          self.generator)
         return DeltaChain(self.level, FinSet(self.support.elems + (m,)),
-                          self.spans + (span,), gen)
+                          self.spans + (span,), self.generator)
 
 
 def _check_level(n: int) -> None:
@@ -387,21 +387,19 @@ def cancellation_error(support: FinSet, m: int, value: Fraction) -> AssertionErr
     return AssertionError(f"cancellation failed at {support} + {m}: got {value}")
 
 
-def cancellation_value(chain: DeltaChain, m: int,
-                       generator: Optional[BlockGenerator] = None) -> Fraction:
+def cancellation_value(chain: DeltaChain, m: int) -> Fraction:
     """Pair the extended chain's functional against the chain average minus
     the extended average.  Exactly (-1)^k at depth k, and asserted so; the
     one-m case of ``cancellation_runs``.
     """
-    (_, value), = cancellation_runs(chain, m, m + 1, generator)
+    (_, value), = cancellation_runs(chain, m, m + 1)
     if value != (-1) ** chain.depth:
         raise cancellation_error(chain.support, m, value)
     return value
 
 
-def cancellation_runs(chain: DeltaChain, lo: int, stop: int,
-                      generator: Optional[BlockGenerator] = None
-                      ) -> Iterator[tuple[range, Fraction]]:
+def cancellation_runs(chain: DeltaChain, lo: int,
+                      stop: int) -> Iterator[tuple[range, Fraction]]:
     """The cancellation pairings for every m in [lo, stop), lazily, as
     ``(run, value)`` pairs.  A run is a range of consecutive m whose
     extensions draw the same block, and it is paired once.  By the
@@ -410,8 +408,8 @@ def cancellation_runs(chain: DeltaChain, lo: int, stop: int,
     is drawn with every check ``extend`` makes.  The caller compares each
     value with (-1)^k.
     """
-    gen = generator if generator is not None else chain.generator
-    level, elems, spans = chain.level, chain.support.elems, chain.spans
+    level, elems, spans, gen = (chain.level, chain.support.elems,
+                                chain.spans, chain.generator)
     if not lo < stop:
         return
     # lo is checked before any range is built: range(True, 2) starts at 1

@@ -22,7 +22,7 @@ from typing import Optional
 from . import compacta, verify as verify_mod
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
                         cancellation_error, cancellation_runs,
-                        cancellation_value, union_functional)
+                        cancellation_value)
 from .family import (enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
                      rank_is_rule_derived)
@@ -218,8 +218,7 @@ def _cmd_tree_check(args) -> int:
     _emit({"chain": [_elems(b) for b in chain.blocks],
            "generator": gen.describe(), "m": args.m, "n": args.n,
            "s": _elems(chain.support),
-           "t0": _elems(union_functional(chain).support),
-           "t1": _elems(union_functional(extended).support),
+           "t0": _elems(chain.union()), "t1": _elems(extended.union()),
            "value": str(value)})
     return 0
 
@@ -232,15 +231,17 @@ def _cmd_tree_sweep(args) -> int:
     # chain sets are the subsets of [1..support_max] with fewer than n
     # elements; the empty one is always swept, so a bad level still fails
     sizes = range(min(max(args.n, 1), args.support_max + 1))
-    chains = sum(math.comb(args.support_max, r) for r in sizes) * (args.seeds + 1)
-    if chains > _SWEEP_LIMIT:
-        raise ValueError(f"the sweep would build {chains} chains, more than "
-                         f"the limit {_SWEEP_LIMIT}; lower --n, --support-max "
-                         "or --seeds")
+    # counted one size at a time, so a huge sweep stops after a few
+    # binomials; the refusals print no count, which may be too long to print
+    chains = 0
+    for r in sizes:
+        chains += math.comb(args.support_max, r) * (args.seeds + 1)
+        if chains > _SWEEP_LIMIT:
+            raise ValueError(f"the sweep would build more than {_SWEEP_LIMIT} "
+                             "chains; lower --n, --support-max or --seeds")
     if chains * args.m_max > _CASE_LIMIT:
-        raise ValueError(f"the sweep would check up to {chains * args.m_max} "
-                         f"cases, more than the limit {_CASE_LIMIT}; lower "
-                         "--m-max, --n, --support-max or --seeds")
+        raise ValueError(f"the sweep would check more than {_CASE_LIMIT} "
+                         "cases; lower --m-max, --n, --support-max or --seeds")
     gens = [CanonicalBlocks()]
     gens += [SeededBlocks(seed) for seed in range(1, args.seeds + 1)]
     failed = False
@@ -347,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     comp = top.add_parser("compacta", help="truncated 0/1 matrices")
     comp_sub = comp.add_subparsers(dest="command", required=True)
 
-    def _matrix_flags(q, rows_default=8, cols_default=8):
+    def _matrix_flags(q):
         q.add_argument("--mode", choices=("K", "L"), required=True)
         q.add_argument("--alpha", required=True,
                        help="family level: positive integer or 'w'")
         q.add_argument("--index", default="all",
                        help="index-set expression, default 'all'")
-        q.add_argument("--rows", type=_integer, default=rows_default,
+        q.add_argument("--rows", type=_integer, default=8,
                        help="row truncation bound")
-        q.add_argument("--cols", type=_integer, default=cols_default,
+        q.add_argument("--cols", type=_integer, default=8,
                        help="column truncation bound")
 
     p = comp_sub.add_parser("matrix", help="export a kernel matrix")

@@ -349,14 +349,8 @@ def base_family(alpha) -> FamilyExpr:
     raise ValueError(f"level must be an int >= 1 or {OMEGA_LEVEL!r}, got {alpha!r}")
 
 
-# Levels kept; uncapped verify asks for 13 distinct levels, the tests 7.
-_PRODUCT_MEMO = 64
-
-
-@lru_cache(maxsize=_PRODUCT_MEMO)
 def product_family(alpha) -> FamilyExpr:
-    """prod(schreier, cube(n,n)) for a natural level, S2 for the limit.
-    Built once per level: averaging asks for it for every chain it checks."""
+    """prod(schreier, cube(n,n)) for a natural level, S2 for the limit."""
     if alpha == OMEGA_LEVEL:
         return SCHREIER_SQUARE
     return Product(SCHREIER, base_family(alpha))

@@ -180,11 +180,13 @@ def parity_matrix(ss, ts, transposed: bool = False,
     more row of -1, ``miss``: the padding of a short s, and every element
     of s that is in no t, read that row.  So its size does not depend on
     how large the elements are.  Only positions below the deepest
-    decomposition can hit.  The grid is filled block by block, each block
-    a run of whole rows of the result holding about ``_BLOCK_ENTRIES``
-    entries: per-pair temporaries are block-sized and bool or the label
-    dtype (one byte below 128 blocks), and the result itself is the only
-    full-size array.
+    decomposition can hit.  One loop fills the result block by block, each
+    block a run of whole rows of the result holding about
+    ``_BLOCK_ENTRIES`` entries; in the transposed layout such a block is a
+    block of columns of the grid, filled from the label table's columns
+    for those second coordinates.  Per-pair temporaries are block-sized
+    and bool or the label dtype (one byte below 128 blocks), and the
+    result itself is the only full-size array.
     """
     decs = [_decompose_elems(t.elems) if t else () for t in ts]
     depth = max(map(len, decs), default=0)
@@ -216,33 +218,25 @@ def parity_matrix(ss, ts, transposed: bool = False,
     out = np.empty((nrows, (ncols + 7) // 8 if packed else ncols),
                    dtype=np.uint8)
     step = rows_per_block(ncols)
-    if not transposed:
-        if packed:
-            part = np.empty((min(step, nrows), ncols), dtype=np.uint8)
-        for r in range(0, nrows, step):
-            rows = pos[r:r + step]
-            if packed:
-                grid = part[:len(rows)]
-                _fill_block(grid, label, rows)
-                out[r:r + step] = np.packbits(grid, axis=1)
-            else:
-                _fill_block(out[r:r + step], label, rows)
-        return out
-    # a block of rows of the transpose is a block of columns of the grid:
-    # the label table's columns for those second coordinates
-    part = np.empty((ncols, min(step, nrows)), dtype=np.uint8)
+    if transposed:
+        part = np.empty((ncols, min(step, nrows)), dtype=np.uint8)
+    elif packed:
+        part = np.empty((min(step, nrows), ncols), dtype=np.uint8)
     for r in range(0, nrows, step):
-        cols = label[:, r:r + step]
-        grid = part[:, :cols.shape[1]]
-        _fill_block(grid, cols, pos)
-        if packed:
-            # packed along the rows of a row-major copy: packing the grid
-            # along its columns, or its transposed view, is about five
-            # times slower
-            out[r:r + step] = np.packbits(np.ascontiguousarray(grid.T),
-                                          axis=1)
+        dest = out[r:r + step]
+        if transposed:
+            grid = part[:, :len(dest)]
+            _fill_block(grid, label[:, r:r + step], pos)
+            grid = grid.T
         else:
-            out[r:r + step] = grid.T
+            grid = part[:len(dest)] if packed else dest
+            _fill_block(grid, label, pos[r:r + step])
+        if packed:
+            # packed along the rows of a row-major copy: packing a transposed
+            # view, or the grid along its columns, is about five times slower
+            dest[...] = np.packbits(np.ascontiguousarray(grid), axis=1)
+        elif grid is not dest:
+            dest[...] = grid
     return out
 
 

@@ -5,8 +5,8 @@ e1 > e2 > ... > er and integer coefficients ci >= 1.  The empty sum is 0.
 Arithmetic is the usual non-commutative ordinal arithmetic restricted to
 this carrier; it is closed under + and *.
 
-Values are interned and hashed by identity.  ``+`` and ``*`` keep LRU
-memos of ``_MEMO_SIZE`` entries; a product interns its result once.
+Values are interned and hashed by identity.  ``+`` keeps an LRU memo of
+``_MEMO_SIZE`` entries; a product interns its result once.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ class OrdinalSyntaxError(TextSyntaxError):
 # refers to it.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-# Entries in each memo.  The memos hold the only strong references to most
-# results: an evicted one leaves the table and is validated again when it is
-# rebuilt.  ``verify --max 8`` calls ``_add`` about 87,500 times, most of
-# them for the exponent sums of ``_mul``, and ``_mul`` 28,840 times; its
-# ordinal suites ask each distinct pair once.  At 1536 entries the memos
-# answer 52,621 and 293 of those calls, at 256 entries 43,558 and 1, at
-# 16,384 entries 56,071 and 5,352; six alternating runs of each size read
-# the same suite times within their noise (2-core VM).
+# Entries in the ``_add`` memo.  It holds the only strong references to
+# most sums: an evicted one leaves the table and is validated again when it
+# is rebuilt.  ``verify --max 8`` calls ``_add`` about 87,500 times, most of
+# them for the exponent sums of ``_mul``; at 1536 entries the memo answers
+# 52,621 of those calls, at 256 entries 43,558, at 16,384 entries 56,071;
+# six alternating runs of each size read the same suite times within their
+# noise (2-core VM).  ``_mul`` keeps no memo: its ordinal suites ask each
+# distinct pair once, and a memo of this size answered 293 of its 28,840
+# calls.
 _MEMO_SIZE = 1536
 
 
@@ -70,16 +71,6 @@ class Ordinal:
         if not isinstance(other, Ordinal):
             return NotImplemented
         return self is other or self.terms <= other.terms
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self is not other and self.terms > other.terms
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self is other or self.terms >= other.terms
 
     # -- constructors ------------------------------------------------------
 
@@ -189,7 +180,7 @@ def _validate(terms: tuple) -> None:
             raise ValueError(f"coefficient must be a positive int, got {c!r}")
         if type(e) is not Ordinal:
             raise ValueError(f"exponent must be an Ordinal, got {e!r}")
-        if prev is not None and not prev > e:
+        if prev is not None and not e < prev:
             raise ValueError("exponents must be strictly decreasing")
         prev = e
 
@@ -218,7 +209,7 @@ def _add(a: Ordinal, b: Ordinal) -> Ordinal:
     f = b.terms[0][0]
     # terms of a with exponent > f survive; one with exponent == f merges
     keep = 0
-    while keep < len(a.terms) and a.terms[keep][0] > f:
+    while keep < len(a.terms) and f < a.terms[keep][0]:
         keep += 1
     head = a.terms[:keep]
     if keep < len(a.terms) and a.terms[keep][0] is f:
@@ -227,7 +218,6 @@ def _add(a: Ordinal, b: Ordinal) -> Ordinal:
     return _intern(head + b.terms) if keep else b  # else b absorbs a
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """With a = w^e1*c1 + rest, a term w^f*d of b gives w^(e1+f)*d for f > 0
     and w^e1*(c1*d) + rest for f = 0.  Left addition is strictly monotone, so

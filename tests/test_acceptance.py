@@ -126,7 +126,8 @@ def test_A10_reports_and_matrices_are_byte_deterministic():
 
 # Small inputs that must not take seconds: each command runs in a fresh
 # process, with the answer it must print (stdout lines, or the one JSON
-# line's "member" field) and a budget several times its need.
+# line's "member" field), or the message of its exit-2 refusal, and a
+# budget several times its need.
 SMALL_INPUTS = [
     (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
       "--s", "{" + ",".join(map(str, range(2, 24))) + "}"], False),
@@ -136,6 +137,13 @@ SMALL_INPUTS = [
       "--s", "{" + ",".join(map(str, range(2, 23))) + "}"], False),
     (["fam", "enum", "prod(schreier, restrict(schreier, powers(2)))",
       "--max", "16"], 4774),
+    (["tree", "sweep", "--n", "15000", "--support-max", "15000"],
+     "error: the sweep would build more than 100000 chains; lower --n, "
+     "--support-max or --seeds\n"),
+    # more cases than an int of the interpreter's default limit prints
+    (["tree", "sweep", "--n", "1", "--m-max", "9" * 4300, "--seeds", "99999"],
+     "error: the sweep would check more than 1000000 cases; lower --m-max, "
+     "--n, --support-max or --seeds\n"),
 ]
 
 
@@ -147,10 +155,15 @@ def test_A11_small_inputs_answer_within_seconds():
                               capture_output=True, text=True, timeout=budget)
         wall = time.perf_counter() - start
         assert wall < budget, f"{argv} took {wall:.1f}s, budget {budget}s"
-        assert done.returncode == 0, (argv, done.stderr)
-        lines = done.stdout.splitlines()
-        got = json.loads(lines[0])["member"] if argv[1] == "member" else len(lines)
-        assert got == want, argv
+        if isinstance(want, str):
+            got = (done.returncode, done.stdout, done.stderr)
+            assert got == (2, "", want), argv[:2]
+        else:
+            assert done.returncode == 0, (argv, done.stderr)
+            lines = done.stdout.splitlines()
+            got = (json.loads(lines[0])["member"] if argv[1] == "member"
+                   else len(lines))
+            assert got == want, argv
         slowest = max(slowest, wall)
     print(f"A11 small inputs: PASS ({len(SMALL_INPUTS)} cases, "
           f"slowest {slowest:.2f}s)")

@@ -59,15 +59,15 @@ class TestBlockGenerators:
         for level in range(1, 4):
             for lo in (3, 9, 20):
                 p = g.next_start(2, lo, 2, level=level)
-                assert lo + 1 <= p <= lo + g.spread
+                assert lo + 1 <= p <= lo + averaging._SPREAD
         assert g.describe() == "seeded(7)"
 
     def test_seeded_draws_are_pinned(self):
-        # each draw reads (seed, spread, level, floor) and nothing else
+        # each draw reads (seed, level, floor) and nothing else
         c = build_chain(4, FinSet((2, 5, 9)), SeededBlocks(7))
         assert c.spans == ((12, 23), (26, 51), (53, 105))
-        c = build_chain(3, FinSet((1, 2, 3)), SeededBlocks(123456, spread=3))
-        assert c.spans == ((6, 11), (14, 27), (28, 55))
+        c = build_chain(3, FinSet((1, 2, 3)), SeededBlocks(123456))
+        assert c.spans == ((9, 17), (20, 39), (43, 85))
 
     def test_seeded_draws_are_reproducible(self):
         a = build_chain(3, FinSet((4, 6)), SeededBlocks(7))
@@ -272,7 +272,9 @@ class TestCancellation:
     def test_seeded_generators_satisfy_the_identity_too(self):
         base = build_chain(2, FinSet((3,)), SeededBlocks(11))
         for seed in range(5):
-            assert cancellation_value(base, 7, SeededBlocks(seed)) == -1
+            # the chain's blocks drawn by one seed, its extension by another
+            other = DeltaChain(2, base.support, base.spans, SeededBlocks(seed))
+            assert cancellation_value(other, 7) == -1
 
     def test_functional_recovers_chain_blocks(self):
         c = build_chain(2, FinSet((3, 5)))
@@ -492,17 +494,19 @@ class TestSpanHelper:
     def test_rogue_generators_are_refused_by_every_route(
             self, flaw, level, support, message):
         rogue = _RogueBlocks(flaw)
-        base = build_chain(level, FinSet(support.elems[:-1]))
+        # a valid chain whose extensions the rogue draws
+        valid = build_chain(level, FinSet(support.elems[:-1]))
+        base = DeltaChain(level, valid.support, valid.spans, rogue)
         m = support.max
         for _ in range(2):
             with pytest.raises(ChainError, match=message):
-                base.extend(m, rogue)
+                base.extend(m)
             with pytest.raises(ChainError, match=message):
                 build_chain(level, support, rogue)
             with pytest.raises(ChainError, match=message):
-                cancellation_value(base, m, rogue)
+                cancellation_value(base, m)
             with pytest.raises(ChainError, match=message):
-                list(averaging.cancellation_runs(base, m, m + 40, rogue))
+                list(averaging.cancellation_runs(base, m, m + 40))
 
     @pytest.mark.parametrize("level,support,m,message", [
         (3, FinSet((2, 5)), 5, "5 does not extend {2,5}"),

@@ -794,8 +794,8 @@ class TestConstructorHelpers:
         assert product_family(3) == Product(SCHREIER, Cube(3, 3))
         assert product_family("w") == SCHREIER_SQUARE
 
-    def test_product_family_is_built_once_per_level(self):
-        assert product_family(3) is product_family(3)
-        assert product_family(family.OMEGA_LEVEL) is SCHREIER_SQUARE
+    def test_product_family_per_level(self):
+        assert product_family(3) == product_family(3)
+        assert product_family(family.OMEGA_LEVEL) == SCHREIER_SQUARE
         with pytest.raises(ValueError):
             product_family(0)

@@ -319,7 +319,6 @@ class TestInterning:
     def test_memos_have_the_documented_size(self):
         assert ordinal._MEMO_SIZE == 1536
         assert ordinal._add.cache_info().maxsize == ordinal._MEMO_SIZE
-        assert ordinal._mul.cache_info().maxsize == ordinal._MEMO_SIZE
 
 
 def ordinals(max_depth: int = 2):
@@ -359,7 +358,6 @@ def test_random_pairs_are_comparable(a, b):
 @given(ordinals(), ordinals())
 def test_memoized_arithmetic_matches_the_uncached_implementation(a, b):
     assert a + b is ordinal._add.__wrapped__(a, b)
-    assert a * b is ordinal._mul.__wrapped__(a, b)
 
 
 def partial_sum_product(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -379,7 +377,6 @@ def partial_sum_product(a: Ordinal, b: Ordinal) -> Ordinal:
 @settings(derandomize=True, max_examples=300)
 @given(ordinals(), ordinals())
 def test_one_pass_product_matches_the_partial_sums(a, b):
-    assert ordinal._mul.__wrapped__(a, b) is partial_sum_product(a, b)
     assert a * b is partial_sum_product(a, b)
 
 
