@@ -34,15 +34,15 @@ new span per step (``_next_span``), the same set of checks as rebuilding
 the chain: ``cancellation_runs`` builds no chain for the extension, and
 ``build_chain`` builds one, at the end.
 
-Both generators draw a block from max(n, previous end, m) alone, so a
-one-step extension depends on m only through that maximum.
-``cancellation_runs`` therefore pairs a run of consecutive m with equal
-blocks once: every m up to max(n, previous end) shares one run, and above
-it the canonical blocks change only at powers of two.  ``tree sweep``, the
-cancellation suite and ``cancellation_value`` (its one-m case) all go
-through it.  The pairing is memoized on plain integer tuples
-``(chain spans, extended spans)``, so a sweep meets the same few hundred
-keys again and again.
+A generator is asked ``start_above(floor, depth)``, with the floor
+max(n, previous end, m), and reads nothing else, so a one-step extension
+depends on m only through the floor.  ``cancellation_runs`` therefore
+pairs a run of consecutive m with equal blocks once: every m up to
+max(n, previous end) shares one run, and above it the canonical blocks
+change only at powers of two.  ``tree sweep``, the cancellation suite and
+``cancellation_value`` (its one-m case) all go through it.  The pairing is
+memoized on plain integer tuples ``(chain spans, extended spans)``, so a
+sweep meets the same few hundred keys again and again.
 """
 
 from __future__ import annotations
@@ -81,19 +81,11 @@ class ChainError(ValueError):
 
 @dataclass(frozen=True)
 class CanonicalBlocks:
-    """Deterministic dyadic blocks [p, 2p-1].
+    """Deterministic dyadic blocks [p, 2p-1]: each start is the least power
+    of two strictly above the floor, whatever the depth."""
 
-    The first start p_1 is the least power of two strictly above
-    max(n, m_1); each later start is the least power of two strictly above
-    both the previous block's end and the new chain element.
-
-    ``next_start(n, prev_end, m)`` depends on its arguments only through
-    max(n, prev_end, m); ``cancellation_runs`` relies on that contract.
-    """
-
-    def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
-        # level is unused: canonical starts do not depend on the depth
-        return 1 << max(n, prev_end, m).bit_length()
+    def start_above(self, floor: int, depth: int) -> int:
+        return 1 << floor.bit_length()
 
     def describe(self) -> str:
         return "canonical"
@@ -103,32 +95,33 @@ class CanonicalBlocks:
 class SeededBlocks:
     """Random admissible blocks [c, 2c-1], reproducible from the seed alone.
 
-    The draw for level i depends only on (seed, i, floor), never on Python
+    The draw depends only on (seed, depth, floor), never on Python
     hashing, so chains and their extensions are stable across runs; it is
     memoized on that key, so a repeated key does not reseed a Random.  The
     start lies in [floor + 1, floor + ``_SPREAD``].
-
-    ``next_start(n, prev_end, m)`` depends on n, prev_end and m only
-    through the floor max(n, prev_end, m); ``cancellation_runs`` relies on
-    that contract.
     """
 
     seed: int
 
-    def next_start(self, n: int, prev_end: int, m: int, level: int = 0) -> int:
-        return _seeded_start(self.seed, level, max(n, prev_end, m))
+    def start_above(self, floor: int, depth: int) -> int:
+        return _seeded_start(self.seed, depth, floor)
 
     def describe(self) -> str:
         return f"seeded({self.seed})"
 
 
 @lru_cache(maxsize=_DRAW_MEMO)
-def _seeded_start(seed: int, level: int, lo: int) -> int:
-    rng = random.Random((seed * 1_000_003 + level) * 1_000_033 + lo)
-    return lo + 1 + rng.randrange(_SPREAD)
+def _seeded_start(seed: int, depth: int, floor: int) -> int:
+    rng = random.Random((seed * 1_000_003 + depth) * 1_000_033 + floor)
+    return floor + 1 + rng.randrange(_SPREAD)
 
 
 BlockGenerator = Union[CanonicalBlocks, SeededBlocks]
+
+
+def sweep_generators(seeds: int) -> list[BlockGenerator]:
+    """The generators a sweep runs: canonical, then seeds 1..``seeds``."""
+    return [CanonicalBlocks()] + [SeededBlocks(s) for s in range(1, seeds + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ def _next_span(level: int, support_elems: tuple[int, ...],
     if k + 1 > level:
         raise ChainError(f"level {level} admits chains of length <= {level}")
     prev_end = spans[-1][1] if spans else 0
-    p = gen.next_start(level, prev_end, m, level=k + 1)
+    p = gen.start_above(max(level, prev_end, m), k + 1)
     if type(p) is not int:
         raise ChainError(f"block ({p!r}, {2 * p - 1!r}) needs integer ends")
     if p < 1:
@@ -249,7 +242,7 @@ def build_chain(level: int, support: FinSet,
                 generator: BlockGenerator = CanonicalBlocks()) -> DeltaChain:
     """Blocks for every prefix of ``support``, drawn by ``generator``; the
     one ``DeltaChain`` built at the end checks the whole chain once."""
-    _check_level(level)  # first: the generators take the level as an int
+    _check_level(level)  # first: a generator's floor holds the level
     elems = support.elems
     spans: tuple[Span, ...] = ()
     for k, m in enumerate(elems):
@@ -402,11 +395,11 @@ def cancellation_runs(chain: DeltaChain, lo: int,
                       stop: int) -> Iterator[tuple[range, Fraction]]:
     """The cancellation pairings for every m in [lo, stop), lazily, as
     ``(run, value)`` pairs.  A run is a range of consecutive m whose
-    extensions draw the same block, and it is paired once.  By the
-    ``next_start`` contract every m up to max(level, last end) shares the
-    block of ``lo``, drawn and checked once by ``_next_span``; each m above
-    is drawn with every check ``extend`` makes.  The caller compares each
-    value with (-1)^k.
+    extensions draw the same block, and it is paired once.  A generator
+    reads only ``start_above(floor, depth)``, so every m up to max(level,
+    last end) shares the block of ``lo``, drawn and checked once by
+    ``_next_span``; each m above is drawn with every check ``extend`` makes.
+    The caller compares each value with (-1)^k.
     """
     level, elems, spans, gen = (chain.level, chain.support.elems,
                                 chain.spans, chain.generator)

@@ -22,7 +22,7 @@ from typing import Optional
 from . import compacta, verify as verify_mod
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
                         cancellation_error, cancellation_runs,
-                        cancellation_value)
+                        cancellation_value, sweep_generators)
 from .family import (enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
                      rank_is_rule_derived)
@@ -36,6 +36,8 @@ _SWEEP_LIMIT = 100_000
 # Most cases one ``tree sweep`` may check, bounded above by chains times
 # --m-max; the bench sweep's bound is 4,030 x 12 = 48,360.
 _CASE_LIMIT = 1_000_000
+# Most elements one ``tree check`` may print: the chain blocks, t0 and t1.
+_PRINT_LIMIT = 1_000_000
 
 
 def _emit(obj) -> None:
@@ -214,6 +216,13 @@ def _cmd_tree_check(args) -> int:
     gen = _generator_from(args.seed)
     chain = build_chain(args.n, FinSet.parse(args.s), gen)
     extended = chain.extend(args.m)
+    # blocks and t0 list the chain's spans, t1 the extension's; counted on
+    # the spans, before any block is built
+    printed = sum(2 * (b - a + 1) for a, b in chain.spans)
+    printed += sum(b - a + 1 for a, b in extended.spans)
+    if printed > _PRINT_LIMIT:
+        raise ValueError(f"tree check would print more than {_PRINT_LIMIT} "
+                         "elements; lower --m, --n or the elements of --s")
     value = cancellation_value(chain, args.m)
     _emit({"chain": [_elems(b) for b in chain.blocks],
            "generator": gen.describe(), "m": args.m, "n": args.n,
@@ -242,8 +251,7 @@ def _cmd_tree_sweep(args) -> int:
     if chains * args.m_max > _CASE_LIMIT:
         raise ValueError(f"the sweep would check more than {_CASE_LIMIT} "
                          "cases; lower --m-max, --n, --support-max or --seeds")
-    gens = [CanonicalBlocks()]
-    gens += [SeededBlocks(seed) for seed in range(1, args.seeds + 1)]
+    gens = sweep_generators(args.seeds)
     failed = False
     for els in itertools.chain.from_iterable(
             itertools.combinations(range(1, args.support_max + 1), r)

@@ -576,11 +576,10 @@ def extension_admissible(expr: FamilyExpr, s: FinSet, probe: int) -> bool:
     return _member(expr, s.elems + (probe,))
 
 
-def tail_threshold(expr: FamilyExpr, s: FinSet) -> int:
-    """A bound T so that for m1, m2 > max(max s, T), both in the family's
-    index set, appending m1 or m2 to s lands in the family equally.
-
-    T depends on the expression alone; ``s`` is not read."""
+def tail_threshold(expr: FamilyExpr) -> int:
+    """A bound T so that for every set s and m1, m2 > max(max s, T), both
+    in the family's index set, appending m1 or m2 to s lands in the family
+    equally."""
     return _tail_threshold(expr)
 
 
@@ -668,7 +667,7 @@ def is_maximal(expr: FamilyExpr, s: FinSet) -> bool:
     """No one-point superset of s stays in the family.  s must be a member."""
     if not member(expr, s):
         raise NotAMemberError(f"{s} is not a member")
-    hi = max(s.max_or_0, tail_threshold(expr, s))
+    hi = max(s.max_or_0, tail_threshold(expr))
     for m in range(1, hi + 1):
         if m not in s and _member(expr, tuple(sorted(s.elems + (m,)))):
             return False

@@ -75,23 +75,15 @@ class Ordinal:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Ordinal":
-        return _ZERO
-
-    @classmethod
     def nat(cls, n: int) -> "Ordinal":
         if n < 0:
             raise ValueError("natural expected")
-        return _ZERO if n == 0 else cls(((_ZERO, n),))
-
-    @classmethod
-    def omega(cls) -> "Ordinal":
-        return _OMEGA
+        return ZERO if n == 0 else cls(((ZERO, n),))
 
     @classmethod
     def omega_power(cls, e: "Ordinal", coeff: int = 1) -> "Ordinal":
         if coeff == 0:
-            return _ZERO
+            return ZERO
         return cls(((e, coeff),))
 
     # -- structure ---------------------------------------------------------
@@ -144,7 +136,7 @@ class Ordinal:
             if e.is_zero:
                 parts.append(str(c))
                 continue
-            base = "w" if e == _ONE else "w^" + _format_exponent(e)
+            base = "w" if e == ONE else "w^" + _format_exponent(e)
             parts.append(base + (f"*{c}" if c > 1 else ""))
         return "+".join(parts)
 
@@ -224,10 +216,10 @@ def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
     these parts only concatenate: the terms are built in one pass and
     interned once."""
     if not a.terms or not b.terms:
-        return _ZERO
+        return ZERO
     e1, c1 = a.terms[0]
-    terms = tuple([(_add(e1, f), d) for f, d in b.terms if f is not _ZERO])
-    if b.terms[-1][0] is _ZERO:
+    terms = tuple([(_add(e1, f), d) for f, d in b.terms if f is not ZERO])
+    if b.terms[-1][0] is ZERO:
         terms += ((e1, c1 * b.terms[-1][1]),) + a.terms[1:]
     return _intern(terms)
 
@@ -238,7 +230,7 @@ def _format_exponent(e: Ordinal) -> str:
         return str(e.as_nat())
     if len(e.terms) == 1 and e.terms[0][1] == 1:
         f = e.terms[0][0]
-        return "w" if f == _ONE else "w^" + _format_exponent(f)
+        return "w" if f == ONE else "w^" + _format_exponent(f)
     return "(" + str(e) + ")"
 
 
@@ -253,7 +245,7 @@ class _OrdParser(Scanner):
 
     def term(self) -> Ordinal:
         if self.take("w"):
-            e = self.exponent() if self.take("^") else _ONE
+            e = self.exponent() if self.take("^") else ONE
             return Ordinal.omega_power(e, self.nat() if self.take("*") else 1)
         if "0" <= self.peek() <= "9":
             return Ordinal.nat(self.nat())
@@ -265,7 +257,7 @@ class _OrdParser(Scanner):
             e = self.sum()
             self.expect(")")
         elif self.take("w"):
-            e = Ordinal.omega_power(self.exponent()) if self.take("^") else _OMEGA
+            e = Ordinal.omega_power(self.exponent()) if self.take("^") else OMEGA
         elif "0" <= self.peek() <= "9":
             e = Ordinal.nat(self.nat())
         else:
@@ -274,10 +266,6 @@ class _OrdParser(Scanner):
         return e
 
 
-_ZERO = Ordinal()
-_ONE = Ordinal.nat(1)
-_OMEGA = Ordinal(((_ONE, 1),))
-
-ZERO = _ZERO
-ONE = _ONE
-OMEGA = _OMEGA
+ZERO = Ordinal()
+ONE = Ordinal.nat(1)
+OMEGA = Ordinal(((ONE, 1),))

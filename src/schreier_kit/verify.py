@@ -27,7 +27,7 @@ from .family import (SCHREIER, SCHREIER_SQUARE, All, Cube, Powers, Restrict,
                      enumerate_members, member, member_by_composition_search,
                      product_family, tail_threshold)
 from .finset import EMPTY, FinSet, interval
-from .ordinal import Ordinal
+from .ordinal import ZERO, Ordinal
 from .kernel import NotInS2Error, decompose, inner, parity, parity_matrix
 
 _MAX_RECORDED_FAILURES = 20
@@ -93,8 +93,8 @@ def _members(expr, bound: int) -> tuple[FinSet, ...]:
 def _ordinal_corpus(cap: Optional[int] = None) -> list[Ordinal]:
     """Every normal form with exponents from {0,1,2}, coefficients 1..3,
     and at most three terms; the first ``max(4, 4 * cap)`` under a cap."""
-    exps = [Ordinal.zero(), Ordinal.nat(1), Ordinal.nat(2)]
-    out = [Ordinal.zero()]
+    exps = [ZERO, Ordinal.nat(1), Ordinal.nat(2)]
+    out = [ZERO]
     for r in (1, 2, 3):
         for es in itertools.combinations(sorted(exps, reverse=True), r):
             for cs in itertools.product((1, 2, 3), repeat=r):
@@ -317,9 +317,10 @@ def _suite_family_tail_uniformity(cap):
     for expr in _family_corpus():
         idx = family.effective_index(expr)
         step = family._stepper(expr)[1]
+        threshold = tail_threshold(expr)
         for elems in family._powerset(range(1, bound + 1)):
             s = FinSet(elems)
-            lo = max(s.max_or_0, tail_threshold(expr, s))
+            lo = max(s.max_or_0, threshold)
             probes = family.index_elements_between(idx, lo, horizon)
             # one step per probe from the state of s; a non-member s has no
             # member extension, the corpus being hereditary
@@ -670,8 +671,7 @@ def _suite_averaging_level_parity(cap):
     bound = _eff(7, cap)
     seeds = _eff(100, cap)
     col = _Collector()
-    gens = [averaging.CanonicalBlocks()]
-    gens += [averaging.SeededBlocks(seed) for seed in range(1, seeds + 1)]
+    gens = averaging.sweep_generators(seeds)
     supports = _chain_supports(bound, 4)
     for gen in gens:
         for s in supports:
@@ -692,8 +692,7 @@ def _suite_averaging_cancellation(cap):
     m_hi = _eff(12, cap)
     seeds = _eff(100, cap)
     col = _Collector()
-    gens = [averaging.CanonicalBlocks()]
-    gens += [averaging.SeededBlocks(seed) for seed in range(1, seeds + 1)]
+    gens = averaging.sweep_generators(seeds)
     empty_chain = averaging.build_chain(1, EMPTY)
     base = averaging.evaluate(averaging.union_functional(empty_chain),
                               averaging.block_average(empty_chain))
@@ -881,7 +880,21 @@ SUITES: dict[str, Callable] = {
     "cli.suite_coverage": _suite_cli_coverage,
 }
 
-EXPECTED_SUITES = tuple(SUITES)
+# the registry's names in order, spelled out so that the coverage suite
+# compares the registry with a list kept apart from it
+EXPECTED_SUITES = tuple("""
+ordinal.associativity ordinal.left_distributivity
+ordinal.order_and_monotonicity ordinal.parse_roundtrip
+finset.precedes_transitive finset.interval_structure family.hereditary
+family.tail_uniformity family.enumeration_agreement family.rank_consistency
+family.level_union kernel.decomposition_unique kernel.local_constancy
+kernel.sign_formula kernel.decompose_member_coherence
+compacta.witness_separates compacta.witness_matrix_injective
+compacta.matrix_determinism compacta.search_within_bound
+averaging.level_parity averaging.cancellation_exact averaging.parity_table
+averaging.evaluator_equivalence averaging.convexity cli.byte_determinism
+cli.suite_coverage
+""".split())
 
 
 def run_suite(name: str, cap: Optional[int] = None) -> VerifyReport:

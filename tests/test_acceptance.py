@@ -144,6 +144,14 @@ SMALL_INPUTS = [
     (["tree", "sweep", "--n", "1", "--m-max", "9" * 4300, "--seeds", "99999"],
      "error: the sweep would check more than 1000000 cases; lower --m-max, "
      "--n, --support-max or --seeds\n"),
+    # tree check prints its blocks, t0 and t1, about 3.2e9 elements each
+    (["tree", "check", "--n", "2", "--s", "{3}", "--m", "1000000000"],
+     "error: tree check would print more than 1000000 elements; lower --m, "
+     "--n or the elements of --s\n"),
+    (["tree", "check", "--n", "2", "--s", "{1000000000}",
+      "--m", "1000000001"],
+     "error: tree check would print more than 1000000 elements; lower --m, "
+     "--n or the elements of --s\n"),
 ]
 
 

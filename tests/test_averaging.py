@@ -39,27 +39,26 @@ from schreier_kit.kernel import Decomposition, decompose
 class TestBlockGenerators:
     def test_canonical_starts_are_the_next_power_of_two(self):
         g = CanonicalBlocks()
-        assert g.next_start(2, 0, 3) == 4
-        assert g.next_start(2, 7, 5) == 8
-        assert g.next_start(3, 15, 9) == 16
-        assert g.next_start(1, 0, 1) == 2
+        assert g.start_above(3, 1) == 4
+        assert g.start_above(7, 2) == 8
+        assert g.start_above(15, 3) == 16
+        assert g.start_above(1, 1) == 2
         assert g.describe() == "canonical"
 
     def test_canonical_start_matches_the_doubling_loop(self):
         g = CanonicalBlocks()
-        for lo in range(4097):
+        for floor in range(4097):
             p = 1
-            while p <= lo:
+            while p <= floor:
                 p *= 2
-            assert g.next_start(lo, 0, 0) == g.next_start(0, lo, 0) == p
-            assert g.next_start(0, 0, lo) == p
+            assert g.start_above(floor, 1) == g.start_above(floor, 4) == p
 
     def test_seeded_starts_stay_in_the_spread_window(self):
         g = SeededBlocks(7)
-        for level in range(1, 4):
-            for lo in (3, 9, 20):
-                p = g.next_start(2, lo, 2, level=level)
-                assert lo + 1 <= p <= lo + averaging._SPREAD
+        for depth in range(1, 4):
+            for floor in (3, 9, 20):
+                p = g.start_above(floor, depth)
+                assert floor + 1 <= p <= floor + averaging._SPREAD
         assert g.describe() == "seeded(7)"
 
     def test_seeded_draws_are_pinned(self):
@@ -407,12 +406,12 @@ class _RogueBlocks:
 
     flaw: str
 
-    def next_start(self, n, prev_end, m, level=0):
-        p = CanonicalBlocks().next_start(n, prev_end, m)
-        if self.flaw == "overlap" and prev_end:
-            return prev_end
-        if self.flaw == "low first" and not prev_end:
-            return n
+    def start_above(self, floor, depth):
+        p = CanonicalBlocks().start_above(floor, depth)
+        if self.flaw == "overlap" and depth > 1:
+            return floor
+        if self.flaw == "low first" and depth == 1:
+            return 1
         if self.flaw == "zero":
             return 0
         if self.flaw == "float":

@@ -285,6 +285,24 @@ class TestCompacta:
         assert target.read_text() == ("P1\n5 4\n1 1 1 1 1\n1 0 1 1 1\n"
                                       "1 1 0 1 0\n1 1 1 0 0\n")
 
+    def test_matrix_workload_matches_the_benchmark_golden(self, run_cli,
+                                                          tmp_path):
+        # the bench's matrix workload: matrix stdout, inject stdout, PBM file
+        golden = json.loads((Path(__file__).parents[1] / "bench"
+                             / "golden.json").read_text())["matrix"]
+        pbm = tmp_path / "matrix.pbm"
+        code, matrix, _ = run_cli(["compacta", "matrix", "--mode", "K",
+                                   "--alpha", "w", "--rows", "14", "--cols",
+                                   "14", "--pbm", str(pbm)])
+        assert code == 0
+        code, inject, _ = run_cli(["compacta", "inject", "--mode", "L",
+                                   "--alpha", "w", "--rows", "13", "--cols",
+                                   "13"])
+        assert code == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in
+                   (matrix.encode(), inject.encode(), pbm.read_bytes())]
+        assert digests == golden["sha256"]
+
     def test_witness_golden(self, run_cli):
         code, out, _ = run_cli(["compacta", "witness", "--s0", "{2,8}",
                                 "--s1", "{2,16}"])
@@ -467,6 +485,19 @@ class TestTree:
                                   "--m", "9"])
         assert code == 2 and out == ""
         assert err == "error: level 1 admits chains of length <= 1\n"
+
+    def test_check_output_is_bounded(self, run_cli):
+        # chain [4, 7] twice plus t1: 8 + 4 + 2^19 elements pass, and one
+        # more m doubles the new block past the limit
+        code, out, _ = run_cli(["tree", "check", "--n", "2", "--s", "{3}",
+                                "--m", str(2 ** 19 - 1)])
+        assert code == 0
+        assert len(json.loads(out)["t1"]) == 4 + 2 ** 19
+        refusal = ("error: tree check would print more than 1000000 "
+                   "elements; lower --m, --n or the elements of --s\n")
+        for argv in (["--n", "2", "--s", "{3}", "--m", str(2 ** 19)],
+                     ["--n", "1000000000", "--s", "{}", "--m", "1"]):
+            assert run_cli(["tree", "check", *argv]) == (2, "", refusal)
 
 
 class TestVerifyCommand:

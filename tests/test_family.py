@@ -736,15 +736,12 @@ class TestDerivatives:
 
 class TestTailBehavior:
     def test_thresholds(self):
-        assert tail_threshold(SCHREIER, EMPTY) == 1
-        assert tail_threshold(SCHREIER, FinSet((2, 3))) == 1
-        g2 = product_family(2)
-        assert tail_threshold(g2, EMPTY) == 2
-        assert tail_threshold(g2, FinSet((4, 5, 6, 7))) == 2
+        assert tail_threshold(SCHREIER) == 1
+        assert tail_threshold(product_family(2)) == 2
 
     def test_admissibility_is_uniform_beyond_the_threshold(self):
         s = FinSet((3, 5))
-        floor = max(tail_threshold(SCHREIER, s), s.max)
+        floor = max(tail_threshold(SCHREIER), s.max)
         probes = [extension_admissible(SCHREIER, s, m)
                   for m in range(floor + 1, floor + 10)]
         assert probes == [True] * 9

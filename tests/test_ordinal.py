@@ -245,7 +245,6 @@ class TestStructure:
 
     def test_constructors(self):
         assert Ordinal.nat(0) == ZERO
-        assert Ordinal.omega() == OMEGA
         assert Ordinal.omega_power(ONE) == OMEGA
         assert Ordinal.omega_power(o("2"), coeff=0) == ZERO
         assert str(Ordinal.omega_power(o("2"), coeff=3)) == "w^2*3"
@@ -277,8 +276,8 @@ class TestInterning:
         assert w2 is Ordinal.omega_power(Ordinal.nat(2)) + OMEGA * Ordinal.nat(3) + ONE
         assert w2 is Ordinal(((Ordinal.nat(2), 1), (ONE, 3), (ZERO, 1)))
         assert o("w^2") is OMEGA * OMEGA is Ordinal.omega_power(o("2"))
-        assert Ordinal() is ZERO is Ordinal.nat(0) is Ordinal.zero()
-        assert Ordinal(((ONE, 1),)) is OMEGA is Ordinal.omega()
+        assert Ordinal() is ZERO is Ordinal.nat(0)
+        assert Ordinal(((ONE, 1),)) is OMEGA
         assert o("w+1").predecessor() is OMEGA
 
     def test_copies_and_pickles_return_the_interned_object(self):
