@@ -383,31 +383,21 @@ def _member(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     return state is not None and _stepper(expr)[2](state)
 
 
-def _composition_minima(elems: tuple[int, ...], block_ok) -> Iterator[tuple[int, ...]]:
-    """Block-minima tuples of the consecutive-block compositions of elems
-    whose blocks all pass ``block_ok``; depth first, shortest first block
+def _compositions(elems: tuple[int, ...],
+                  block_ok) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The consecutive-block compositions of elems whose blocks all pass
+    ``block_ok``, as tuples of blocks; depth first, shortest first block
     first."""
-    def walk(i: int, mins: tuple[int, ...]):
+    def walk(i: int, blocks: tuple[tuple[int, ...], ...]):
         if i == len(elems):
-            yield mins
+            yield blocks
             return
         for j in range(i + 1, len(elems) + 1):
-            if block_ok(elems[i:j]):
-                yield from walk(j, mins + (elems[i],))
+            block = elems[i:j]
+            if block_ok(block):
+                yield from walk(j, blocks + (block,))
 
     return walk(0, ())
-
-
-def _composition_search(left: FamilyExpr, right: FamilyExpr,
-                        elems: tuple[int, ...], member_fn) -> bool:
-    """Exhaustive scan of the 2^(#t-1) consecutive-block compositions,
-    deciding block and minima membership with ``member_fn``."""
-    if not elems:
-        return True
-    if len(elems) > 24:
-        raise ValueError("composition search limited to 24 elements")
-    return any(member_fn(right, mins) for mins in
-               _composition_minima(elems, lambda b: member_fn(left, b)))
 
 
 def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
@@ -423,8 +413,13 @@ def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if isinstance(expr, Cube):
         return len(elems) <= expr.size and (not elems or elems[0] >= expr.floor)
     if isinstance(expr, Product):
-        return _composition_search(expr.left, expr.right, elems,
-                                   _member_exhaustive)
+        # exhaustive over the 2^(#elems-1) consecutive-block compositions
+        if len(elems) > 24:
+            raise ValueError("composition search limited to 24 elements")
+        return not elems or any(
+            _member_exhaustive(expr.right, tuple([b[0] for b in blocks]))
+            for blocks in _compositions(
+                elems, lambda b: _member_exhaustive(expr.left, b)))
     if isinstance(expr, Restrict):
         return (all(expr.index.contains(m) for m in elems)
                 and _member_exhaustive(expr.base, elems))

@@ -406,35 +406,18 @@ def _suite_family_level_union(cap):
 # ---------------------------------------------------------------------------
 
 
-def _valid_composition(blocks: list[tuple[int, ...]]) -> bool:
-    for i, b in enumerate(blocks):
-        final = i == len(blocks) - 1
-        if final:
-            if len(b) > b[0]:
-                return False
-        elif len(b) != b[0]:
-            return False
-    mins = [b[0] for b in blocks]
-    return len(mins) <= mins[0]
-
-
 def _suite_parity_decomposition_unique(cap):
     bound = _eff(12, cap)
     col = _Collector()
     for elems in family._powerset(range(1, bound + 1)):
         if not elems:
             continue
-        valid = []
-        n = len(elems)
-        for cuts in itertools.product((0, 1), repeat=n - 1):
-            blocks, start = [], 0
-            for i, c in enumerate(cuts, start=1):
-                if c:
-                    blocks.append(elems[start:i])
-                    start = i
-            blocks.append(elems[start:])
-            if _valid_composition(blocks):
-                valid.append(tuple(blocks))
+        # schreier blocks, every block before the last maximal, and the
+        # block minima schreier
+        valid = [bs for bs in family._compositions(
+                     elems, lambda b: len(b) <= b[0])
+                 if all(len(b) == b[0] for b in bs[:-1])
+                 and len(bs) <= bs[0][0]]
         is_member = member(SCHREIER_SQUARE, FinSet(elems))
         col.check(len(valid) == (1 if is_member else 0),
                   lambda: f"{FinSet(elems)}", "one composition iff member",

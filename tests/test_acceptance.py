@@ -125,16 +125,28 @@ def test_A10_reports_and_matrices_are_byte_deterministic():
 
 
 # Small inputs that must not take seconds: each command runs in a fresh
-# process, with the answer it must print (stdout lines, or the one JSON
-# line's "member" field), or the message of its exit-2 refusal, and a
-# budget several times its need.
+# process, with the answer it must print (stdout lines, or fields of the one
+# JSON line), or the message of its exit-2 refusal, and a budget several
+# times its need.
+E30 = 10**30
 SMALL_INPUTS = [
     (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
-      "--s", "{" + ",".join(map(str, range(2, 24))) + "}"], False),
+      "--s", "{" + ",".join(map(str, range(2, 24))) + "}"], {"member": False}),
     (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
-      "--s", "{" + ",".join(map(str, range(2, 28))) + "}"], False),
+      "--s", "{" + ",".join(map(str, range(2, 28))) + "}"], {"member": False}),
     (["fam", "member", "prod(schreier, restrict(cube(1,2), ap(2,2)))",
-      "--s", "{" + ",".join(map(str, range(2, 23))) + "}"], False),
+      "--s", "{" + ",".join(map(str, range(2, 23))) + "}"], {"member": False}),
+    # elements far past any scan or table
+    (["fam", "member", "schreier", "--s", f"{{3,{E30},{E30 + 1}}}"],
+     {"member": True}),
+    (["fam", "member", "prod(schreier, restrict(schreier, powers(2)))",
+      "--s", f"{{2,3,{2**100}}}"], {"member": True}),
+    (["theta", "eval", "--s", f"{{2,{E30}}}", "--t", f"{{2,3,{E30}}}"],
+     {"theta": 1, "inner": 2}),
+    (["theta", "decompose", "--t", f"{{2,{E30},{E30 + 1}}}"],
+     {"blocks": [[2, E30], [E30 + 1]]}),
+    (["compacta", "search", "--t0", "{2}", "--t1", f"{{{E30}}}"],
+     {"separator": [2]}),
     (["fam", "enum", "prod(schreier, restrict(schreier, powers(2)))",
       "--max", "16"], 4774),
     (["tree", "sweep", "--n", "15000", "--support-max", "15000"],
@@ -169,8 +181,8 @@ def test_A11_small_inputs_answer_within_seconds():
         else:
             assert done.returncode == 0, (argv, done.stderr)
             lines = done.stdout.splitlines()
-            got = (json.loads(lines[0])["member"] if argv[1] == "member"
-                   else len(lines))
+            got = ({key: json.loads(lines[0])[key] for key in want}
+                   if isinstance(want, dict) else len(lines))
             assert got == want, argv
         slowest = max(slowest, wall)
     print(f"A11 small inputs: PASS ({len(SMALL_INPUTS)} cases, "

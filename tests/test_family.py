@@ -504,8 +504,11 @@ class TestMembership:
         for right in (SCHREIER, Cube(1, 2)):
             expr = Product(left, right)
             for els in family._powerset(range(1, 9)):
-                assert family._member(expr, els) == family._composition_search(
-                    left, right, els, family._member), (format_family(right), els)
+                want = not els or any(
+                    family._member(right, mins) for mins in cut_compositions(
+                        els, lambda b: family._member(left, b)))
+                assert family._member(expr, els) == want, \
+                    (format_family(right), els)
 
     def test_fast_path_agrees_with_composition_search(self):
         targets = [SCHREIER_SQUARE, product_family(2),
@@ -558,7 +561,9 @@ def test_composition_walk_matches_cut_vectors(items, block_family):
     else:
         def ok(b):
             return member(block_family, FinSet(b))
-    got = list(family._composition_minima(elems, ok))
+    walked = list(family._compositions(elems, ok))
+    assert all(sum(blocks, ()) == elems for blocks in walked)
+    got = [tuple(b[0] for b in blocks) for blocks in walked]
     # equal lists: the same multiset, walked shortest first block first
     assert got == cut_compositions(elems, ok)
     if block_family is None:
@@ -566,7 +571,7 @@ def test_composition_walk_matches_cut_vectors(items, block_family):
 
 
 def test_composition_walk_of_the_empty_tuple():
-    assert list(family._composition_minima((), lambda b: False)) == [()]
+    assert list(family._compositions((), lambda b: False)) == [()]
 
 
 class TestEnumeration:

@@ -118,6 +118,27 @@ class TestDecomposition:
             Decomposition((FinSet((2, 3)), FinSet((4, 5, 6, 7)),
                            FinSet((8, 9, 10, 11, 12, 13, 14, 15)),))
 
+    def test_constructor_accepts_exactly_the_greedy_split(self):
+        # every composition of every nonempty subset of [1..10]; the
+        # constructor must refuse all but the splitter's
+        walked = 0
+        for elems in family._powerset(range(1, 11)):
+            if not elems:
+                continue
+            try:
+                want = kernel._decompose_elems(elems)
+            except NotInS2Error:
+                want = None
+            for blocks in family._compositions(elems, lambda b: True):
+                walked += 1
+                try:
+                    Decomposition(tuple(FinSet(b) for b in blocks))
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (blocks == want), blocks
+        assert walked == (3**10 - 1) // 2
+
 
 class TestKernelValues:
     def test_golden_pair(self):

@@ -76,13 +76,16 @@ class TestCollector:
         assert col.cases == 7 and len(col.failures) == 1
 
 
-def test_capped_run_matches_the_benchmark_golden():
+def test_capped_run_matches_the_benchmark_golden(run_cli):
+    # the bench's verify workload: stdout digest, suite order, case counts
     golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json")
                         .read_text())["verify"]
-    reports = verify.run_all(8)
-    assert {r.suite: r.cases for r in reports} == golden["cases"]
-    stdout = "".join(r.to_json() + "\n" for r in reports).encode()
-    assert hashlib.sha256(stdout).hexdigest() == golden["sha256"][0]
+    code, out, _ = run_cli(["verify", "--max", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"][0]
+    cases = [(r["suite"], r["cases"]) for r in map(json.loads,
+                                                    out.splitlines())]
+    assert cases == list(golden["cases"].items())
 
 
 class TestLocalConstancyGrid:
