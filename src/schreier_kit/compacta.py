@@ -7,13 +7,15 @@ or S2), both optionally restricted to an index set and truncated to
 roles, so each row is one kernel function of the second coordinate.
 
 Both modes fill the grid, one bit per entry, with one packed
-``kernel.parity_matrix`` call (L-mode asks for the transposed layout): a
-label table of the second coordinates' block indices is gathered once per
-position of the first coordinates, so no entry costs a Python call.  The
-fill works in blocks of a fixed number of entries, each packed as soon as
-it is filled, and the CSV and PBM writers render pieces of about a
-mebibyte, unpacking every block of rows into the one byte buffer of the
-export, with only the set labels formatted per row.  So the packed grid is
+``kernel.parity_matrix`` call (L-mode asks for the transposed layout):
+each packed row of the grid is XOR-ed together from a few rows of a packed
+incidence table, in both layouts by the same loop, so no entry costs a
+Python call or a byte of its own.  ``build_matrix`` refuses a grid of more
+than ``_GRID_LIMIT`` entries after enumerating its rows and columns and
+before filling it.  The fill works in blocks of a fixed number of bytes,
+and the CSV and PBM writers render pieces of about a mebibyte, unpacking
+every block of rows into the one byte buffer of the export, with only the
+set labels formatted per row.  So the packed grid is
 the only full-size array a matrix export holds: ``write`` sends the text
 out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.  The
 equal-row report compares packed rows: the padding bits are zero, so two
@@ -64,8 +66,19 @@ class ThetaMatrix:
         return np.unpackbits(self.bits, axis=1, count=len(self.cols))
 
 
+# The most entries a ``build_matrix`` grid may have: one GB packed, with
+# two bytes of CSV per entry.  The enumerations stop at 100,000 sets per
+# side, so every level-w grid fits: in fresh ``compacta inject`` processes
+# on a 2-core VM, the largest, K 23x18 and L 18x23 (75,025 x 90,897 =
+# 6.8e9 entries), take 2.6 and 2.7 s and peak at 921 and 943 MB.  At
+# level 2, K 447x18 (99,682 x 86,294 = 8.6e9) took 5.6 s and 1,132 MB.
+_GRID_LIMIT = 8 * 10**9
+
+
 def build_matrix(mode: str, alpha, index: IndexSet = All(),
                  row_bound: int = 8, col_bound: int = 8) -> ThetaMatrix:
+    """The ``mode`` matrix at level ``alpha`` over ``index``; refused with
+    a ValueError past ``_GRID_LIMIT`` entries, before any is filled."""
     if mode not in ("K", "L"):
         raise ValueError(f"mode must be 'K' or 'L', got {mode!r}")
     base = restricted(base_family(alpha), index)
@@ -76,6 +89,10 @@ def build_matrix(mode: str, alpha, index: IndexSet = All(),
     else:
         rows = enumerate_members(prod, row_bound)
         cols = enumerate_members(base, col_bound)
+    if len(rows) * len(cols) > _GRID_LIMIT:
+        raise ValueError(f"the matrix would have {len(rows)} x {len(cols)} "
+                         f"entries, more than {_GRID_LIMIT}; lower --rows "
+                         "or --cols")
     return _fill(mode, alpha, index, row_bound, col_bound, rows, cols)
 
 
@@ -286,7 +303,8 @@ def default_search_bound(t0: FinSet, t1: FinSet) -> int:
 
 
 # Candidate rows in the first grid of ``first_separators``; each later grid
-# takes twice as many, up to one fill block (``kernel.rows_per_block``).
+# takes twice as many, up to one block of its unpacked rows
+# (``kernel.rows_per_block``).
 _FIRST_ROWS = 32
 
 

@@ -13,20 +13,20 @@ with s = {m_0 < ... < m_k}.  Conventions: inner(empty, t) = 0 and
 inner(s, empty) = 0, so parity(empty, t) = parity(s, empty) = 1.
 
 ``inner``/``parity`` are the scalar oracle.  ``parity_matrix`` is the one
-fast path: it evaluates many pairs at once from a label table with a row
-per distinct element m of the second coordinates, where ``label[m, j]`` is
-the index of the block of the j-th second coordinate that holds m, or -1;
-an element of no second coordinate reads a row of -1.  Position i of a
-first coordinate s hits exactly when ``label[s_i, j] == i``, so one table
-gather per position, XOR-accumulated into a uint8 array, gives the parity
-of every pair.  The table's size depends on how many distinct elements
-there are, not on how large they are.  First coordinates may be FinSets or
-bare increasing element tuples (the picks of a block average, the
-candidate rows of a separator search), so a caller need not build a
-FinSet per row.  The grid is filled in blocks of a fixed number of
-entries, so it is the only array whose size grows with the number of
-pairs: one byte per entry, or one bit with ``packed``, where each block
-is ``np.packbits``-ed as soon as it is filled.
+fast path: it evaluates many pairs at once, one bit per pair.  s hits t
+at position i exactly when the pair (i, s_i) is a pair (i, m) with m in
+t's block i, and only positions below the deepest decomposition can hit.
+So one packed incidence table has a row per such pair of the second
+coordinates, whose bits run over the second coordinates in one layout
+and over the first in the other, and each row of the result is the
+packed all-ones row XOR-ed with the table rows its set picks.  Elements
+are numbered in order of first appearance, so the table's size depends
+on how many distinct elements there are, not on how large they are.
+First coordinates may be FinSets or bare increasing element tuples (the
+picks of a block average, the candidate rows of a separator search), so
+a caller need not build a FinSet per row.  The grid is filled packed, in
+blocks of a fixed number of bytes, so it is the only array whose size
+grows with the number of pairs; unpacked, it is unpacked at the end.
 
 ``decompose`` is memoized (``_DECOMPOSE_MEMO`` entries): a ``Decomposition``
 is frozen, so a repeated second coordinate shares one, and a refused set
@@ -162,14 +162,14 @@ def dependency_radius(fixed: FinSet) -> int:
     return fixed.max
 
 
-# Entries per block of a ``parity_matrix`` fill: the gather and compare
-# temporaries hold one block, however large the grid.
-_BLOCK_ENTRIES = 1 << 18
+# Bytes per block of a ``parity_matrix`` fill: the gather buffer holds one
+# block of packed rows, however large the grid.
+_BLOCK_BYTES = 1 << 18
 
 
 def rows_per_block(width: int) -> int:
-    """Rows of ``width`` entries each that make one fill block (at least one)."""
-    return max(1, _BLOCK_ENTRIES // max(1, width))
+    """Rows of ``width`` bytes each that make one block (at least one)."""
+    return max(1, _BLOCK_BYTES // max(1, width))
 
 
 def parity_matrix(ss, ts, transposed: bool = False,
@@ -181,76 +181,123 @@ def parity_matrix(ss, ts, transposed: bool = False,
     the increasing tuple of its elements; every ts[j] must be empty or
     decompose.
 
-    The label table has a row for each distinct element of the ts and one
-    more row of -1, ``miss``: the padding of a short s, and every element
-    of s that is in no t, read that row.  So its size does not depend on
-    how large the elements are.  Only positions below the deepest
-    decomposition can hit.  One loop fills the result block by block, each
-    block a run of whole rows of the result holding about
-    ``_BLOCK_ENTRIES`` entries; in the transposed layout such a block is a
-    block of columns of the grid, filled from the label table's columns
-    for those second coordinates.  Per-pair temporaries are block-sized
-    and bool or the label dtype (one byte below 128 blocks), and the
-    result itself is the only full-size array.
+    The result is filled packed, and each of its rows is the packed
+    all-ones row XOR-ed with a few rows of one packed incidence table,
+    picked by an index array (see ``_incidence``).  One loop serves both
+    layouts: for each block of about ``_BLOCK_BYTES`` bytes of result
+    rows, and each row of the index array that picks a nonzero table row
+    there, it gathers the picked table rows into a reused block-sized
+    buffer and XORs that into the block in place.  So the table, the
+    index array and one block are all the fill holds besides the result,
+    which is the only array whose size grows with the number of pairs.
+    Unpacked, the result is unpacked once at the end.
     """
-    decs = [_decompose_elems(t.elems) if t else () for t in ts]
-    depth = max(map(len, decs), default=0)
-    # every element of every t, in order: the blocks of each t in order
-    values = list(chain.from_iterable(t.elems for t in ts))
-    # label row of each distinct element, in order of first appearance
-    row = {m: k for k, m in enumerate(dict.fromkeys(values))}
-    miss = len(row)
-    dtype = np.min_scalar_type(-depth - 1)
-    label = np.full((miss + 1, len(ts)), -1, dtype=dtype)
-    sizes = np.fromiter(map(len, chain.from_iterable(decs)), dtype=np.intp)
-    block = np.fromiter(chain.from_iterable(map(range, map(len, decs))),
-                        dtype=dtype, count=len(sizes))
-    col = np.repeat(np.arange(len(ts)),
-                    np.fromiter(map(len, ts), dtype=np.intp, count=len(ts)))
-    label[np.fromiter(map(row.__getitem__, values), dtype=np.intp,
-                      count=len(values)), col] = np.repeat(block, sizes)
-
-    heads = [s if type(s) is tuple else s.elems for s in ss]
-    width = min(depth, max(map(len, heads), default=0))
-    # each head cut or padded to the width, mapped to label rows in one pass
-    pad = (None,) * width
-    flat = chain.from_iterable(h[:width] + pad[len(h):] for h in heads)
-    pos = np.fromiter(map(row.get, flat, repeat(miss)),
-                      dtype=np.intp, count=len(ss) * width)
-    pos = pos.reshape(len(ss), width)
-
-    nrows, ncols = (len(ts), len(ss)) if transposed else (len(ss), len(ts))
-    out = np.empty((nrows, (ncols + 7) // 8 if packed else ncols),
-                   dtype=np.uint8)
-    step = rows_per_block(ncols)
-    if transposed:
-        part = np.empty((ncols, min(step, nrows)), dtype=np.uint8)
-    elif packed:
-        part = np.empty((min(step, nrows), ncols), dtype=np.uint8)
+    table, index, ncols = _incidence(ss, ts, transposed)
+    nrows, nbytes = index.shape[1], table.shape[1]
+    out = np.empty((nrows, nbytes), dtype=np.uint8)
+    ones = np.packbits(np.ones(ncols, dtype=np.uint8))
+    step = rows_per_block(nbytes)
+    buf = np.empty((min(step, nrows), nbytes), dtype=np.uint8)
     for r in range(0, nrows, step):
         dest = out[r:r + step]
-        if transposed:
-            grid = part[:, :len(dest)]
-            _fill_block(grid, label[:, r:r + step], pos)
-            grid = grid.T
-        else:
-            grid = part[:len(dest)] if packed else dest
-            _fill_block(grid, label, pos[r:r + step])
-        if packed:
-            # packed along the rows of a row-major copy: packing a transposed
-            # view, or the grid along its columns, is about five times slower
-            dest[...] = np.packbits(np.ascontiguousarray(grid), axis=1)
-        elif grid is not dest:
-            dest[...] = grid
+        part = buf[:len(dest)]
+        dest[...] = ones
+        for picks in index[:, r:r + step]:
+            if picks.sum():  # row 0 is zero: the XOR would change nothing
+                # "clip" takes the indices as they are; "raise" buffers ``out``
+                np.take(table, picks, axis=0, out=part, mode="clip")
+                dest ^= part
+    return out if packed else np.unpackbits(out, axis=1, count=ncols)
+
+
+def _incidence(ss, ts, transposed: bool):
+    """The packed incidence table, the index array (a column per result
+    row) and the number of result columns of a ``parity_matrix`` fill.
+
+    Only positions i below ``width``, the deepest decomposition or the
+    longest s if that is shorter, can hit, and parity(s, t) is 1 XOR the
+    XOR over those i of [s_i in t's block i].  So the table has a row for
+    each pair (i, m) of an element m of a block i of some t, numbered from
+    1, and row 0 is all zero.  Untransposed, row (i, m) has bit j set when
+    m lies in block i of ts[j], and the index column of s picks the row of
+    (i, s_i) for each i, or row 0.  Transposed, row (i, m) has bit k set
+    when the i-th element of ss[k] is m, and the index column of t picks
+    the row of each of its pairs, padded with row 0.  Elements are
+    numbered in order of first appearance, so no array grows with how
+    large they are.
+    """
+    decs = [_decompose_elems(t.elems) if t else () for t in ts]
+    heads = [s if type(s) is tuple else s.elems for s in ss]
+    depth = max(map(len, decs), default=0)
+    width = min(depth, max(map(len, heads), default=0))
+    # the blocks from the width on can never hit
+    cut = decs if width == depth else [d[:width] for d in decs]
+    number = {m: k for k, m in enumerate(
+        dict.fromkeys(chain.from_iterable(chain.from_iterable(cut))))}
+    # ``trow`` holds the keys of the ts' pairs, then their table rows
+    trow, starts, counts = _pairs(cut, number, width)
+    # table rows numbered by key; the padding of a short s, and an element
+    # of no t, read the key of number ``len(number)``, which no t has
+    hit = np.zeros((len(number) + 1) * width, dtype=bool)
+    hit[trow] = True
+    keys = np.flatnonzero(hit)
+    row = np.zeros(len(hit), dtype=np.intp)
+    row[keys] = np.arange(1, len(keys) + 1)
+    trow = row[trow]
+    pad = (None,) * width
+    flat = chain.from_iterable(h[:width] + pad[len(h):] for h in heads)
+    skey = np.fromiter(map(number.get, flat, repeat(len(number))),
+                       dtype=np.intp, count=len(ss) * width)
+    srow = row[skey.reshape(len(ss), width) * width + np.arange(width)]
+    if not transposed:
+        table = _packed_rows(len(keys) + 1, trow, counts)
+        # a C-order copy, so that each index row is contiguous
+        return table, srow.T.copy(), len(ts)
+    index = np.zeros((counts.max(initial=0), len(ts)), dtype=np.intp)
+    for c in range(len(index)):
+        have = np.flatnonzero(counts > c)
+        index[c, have] = trow[starts[have] + c]
+    table = _packed_rows(len(keys) + 1, srow[srow > 0],
+                         np.count_nonzero(srow, axis=1))
+    return table, index, len(ss)
+
+
+def _pairs(cut, number, width: int):
+    """The key number(m) * width + i of the pair (i, m) of each element m
+    of each block i of each ``cut[j]``, in order, and for each j where its
+    pairs start and how many there are."""
+    nblocks = np.fromiter(map(len, cut), dtype=np.intp, count=len(cut))
+    sizes = np.fromiter(map(len, chain.from_iterable(cut)), dtype=np.intp,
+                        count=int(nblocks.sum()))
+    pos = np.fromiter(chain.from_iterable(map(range, nblocks.tolist())),
+                      dtype=np.intp, count=len(sizes))
+    key = np.fromiter(
+        map(number.__getitem__, chain.from_iterable(chain.from_iterable(cut))),
+        dtype=np.intp, count=int(sizes.sum()))
+    key *= width
+    key += np.repeat(pos, sizes)
+    # elements through each block, and blocks through each j
+    through = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=through[1:])
+    edge = np.cumsum(nblocks)
+    starts = through[edge - nblocks]
+    return key, starts, through[edge] - starts
+
+
+def _packed_rows(nrows: int, rows: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """``nrows`` packed rows of ``len(counts)`` bits, where ``rows`` runs
+    column by column: bit j is set in the next ``counts[j]`` rows, which
+    differ, and every other bit is zero."""
+    out = np.zeros((nrows, (len(counts) + 7) // 8), dtype=np.uint8)
+    for b in range(min(8, len(counts))):
+        # columns b, b + 8, ... are bit b of bytes 0, 1, ...: no byte twice
+        mine = np.zeros(len(counts), dtype=bool)
+        mine[b::8] = True
+        picked = counts[b::8]
+        out[rows[np.repeat(mine, counts)],
+            np.repeat(np.arange(len(picked)), picked)] |= 0x80 >> b
     return out
-
-
-def _fill_block(dest: np.ndarray, label: np.ndarray, pos: np.ndarray) -> None:
-    """``dest[a, b]`` = the parity of position row ``pos[a]`` against
-    label column ``label[:, b]``."""
-    dest[...] = 1
-    for i in range(pos.shape[1]):
-        dest ^= label[pos[:, i]] == i
 
 
 # No caller in the package; kept while bench/tracer.py TARGETS name it.

@@ -164,6 +164,14 @@ SMALL_INPUTS = [
       "--m", "1000000001"],
      "error: tree check would print more than 1000000 elements; lower --m, "
      "--n or the elements of --s\n"),
+    # a transposed grid of 8.4e8 entries, filled as packed rows
+    (["compacta", "inject", "--mode", "L", "--alpha", "w",
+      "--rows", "17", "--cols", "20"], {"all_distinct": True}),
+    # 8.6e9 entries, refused after both enumerations and before the fill
+    (["compacta", "inject", "--mode", "K", "--alpha", "2",
+      "--rows", "447", "--cols", "18"],
+     "error: the matrix would have 99682 x 86294 entries, more than "
+     "8000000000; lower --rows or --cols\n"),
 ]
 
 

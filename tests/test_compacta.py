@@ -139,8 +139,10 @@ class TestSmallBlocks:
 
     @staticmethod
     def shrink(monkeypatch, rows, width):
-        # both sizes are per block, for a grid of ``width`` columns
-        monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", rows * max(width, 1))
+        # both sizes are per block, for a grid of ``width`` columns: a fill
+        # block holds packed rows, a text piece two bytes per entry
+        nbytes = max((width + 7) // 8, 1)
+        monkeypatch.setattr(kernel, "_BLOCK_BYTES", rows * nbytes)
         monkeypatch.setattr(compacta, "_PIECE_BYTES", rows * max(2 * width, 1))
 
     @staticmethod

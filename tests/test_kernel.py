@@ -6,6 +6,7 @@ and membership coherence are then statements about that enumeration.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,6 +297,13 @@ def test_parity_matrix_does_not_grow_with_the_elements():
                                         transposed=True), want.T)
 
 
+def shrink(mp, rows, ncols):
+    """Make a fill block ``rows`` packed rows of ``ncols`` bits."""
+    nbytes = (ncols + 7) // 8
+    mp.setattr(kernel, "_BLOCK_BYTES", rows * max(nbytes, 1))
+    assert kernel.rows_per_block(nbytes) == rows
+
+
 @settings(derandomize=True, max_examples=100)
 @given(kernel_grids())
 def test_parity_matrix_in_blocks_of_one_and_seven_rows(grid):
@@ -303,12 +311,12 @@ def test_parity_matrix_in_blocks_of_one_and_seven_rows(grid):
     want = np.array([[parity(s, t) for t in ts] for s in ss], dtype=np.uint8)
     for rows in (1, 7):
         with pytest.MonkeyPatch.context() as mp:
-            # a block is ``rows`` whole rows of the result
-            mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ts))
+            # a block is ``rows`` whole packed rows of the result
+            shrink(mp, rows, len(ts))
             assert np.array_equal(parity_matrix(ss, ts), want)
             assert np.array_equal(parity_matrix(ss, ts, packed=True),
                                   np.packbits(want, axis=1))
-            mp.setattr(kernel, "_BLOCK_ENTRIES", rows * len(ss))
+            shrink(mp, rows, len(ss))
             got = parity_matrix(ss, ts, transposed=True)
             assert got.flags.c_contiguous
             assert np.array_equal(got, want.T)
@@ -337,3 +345,24 @@ def test_packed_parity_matrix_is_the_packed_grid(s2_upto_14, n):
         assert got.shape == (len(grid), (n + 7) // 8)
         assert np.array_equal(got, np.packbits(grid, axis=1))
         assert not np.unpackbits(got, axis=1)[:, n:].any()  # zero padding
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
+    # the result is the only full-size array of a fill: besides it, the
+    # traced peak holds the incidence table, its index array and one block
+    # of result rows, plus small objects such as the packed all-ones row
+    ss = family.enumerate_members(family.SCHREIER, 14)
+    parity_matrix(ss, s2_upto_14)  # decompositions are memoized
+    table, index, _ = kernel._incidence(ss, s2_upto_14, transposed)
+    nbytes = table.shape[1]
+    block = min(kernel.rows_per_block(nbytes), index.shape[1]) * nbytes
+    tracemalloc.start()
+    try:
+        got = parity_matrix(ss, s2_upto_14, transposed=transposed,
+                            packed=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = table.nbytes + index.nbytes + block + (16 << 10)
+    assert peak <= got.nbytes + bound
