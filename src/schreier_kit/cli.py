@@ -40,8 +40,11 @@ _CASE_LIMIT = 1_000_000
 _PRINT_LIMIT = 1_000_000
 
 
+_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_json(obj))
 
 
 def _elems(s: FinSet) -> list[int]:
@@ -160,12 +163,16 @@ def _cmd_compacta_matrix(args) -> int:
         with open(args.pbm, "w") as fh:
             compacta.write(m, "pbm", fh)
     if args.format == "json":
-        _emit({"alpha": str(m.alpha), "col_bound": m.col_bound,
-               "cols": [_elems(c) for c in m.cols],
-               "entries": m.entries.tolist(),
-               "index": format_index(m.index), "mode": m.mode,
-               "row_bound": m.row_bound,
-               "rows": [_elems(r) for r in m.rows]})
+        # the ``_emit`` line, with the grid streamed between the keys that
+        # sort before "entries" and those after it
+        head = _json({"alpha": str(m.alpha), "col_bound": m.col_bound,
+                      "cols": [_elems(c) for c in m.cols]})
+        sys.stdout.write(head[:-1] + ',"entries":')
+        compacta.write(m, "json", sys.stdout)
+        tail = _json({"index": format_index(m.index), "mode": m.mode,
+                      "row_bound": m.row_bound,
+                      "rows": [_elems(r) for r in m.rows]})
+        sys.stdout.write("," + tail[1:] + "\n")
     else:
         compacta.write(m, "csv", sys.stdout)
     return 0

@@ -13,13 +13,14 @@ incidence table, in both layouts by the same loop, so no entry costs a
 Python call or a byte of its own.  ``build_matrix`` refuses a grid of more
 than ``_GRID_LIMIT`` entries after enumerating its rows and columns and
 before filling it.  The fill works in blocks of a fixed number of bytes,
-and the CSV and PBM writers render pieces of about a mebibyte, unpacking
-every block of rows into the one byte buffer of the export, with only the
-set labels formatted per row.  So the packed grid is
-the only full-size array a matrix export holds: ``write`` sends the text
-out piece by piece, and ``to_csv``/``to_pbm`` join the same pieces.  The
-equal-row report compares packed rows: the padding bits are zero, so two
-rows are equal exactly when their packed forms are.
+and the CSV, PBM and JSON writers render pieces of about 128 KiB,
+unpacking every block of rows into the one byte buffer of the export,
+with only the set labels formatted per row.  So the packed grid is the
+only full-size array a matrix export holds, besides its labels, and one
+piece is all it holds of the text: ``write`` sends the text out piece by
+piece, and ``to_csv``/``to_pbm`` join the same pieces.  The equal-row
+report compares packed rows: the padding bits are zero, so two rows are
+equal exactly when their packed forms are.
 
 Separators are found on grids too, by one search path: ``first_separators``
 takes schreier rows in length-then-lex order, a growing chunk at a time,
@@ -70,7 +71,7 @@ class ThetaMatrix:
 # two bytes of CSV per entry.  The enumerations stop at 100,000 sets per
 # side, so every level-w grid fits: in fresh ``compacta inject`` processes
 # on a 2-core VM, the largest, K 23x18 and L 18x23 (75,025 x 90,897 =
-# 6.8e9 entries), take 2.6 and 2.7 s and peak at 921 and 943 MB.  At
+# 6.8e9 entries), take 2.4 and 3.5 s and peak at 895 and 917 MB.  At
 # level 2, K 447x18 (99,682 x 86,294 = 8.6e9) took 5.6 s and 1,132 MB.
 _GRID_LIMIT = 8 * 10**9
 
@@ -123,39 +124,57 @@ def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
 
 
 # Bytes of grid text per piece of ``_pieces``: one piece's buffer, its text
-# and (for CSV) its labelled rows are this size, however large the grid.
-_PIECE_BYTES = 1 << 20
+# and (for CSV) its labelled rows are about this size, however large the
+# grid.  On the bench's matrix workload, pieces of 64 to 256 KiB read the
+# same time and peak; pieces of a mebibyte raise its peak by 4.5 MB.
+_PIECE_BYTES = 1 << 17
+
+# Per format, the bytes before a row's digits, between two digits and after
+# the last digit.  A JSON row ends in a comma, which the last row drops.
+_ROW_LAYOUT = {"csv": (b"", b",", b"\n"), "pbm": (b"", b" ", b"\n"),
+               "json": (b"[", b",", b"],")}
 
 
 def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
-    """The CSV or PBM text of ``m`` as a header and then blocks of rows.
+    """The CSV, PBM or JSON text of ``m`` as a header, blocks of rows and
+    (for JSON) a footer; JSON is the array of the rows' digit arrays.
 
     Each block is unpacked and rendered in the leading rows of one uint8
-    buffer, allocated once per call, holding per row every digit followed
-    by its separator, the last separator being the newline, and decoded
-    once; CSV then puts each row's set label in front.
+    buffer, allocated once per call, holding per row its lead, every digit
+    followed by a separator, the last separator being the row's end, and
+    decoded once; CSV then puts each row's set label in front.
     """
     h, w = m.shape
     if fmt == "csv":
         yield "," + ",".join(t.csv_cell() for t in m.cols) + "\n"
-    else:
+    elif fmt == "pbm":
         yield f"P1\n{w} {h}\n"
-    width = max(2 * w, 1)   # a row of no columns is its newline alone
+    else:
+        yield "["
+    lead, sep, end = (np.frombuffer(x, dtype=np.uint8)
+                      for x in _ROW_LAYOUT[fmt])
+    digits = slice(len(lead), len(lead) + 2 * w, 2)
+    width = len(lead) + max(2 * w - 1, 0) + len(end)
     step = max(1, _PIECE_BYTES // width)
-    # separators and newlines are written once; each block overwrites the
-    # digits of the buffer's leading rows
+    # leads, separators and ends are written once; each block overwrites
+    # the digits of the buffer's leading rows
     buf = np.empty((min(step, h), width), dtype=np.uint8)
-    buf[:, 1:2 * w:2] = ord("," if fmt == "csv" else " ")
-    buf[:, -1] = ord("\n")
+    buf[:, :len(lead)] = lead
+    buf[:, digits.start + 1:digits.stop - 1:2] = sep
+    buf[:, width - len(end):] = end
     for r in range(0, h, step):
         block = np.unpackbits(m.bits[r:r + step], axis=1, count=w)
         rows = buf[:len(block)]
-        np.add(block, ord("0"), out=rows[:, :2 * w:2])
+        np.add(block, ord("0"), out=rows[:, digits])
         text = str(rows.data, "ascii")
         if fmt == "csv":
             text = "".join(s.csv_cell() + "," + text[k * width:(k + 1) * width]
                            for k, s in enumerate(m.rows[r:r + step]))
+        elif fmt == "json" and r + step >= h:
+            text = text[:-1]
         yield text
+    if fmt == "json":
+        yield "]"
 
 
 def to_csv(m: ThetaMatrix) -> str:
@@ -171,7 +190,8 @@ def to_pbm(m: ThetaMatrix) -> str:
 
 def write(m: ThetaMatrix, fmt: str, out) -> None:
     """Write the ``to_csv`` (``fmt`` "csv") or ``to_pbm`` ("pbm") text of
-    ``m`` to ``out`` a piece at a time, never holding all of it."""
+    ``m``, or ("json") the compact JSON array of its rows of 0/1 entries,
+    to ``out`` a piece at a time, never holding all of it."""
     for piece in _pieces(m, fmt):
         out.write(piece)
 

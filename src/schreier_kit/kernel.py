@@ -85,30 +85,41 @@ class Decomposition:
         return " | ".join(str(b) for b in self.blocks)
 
 
-# Splits kept, keyed by the element tuple; a refusal raises and is not
-# kept.  `compacta matrix` and `inject` of the bench's matrix workload miss
-# 6,717 times and hit 3,504, `verify --max 8` misses 3,992 times and hits
-# 1,552, `tree sweep` never splits, and uncapped `verify` keeps 58,483
-# entries, so no workload evicts.
-@lru_cache(maxsize=1 << 16)
-def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _block_lengths(elems: tuple[int, ...]) -> tuple[int, ...]:
+    """The lengths of the blocks of ``elems``, in order: the one split of
+    a set into its decomposition, which the fill calls for each second
+    coordinate and ``_decompose_elems`` keeps for ``decompose``."""
     if not elems:
         raise ValueError("cannot decompose the empty set")
-    blocks = []
+    lengths = []
     i = 0
     n = len(elems)
     while i < n:
-        c = elems[i]
-        if n - i >= c:
-            # forced cut: a non-final block must be maximal schreier and
-            # consecutive, so it is exactly the next c elements
-            blocks.append(elems[i:i + c])
-            i += c
-        else:
-            blocks.append(elems[i:])  # short final block, schreier by #<min
-            i = n
-    if len(blocks) > blocks[0][0]:
+        # forced cut: a non-final block must be maximal schreier and
+        # consecutive, so it is exactly the next min-many elements; the
+        # short final block is schreier by # < min
+        c = min(elems[i], n - i)
+        lengths.append(c)
+        i += c
+    if len(lengths) > elems[0]:
         raise NotInS2Error(f"block minima of {elems} exceed the schreier bound")
+    return tuple(lengths)
+
+
+# Splits kept for ``decompose`` and ``block_sets``, keyed by the element
+# tuple; a refusal raises and is not kept.  Grid fills split through
+# ``_block_lengths`` and keep nothing here, so the bench's matrix workload
+# (`compacta matrix` and `inject`) and `tree sweep` never call it,
+# `verify --max 8` misses 395 times and hits 293, and uncapped `verify`
+# misses 4,937 times, hits 3,935 and keeps 2,666 entries: no workload
+# evicts.
+@lru_cache(maxsize=1 << 16)
+def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    blocks = []
+    i = 0
+    for c in _block_lengths(elems):
+        blocks.append(elems[i:i + c])
+        i += c
     return tuple(blocks)
 
 
@@ -224,18 +235,23 @@ def _incidence(ss, ts, transposed: bool):
     when the i-th element of ss[k] is m, and the index column of t picks
     the row of each of its pairs, padded with row 0.  Elements are
     numbered in order of first appearance, so no array grows with how
-    large they are.
+    large they are.  Each t is split by ``_block_lengths`` and its pairs
+    are read off its element tuple with those lengths: the fill builds no
+    block tuples and leaves nothing in the memo of ``decompose``.
     """
-    decs = [_decompose_elems(t.elems) if t else () for t in ts]
+    lens = [_block_lengths(t.elems) if t else () for t in ts]
     heads = [s if type(s) is tuple else s.elems for s in ss]
-    depth = max(map(len, decs), default=0)
+    depth = max(map(len, lens), default=0)
     width = min(depth, max(map(len, heads), default=0))
     # the blocks from the width on can never hit
-    cut = decs if width == depth else [d[:width] for d in decs]
+    cut = lens if width == depth else [n[:width] for n in lens]
+    # the elements of each t in those blocks (all of them, the same
+    # tuple, when nothing is cut)
+    held = [t.elems[:sum(n)] for t, n in zip(ts, cut)]
     number = {m: k for k, m in enumerate(
-        dict.fromkeys(chain.from_iterable(chain.from_iterable(cut))))}
+        dict.fromkeys(chain.from_iterable(held)))}
     # ``trow`` holds the keys of the ts' pairs, then their table rows
-    trow, starts, counts = _pairs(cut, number, width)
+    trow, starts, counts = _pairs(held, cut, number, width)
     # table rows numbered by key; the padding of a short s, and an element
     # of no t, read the key of number ``len(number)``, which no t has
     hit = np.zeros((len(number) + 1) * width, dtype=bool)
@@ -262,26 +278,21 @@ def _incidence(ss, ts, transposed: bool):
     return table, index, len(ss)
 
 
-def _pairs(cut, number, width: int):
+def _pairs(held, cut, number, width: int):
     """The key number(m) * width + i of the pair (i, m) of each element m
-    of each block i of each ``cut[j]``, in order, and for each j where its
-    pairs start and how many there are."""
+    of each ``held[j]``, whose blocks have the lengths ``cut[j]``, in
+    order, and for each j where its pairs start and how many there are."""
     nblocks = np.fromiter(map(len, cut), dtype=np.intp, count=len(cut))
-    sizes = np.fromiter(map(len, chain.from_iterable(cut)), dtype=np.intp,
+    sizes = np.fromiter(chain.from_iterable(cut), dtype=np.intp,
                         count=int(nblocks.sum()))
     pos = np.fromiter(chain.from_iterable(map(range, nblocks.tolist())),
                       dtype=np.intp, count=len(sizes))
-    key = np.fromiter(
-        map(number.__getitem__, chain.from_iterable(chain.from_iterable(cut))),
-        dtype=np.intp, count=int(sizes.sum()))
+    counts = np.fromiter(map(len, held), dtype=np.intp, count=len(held))
+    key = np.fromiter(map(number.__getitem__, chain.from_iterable(held)),
+                      dtype=np.intp, count=int(counts.sum()))
     key *= width
     key += np.repeat(pos, sizes)
-    # elements through each block, and blocks through each j
-    through = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=through[1:])
-    edge = np.cumsum(nblocks)
-    starts = through[edge - nblocks]
-    return key, starts, through[edge] - starts
+    return key, np.cumsum(counts) - counts, counts
 
 
 def _packed_rows(nrows: int, rows: np.ndarray,

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from schreier_kit import averaging, cli
+from schreier_kit import averaging, cli, compacta
+from schreier_kit.family import All
+
+
+@pytest.fixture(scope="session")
+def k14():
+    """The bench's 14x14 K grid: 987 rows, 6,718 columns."""
+    return compacta.build_matrix("K", "w", All(), 14, 14)
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ not just reported.
 """
 
 import contextlib
+import functools
+import hashlib
 import io
 import os
 import json
@@ -167,6 +169,12 @@ SMALL_INPUTS = [
     # a transposed grid of 8.4e8 entries, filled as packed rows
     (["compacta", "inject", "--mode", "L", "--alpha", "w",
       "--rows", "17", "--cols", "20"], {"all_distinct": True}),
+    # the 2,584 x 24,653 grid as one JSON line of 128 MB, streamed from
+    # the packed grid: the SHA-256 of its bytes
+    (["compacta", "matrix", "--mode", "K", "--alpha", "w", "--rows", "16",
+      "--cols", "16", "--format", "json"],
+     bytes.fromhex("2d9202e0999ea090cf0e12f3e3c6bdaf"
+                   "c1b442c7af47730795dcc09c50098854")),
     # 8.6e9 entries, refused after both enumerations and before the fill
     (["compacta", "inject", "--mode", "K", "--alpha", "2",
       "--rows", "447", "--cols", "18"],
@@ -175,23 +183,37 @@ SMALL_INPUTS = [
 ]
 
 
-def test_A11_small_inputs_answer_within_seconds():
+def test_A11_small_inputs_answer_within_seconds(tmp_path):
+    # ``want``: an exit-2 error message (str), keys of the first line
+    # (dict), a line count (int) or the SHA-256 of stdout (bytes); stdout
+    # goes to a file and is read back a mebibyte at a time
     budget, slowest = 5.0, 0.0
     for argv, want in SMALL_INPUTS:
-        start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-m", "schreier_kit", *argv],
-                              capture_output=True, text=True, timeout=budget)
-        wall = time.perf_counter() - start
-        assert wall < budget, f"{argv} took {wall:.1f}s, budget {budget}s"
-        if isinstance(want, str):
-            got = (done.returncode, done.stdout, done.stderr)
-            assert got == (2, "", want), argv[:2]
-        else:
-            assert done.returncode == 0, (argv, done.stderr)
-            lines = done.stdout.splitlines()
-            got = ({key: json.loads(lines[0])[key] for key in want}
-                   if isinstance(want, dict) else len(lines))
-            assert got == want, argv
+        with open(tmp_path / "stdout", "w+b") as out:
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "schreier_kit", *argv], stdout=out,
+                stderr=subprocess.PIPE, text=True, timeout=budget)
+            wall = time.perf_counter() - start
+            assert wall < budget, f"{argv} took {wall:.1f}s, budget {budget}s"
+            out.seek(0)
+            chunks = iter(functools.partial(out.read, 1 << 20), b"")
+            if isinstance(want, str):
+                got = (done.returncode, out.read(), done.stderr)
+                assert got == (2, b"", want), argv[:2]
+            else:
+                assert done.returncode == 0, (argv, done.stderr)
+                if isinstance(want, dict):
+                    first = json.loads(out.readline())
+                    got = {key: first[key] for key in want}
+                elif isinstance(want, int):
+                    got = sum(chunk.count(b"\n") for chunk in chunks)
+                else:
+                    digest = hashlib.sha256()
+                    for chunk in chunks:
+                        digest.update(chunk)
+                    got = digest.digest()
+                assert got == want, argv
         slowest = max(slowest, wall)
     print(f"A11 small inputs: PASS ({len(SMALL_INPUTS)} cases, "
           f"slowest {slowest:.2f}s)")

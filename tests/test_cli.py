@@ -1,5 +1,6 @@
 """The command-line surface: output bytes, exit codes, error routing."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from schreier_kit import averaging, cli, verify as verify_mod
+from schreier_kit import averaging, cli, compacta, verify as verify_mod
 from schreier_kit.averaging import CanonicalBlocks, SeededBlocks, build_chain
+from schreier_kit.family import All, format_index
 from schreier_kit.finset import FinSet
 
 CSV_3X3 = (",,1,2,3,2 3\n"
@@ -275,6 +277,53 @@ class TestCompacta:
         # packed, the grid is 0.8 MiB; at one byte per entry the export
         # peaks near 15 MiB
         assert peak < 12 * 2**20, peak
+
+    @pytest.mark.parametrize("shape", ["no rows", "no columns", "1x1",
+                                       "14x14"])
+    def test_matrix_json_is_the_dump_of_its_dict(self, run_cli, monkeypatch,
+                                                 k14, shape):
+        m = {"no rows": lambda: compacta.matrix_from_sets(
+                 "K", [], [FinSet((2, 3))]),
+             "no columns": lambda: compacta.matrix_from_sets(
+                 "L", [FinSet((2, 3))] * 3, []),
+             "1x1": lambda: compacta.build_matrix("K", 1, All(), 0, 0),
+             "14x14": lambda: k14}[shape]()
+        monkeypatch.setattr(cli, "_build_matrix_from_args", lambda args: m)
+        code, out, _ = run_cli(["compacta", "matrix", "--mode", m.mode,
+                                "--alpha", "w", "--format", "json"])
+        # the dict that the grid once went out in, whole, through ``_emit``
+        whole = {"alpha": str(m.alpha), "col_bound": m.col_bound,
+                 "cols": [list(c.elems) for c in m.cols],
+                 "entries": m.entries.tolist(),
+                 "index": format_index(m.index), "mode": m.mode,
+                 "row_bound": m.row_bound,
+                 "rows": [list(r.elems) for r in m.rows]}
+        assert code == 0
+        assert out == json.dumps(whole, sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+
+    def test_matrix_json_export_streams(self, monkeypatch, k14):
+        # the whole JSON line, keys included (``compacta.write`` alone is
+        # held to a few pieces in test_compacta): the grid and its set
+        # labels exist before tracing starts, and above the export of the
+        # same columns and no rows, the 14x14 export may hold a few text
+        # pieces, not its 13 MB of text or a list of its 6.6 M entries
+        monkeypatch.setattr(sys, "stdout", _Discard())
+
+        def peak(m):
+            monkeypatch.setattr(cli, "_build_matrix_from_args",
+                                lambda args: m)
+            tracemalloc.start()
+            try:
+                assert cli.main(["compacta", "matrix", "--mode", "K",
+                                 "--alpha", "w", "--format", "json"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        no_rows = dataclasses.replace(k14, rows=(), bits=k14.bits[:0])
+        above = peak(k14) - peak(no_rows)
+        assert above <= 4 * compacta._PIECE_BYTES, above
 
     def test_matrix_pbm_file(self, run_cli, tmp_path):
         target = tmp_path / "m.pbm"

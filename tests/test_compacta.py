@@ -1,8 +1,11 @@
 """Truncated kernel matrices, row injectivity, witnesses, and separators."""
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,19 +152,31 @@ class TestSmallBlocks:
     def pieces(m, fmt):
         return list(compacta._pieces(m, fmt))
 
+    def json_rows(self, m):
+        # the JSON pieces join to the compact dump of the 0/1 rows
+        got = "".join(self.pieces(m, "json"))
+        assert got == json.dumps(m.entries.tolist(), separators=(",", ":"))
+        return got
+
     def test_small_and_degenerate_shapes(self, monkeypatch, rows):
         self.shrink(monkeypatch, rows, 5)
         m = build_matrix("K", 1, All(), 3, 3)
         assert (to_csv(m), to_pbm(m)) == (CSV_3X3, PBM_3X3)
         assert len(self.pieces(m, "csv")) == 1 + -(-4 // rows)
+        assert self.json_rows(m) == ("[[1,1,1,1,1],[1,0,1,1,1],[1,1,0,1,0],"
+                                     "[1,1,1,0,0]]")
         self.shrink(monkeypatch, rows, 0)
         no_cols = matrix_from_sets("K", [FinSet((2, 3))] * 9, [])
         assert to_csv(no_cols) == ",\n" + "2 3,\n" * 9
         assert to_pbm(no_cols) == "P1\n0 9\n" + "\n" * 9
         assert len(self.pieces(no_cols, "pbm")) == 1 + -(-9 // rows)
+        assert self.json_rows(no_cols) == "[" + ",".join(["[]"] * 9) + "]"
         self.shrink(monkeypatch, rows, 1)
         no_rows = matrix_from_sets("K", [], [FinSet((2, 3))])
         assert (to_csv(no_rows), to_pbm(no_rows)) == (",2 3\n", "P1\n1 0\n")
+        assert self.json_rows(no_rows) == "[]"
+        one = matrix_from_sets("K", [FinSet((2,))], [FinSet((2, 3))])
+        assert self.json_rows(one) == "[[0]]"
 
     @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha",
                              GOLDEN_DIGESTS)
@@ -173,6 +188,7 @@ class TestSmallBlocks:
         assert len(csv) == 1 + -(-shape[0] // rows)
         assert hashlib.sha256("".join(csv).encode()).hexdigest() == csv_sha
         assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
+        self.json_rows(m)
 
     def test_write_sends_the_pieces(self, monkeypatch, rows):
         self.shrink(monkeypatch, rows, 5)
@@ -182,6 +198,25 @@ class TestSmallBlocks:
         compacta.write(m, "pbm", SimpleNamespace(write=parts.append))
         assert parts == self.pieces(m, "pbm")
         assert "".join(parts) == PBM_3X3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pbm", "json"])
+def test_export_holds_a_few_pieces(k14, fmt):
+    # the grid and its set labels exist before tracing starts; above the
+    # export of the same columns and no rows (the CSV header), the 14x14
+    # export may hold a few text pieces, not its 13 MB of text or its
+    # 6.6 MB unpacked
+    def peak(m):
+        tracemalloc.start()
+        try:
+            compacta.write(m, fmt, SimpleNamespace(write=len))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    no_rows = dataclasses.replace(k14, rows=(), bits=k14.bits[:0])
+    above = peak(k14) - peak(no_rows)
+    assert above <= 4 * compacta._PIECE_BYTES, above
 
 
 class TestInjectivity:

@@ -6,6 +6,7 @@ and membership coherence are then statements about that enumeration.
 """
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -350,13 +351,16 @@ def test_packed_parity_matrix_is_the_packed_grid(s2_upto_14, n):
 @pytest.mark.parametrize("transposed", [False, True])
 def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
     # the result is the only full-size array of a fill: besides it, the
-    # traced peak holds the incidence table, its index array and one block
-    # of result rows, plus small objects such as the packed all-ones row
+    # traced peak holds the incidence table, its index array, one block of
+    # result rows and the block lengths of every column, plus small objects
+    # such as the packed all-ones row
+    kernel._decompose_elems.cache_clear()
     ss = family.enumerate_members(family.SCHREIER, 14)
-    parity_matrix(ss, s2_upto_14)  # decompositions are memoized
     table, index, _ = kernel._incidence(ss, s2_upto_14, transposed)
     nbytes = table.shape[1]
     block = min(kernel.rows_per_block(nbytes), index.shape[1]) * nbytes
+    splits = [kernel._block_lengths(t.elems) if t else () for t in s2_upto_14]
+    held = sys.getsizeof(splits) + sum(map(sys.getsizeof, splits))
     tracemalloc.start()
     try:
         got = parity_matrix(ss, s2_upto_14, transposed=transposed,
@@ -364,5 +368,7 @@ def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = table.nbytes + index.nbytes + block + (16 << 10)
+    bound = table.nbytes + index.nbytes + block + held + (16 << 10)
     assert peak <= got.nbytes + bound
+    # a fill splits its columns without the memo of ``decompose``
+    assert kernel._decompose_elems.cache_info().currsize == 0
