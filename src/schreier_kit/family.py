@@ -402,7 +402,9 @@ def _compositions(elems: tuple[int, ...],
 
 def member_by_composition_search(expr: FamilyExpr, s: FinSet) -> bool:
     """Membership from the definitions, every product by exhaustive
-    composition search of at most 24 elements; the oracle for ``member``."""
+    composition search of at most 24 elements; the oracle for ``member``.
+    A derivative decides its limits by ``_is_limit``: the oracle shares
+    that rule with the stepper, and the brute-horizon fuzz tests check it."""
     return _member_exhaustive(expr, s.elems)
 
 
@@ -423,6 +425,11 @@ def _member_exhaustive(expr: FamilyExpr, elems: tuple[int, ...]) -> bool:
     if isinstance(expr, Restrict):
         return (all(expr.index.contains(m) for m in elems)
                 and _member_exhaustive(expr.base, elems))
+    if isinstance(expr, Derived):
+        base = expr.base
+        return _member_exhaustive(base, elems) and _is_limit(
+            base, lambda m: _member_exhaustive(base, elems + (m,)),
+            elems[-1] if elems else 0)
     raise TypeError(f"no composition-search route for {expr!r}")
 
 
@@ -750,36 +757,37 @@ def rank(expr: FamilyExpr) -> Ordinal:
     restriction keeps the rank; a product multiplies the ranks' predecessors
     (left factor first: the rank of prod(F,G) is (rank F - 1)*(rank G - 1)+1).
     """
-    if isinstance(expr, Schreier):
-        return OMEGA + ONE
-    if isinstance(expr, Cube):
-        return Ordinal.nat(expr.size + 1)
-    if isinstance(expr, Restrict):
-        if not expr.index.definitely_infinite:
-            raise DegenerateIndexError(
-                "rank needs an infinite index set at every restriction")
-        return rank(expr.base)
-    if isinstance(expr, Product):
-        iota_left = rank(expr.left).predecessor()
-        iota_right = rank(expr.right).predecessor()
-        return iota_left * iota_right + ONE
-    raise TypeError(f"rank is not defined for {expr!r}")
+    return _rank(expr)[0]
 
 
 def rank_is_rule_derived(expr: FamilyExpr) -> bool:
     """True when the product rank rule runs outside the cases it was checked
-    against (left factor schreier, right factor schreier or a square cube)."""
-    if isinstance(expr, (Schreier, Cube)):
-        return False
+    against (left factor schreier, right factor schreier or a square cube);
+    refuses every expression ``rank`` refuses."""
+    return _rank(expr)[1]
+
+
+def _rank(expr: FamilyExpr) -> tuple[Ordinal, bool]:
+    """The rank and whether some product's rule ran outside its checked
+    cases: the one walk behind ``rank`` and ``rank_is_rule_derived``."""
+    if isinstance(expr, Schreier):
+        return OMEGA + ONE, False
+    if isinstance(expr, Cube):
+        return Ordinal.nat(expr.size + 1), False
     if isinstance(expr, Restrict):
-        return rank_is_rule_derived(expr.base)
+        if not expr.index.definitely_infinite:
+            raise DegenerateIndexError(
+                "rank needs an infinite index set at every restriction")
+        return _rank(expr.base)
     if isinstance(expr, Product):
+        left, left_derived = _rank(expr.left)
+        right, right_derived = _rank(expr.right)
         checked = (isinstance(expr.left, Schreier)
                    and (isinstance(expr.right, Schreier)
                         or (isinstance(expr.right, Cube)
                             and expr.right.floor == expr.right.size)))
-        return not checked or rank_is_rule_derived(expr.left) \
-            or rank_is_rule_derived(expr.right)
+        return (left.predecessor() * right.predecessor() + ONE,
+                left_derived or right_derived or not checked)
     raise TypeError(f"rank is not defined for {expr!r}")
 
 

@@ -74,9 +74,6 @@ class FinSet:
             return self
         return FinSet.of(self.elems + (m,))
 
-    def issubset(self, other: "FinSet") -> bool:
-        return all(m in other for m in self.elems)
-
     def restrict_to(self, bound: int) -> "FinSet":
         """Intersection with [1..bound]."""
         return FinSet(tuple(m for m in self.elems if m <= bound))
@@ -113,11 +110,6 @@ class FinSet:
     def csv_cell(self) -> str:
         """Space-separated elements; empty string for the empty set."""
         return " ".join(str(m) for m in self.elems)
-
-    @classmethod
-    def from_csv_cell(cls, cell: str) -> "FinSet":
-        parts = cell.split()
-        return cls.of(int(p) for p in parts)
 
 
 EMPTY = FinSet()

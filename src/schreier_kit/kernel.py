@@ -28,9 +28,10 @@ a caller need not build a FinSet per row.  The grid is filled packed, in
 blocks of a fixed number of bytes, so it is the only array whose size
 grows with the number of pairs; unpacked, it is unpacked at the end.
 
-``decompose`` is memoized (``_DECOMPOSE_MEMO`` entries): a ``Decomposition``
-is frozen, so a repeated second coordinate shares one, and a refused set
-raises again on every call.
+``decompose`` is memoized in one place, ``_decompose_elems``, keyed by
+the element tuple: a ``Decomposition`` is frozen, so equal second
+coordinates share one, and a refused set raises again on every call.
+Grid fills split their columns through ``_block_lengths`` and keep none.
 """
 
 from __future__ import annotations
@@ -106,38 +107,30 @@ def _block_lengths(elems: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-# Splits kept for ``decompose`` and ``block_sets``, keyed by the element
-# tuple; a refusal raises and is not kept.  Grid fills split through
+# Decompositions kept for ``decompose``, keyed by the element tuple; a
+# refusal raises and is not kept.  Grid fills split through
 # ``_block_lengths`` and keep nothing here, so the bench's matrix workload
-# (`compacta matrix` and `inject`) and `tree sweep` never call it,
-# `verify --max 8` misses 395 times and hits 293, and uncapped `verify`
-# misses 4,937 times, hits 3,935 and keeps 2,666 entries: no workload
-# evicts.
-@lru_cache(maxsize=1 << 16)
-def _decompose_elems(elems: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+# (`compacta matrix` and `inject`) and `tree sweep` never call it.
+# `verify --max 8` calls it 7,034 times: 6,639 hits and 395 misses, 128
+# of them refusals, keeping 267 entries; uncapped `verify` 39,626 hits and
+# 4,937 misses, keeping 2,666.  A hit costs about 0.3 us; a miss splits,
+# builds and validates the frozen ``Decomposition`` and its block FinSets,
+# about 10 us for 41 elements in 4 blocks (2-core VM).  4,096 entries hold
+# every set either workload asks for.
+@lru_cache(maxsize=1 << 12)
+def _decompose_elems(elems: tuple[int, ...]) -> Decomposition:
     blocks = []
     i = 0
     for c in _block_lengths(elems):
-        blocks.append(elems[i:i + c])
+        blocks.append(FinSet(elems[i:i + c]))
         i += c
-    return tuple(blocks)
+    return Decomposition(tuple(blocks))
 
 
-# Decompositions kept by ``decompose``.  Its callers repeat a set within a
-# few calls: in ``verify --max 8``, ``compacta.powers_witness`` decomposes
-# the witness of each of 5,778 pairs, 107 distinct sets in 833 runs of
-# equal ones.  With 64 entries 134 of those calls miss, with one entry 833
-# and with 128 entries 103; a miss builds and validates a frozen
-# ``Decomposition`` and its block FinSets, about 23 us against 0.5 us for a
-# hit (2-core VM), so 64 entries save about 15 ms of that suite.
-_DECOMPOSE_MEMO = 64
-
-
-@lru_cache(maxsize=_DECOMPOSE_MEMO)
 def decompose(t: FinSet) -> Decomposition:
-    """The unique block decomposition of a nonempty t in S2 (memoized; an
-    error is raised afresh on every call, never cached)."""
-    return Decomposition(tuple(FinSet(b) for b in _decompose_elems(t.elems)))
+    """The unique block decomposition of a nonempty t in S2 (memoized by
+    its elements; an error is raised afresh on every call, never cached)."""
+    return _decompose_elems(t.elems)
 
 
 def inner(s: FinSet, t) -> int:
@@ -324,8 +317,7 @@ def _parity_blocks(s_elems: tuple[int, ...], block_sets: tuple) -> int:
 # No caller in the package; kept while bench/tracer.py TARGETS name it.
 def block_sets(t) -> tuple:
     """Frozenset view of the blocks of t, for sweep loops."""
-    if isinstance(t, Decomposition):
-        return tuple(frozenset(b.elems) for b in t.blocks)
     if not t:
         return ()
-    return tuple(frozenset(b) for b in _decompose_elems(t.elems))
+    d = t if isinstance(t, Decomposition) else decompose(t)
+    return tuple(frozenset(b.elems) for b in d.blocks)

@@ -317,8 +317,7 @@ def fuzz_indexes(draw):
 
 def fuzz_families(depth=3):
     """schreier, cube, prod and restrict, at most ``depth`` constructors
-    deep; no derivatives, which have neither a text form nor a
-    composition-search route."""
+    deep; no derivatives, which have no text form."""
     leaves = st.one_of(st.just(SCHREIER),
                        st.builds(Cube, st.integers(1, 4), st.integers(0, 3)))
     if depth == 0:
@@ -732,6 +731,33 @@ class TestDerivatives:
                     if not els or len(els) + k <= els[0]]
             assert enumerate_members(iterated_derivative(SCHREIER, k), 10) == want
 
+    def test_composition_search_answers_derivatives(self):
+        # derivative factors on either side of a product, under a
+        # restriction, nested, and over a non-hereditary product; the
+        # oracle shares the limit rule with the stepper, so this checks the
+        # rest of the derivative's steps against composition search
+        d = derivative
+        s2 = SCHREIER_SQUARE
+        non_hereditary = parse_family("prod(schreier, restrict(schreier, powers(2)))")
+        exprs = [
+            d(SCHREIER),
+            Product(d(SCHREIER), SCHREIER),
+            Product(SCHREIER, d(SCHREIER)),
+            Product(d(s2), Cube(1, 1)),
+            Product(Cube(2, 2), d(Cube(2, 3))),
+            Restrict(Product(d(SCHREIER), Cube(2, 2)), AP(2, 1)),
+            d(Restrict(s2, AP(1, 2))),
+            d(d(SCHREIER)),
+            d(d(s2)),
+            d(non_hereditary),
+            Product(d(non_hereditary), SCHREIER),
+        ]
+        for expr in exprs:
+            for els in family._powerset(range(1, 10)):
+                s = FinSet(els)
+                assert member(expr, s) == member_by_composition_search(expr, s), \
+                    (expr, els)
+
     def test_annihilation_step_count(self):
         for n in range(1, 4):
             c = Cube(n, n)
@@ -754,6 +780,45 @@ class TestTailBehavior:
         full = FinSet((2, 3))  # already at capacity: no tail ever works
         assert all(not extension_admissible(SCHREIER, full, m)
                    for m in range(4, 13))
+
+
+# (family, rank, rule-derived) for every product of two of schreier,
+# cube(1,1), cube(2,2), cube(3,1) and restrict(schreier, powers(2)), then a
+# few nested products and restrictions
+RANK_GRID = [
+    ("prod(schreier, schreier)", "w^2+1", False),
+    ("prod(schreier, cube(1,1))", "w+1", False),
+    ("prod(schreier, cube(2,2))", "w*2+1", False),
+    ("prod(schreier, cube(3,1))", "w+1", True),
+    ("prod(schreier, restrict(schreier, powers(2)))", "w^2+1", True),
+    ("prod(cube(1,1), schreier)", "w+1", True),
+    ("prod(cube(1,1), cube(1,1))", "2", True),
+    ("prod(cube(1,1), cube(2,2))", "3", True),
+    ("prod(cube(1,1), cube(3,1))", "2", True),
+    ("prod(cube(1,1), restrict(schreier, powers(2)))", "w+1", True),
+    ("prod(cube(2,2), schreier)", "w+1", True),
+    ("prod(cube(2,2), cube(1,1))", "3", True),
+    ("prod(cube(2,2), cube(2,2))", "5", True),
+    ("prod(cube(2,2), cube(3,1))", "3", True),
+    ("prod(cube(2,2), restrict(schreier, powers(2)))", "w+1", True),
+    ("prod(cube(3,1), schreier)", "w+1", True),
+    ("prod(cube(3,1), cube(1,1))", "2", True),
+    ("prod(cube(3,1), cube(2,2))", "3", True),
+    ("prod(cube(3,1), cube(3,1))", "2", True),
+    ("prod(cube(3,1), restrict(schreier, powers(2)))", "w+1", True),
+    ("prod(restrict(schreier, powers(2)), schreier)", "w^2+1", True),
+    ("prod(restrict(schreier, powers(2)), cube(1,1))", "w+1", True),
+    ("prod(restrict(schreier, powers(2)), cube(2,2))", "w*2+1", True),
+    ("prod(restrict(schreier, powers(2)), cube(3,1))", "w+1", True),
+    ("prod(restrict(schreier, powers(2)), restrict(schreier, powers(2)))",
+     "w^2+1", True),
+    ("prod(S2, schreier)", "w^3+1", True),
+    ("prod(schreier, S2)", "w^3+1", True),
+    ("prod(S2, S2)", "w^4+1", True),
+    ("restrict(S2, from(3))", "w^2+1", False),
+    ("restrict(prod(cube(2,2), schreier), ap(1,2))", "w+1", True),
+    ("prod(restrict(S2, powers(3)), cube(4,4))", "w^2*4+1", True),
+]
 
 
 class TestRank:
@@ -787,6 +852,35 @@ class TestRank:
         odd = Product(Cube(2, 2), Cube(3, 3))
         assert rank_is_rule_derived(odd)
         assert rank(odd) == Ordinal.nat(7)
+
+    @pytest.mark.parametrize("text", [
+        "restrict(schreier, {1,2})",
+        "prod(schreier, restrict(schreier, {1,2}))",
+        # an unchecked product: its factors are still read
+        "prod(cube(2,2), restrict(schreier, {1,2}))",
+        "restrict(restrict(schreier, {1,2,3}), from(2))",
+        "restrict(restrict(S2, powers(2)), {2,4})",
+    ])
+    def test_the_flag_refuses_what_rank_refuses(self, text):
+        expr = parse_family(text)
+        with pytest.raises(DegenerateIndexError):
+            rank(expr)
+        with pytest.raises(DegenerateIndexError):
+            rank_is_rule_derived(expr)
+
+    def test_rank_and_flag_values(self):
+        # the rank_consistency goldens, none of them rule-derived
+        golds = [(SCHREIER, "w+1"), (SCHREIER_SQUARE, "w^2+1"),
+                 (product_family(1), "w+1"),
+                 (Restrict(SCHREIER_SQUARE, Powers(2)), "w^2+1")]
+        golds += [(Cube(n, n), str(n + 1)) for n in range(1, 7)]
+        golds += [(product_family(n), f"w*{n}+1") for n in range(2, 7)]
+        for expr, want in golds:
+            assert (str(rank(expr)), rank_is_rule_derived(expr)) == (want, False)
+        for text, want, derived in RANK_GRID:
+            expr = parse_family(text)
+            assert (str(rank(expr)), rank_is_rule_derived(expr)) == (want, derived), \
+                text
 
 
 class TestConstructorHelpers:
