@@ -51,6 +51,20 @@ def _elems(s: FinSet) -> list[int]:
     return list(s.elems)
 
 
+def _json_elems(s: FinSet) -> str:
+    """``_json(_elems(s))``, without building the list."""
+    return "[" + ",".join(map(str, s.elems)) + "]"
+
+
+def _write_array(items) -> None:
+    """Write the JSON array of ``items``, each a JSON text, to stdout a
+    piece at a time, never holding all of it."""
+    sys.stdout.write("[")
+    for piece in compacta.comma_pieces(items):
+        sys.stdout.write(piece)
+    sys.stdout.write("]")
+
+
 def _parse_alpha(text: str):
     p = Scanner(text, "level must be a positive integer or 'w': ")
     level = "w" if p.take("w") else p.nat(1, "got 0")
@@ -163,16 +177,19 @@ def _cmd_compacta_matrix(args) -> int:
         with open(args.pbm, "w") as fh:
             compacta.write(m, "pbm", fh)
     if args.format == "json":
-        # the ``_emit`` line, with the grid streamed between the keys that
-        # sort before "entries" and those after it
+        # the ``_emit`` line, with the labels and the grid streamed: "cols"
+        # sorts last of the keys before "entries", "rows" last of those after
         head = _json({"alpha": str(m.alpha), "col_bound": m.col_bound,
-                      "cols": [_elems(c) for c in m.cols]})
-        sys.stdout.write(head[:-1] + ',"entries":')
+                      "cols": []})
+        sys.stdout.write(head[:-3])
+        _write_array(map(_json_elems, m.cols))
+        sys.stdout.write(',"entries":')
         compacta.write(m, "json", sys.stdout)
         tail = _json({"index": format_index(m.index), "mode": m.mode,
-                      "row_bound": m.row_bound,
-                      "rows": [_elems(r) for r in m.rows]})
-        sys.stdout.write("," + tail[1:] + "\n")
+                      "row_bound": m.row_bound, "rows": []})
+        sys.stdout.write("," + tail[1:-3])
+        _write_array(map(_json_elems, m.rows))
+        sys.stdout.write("}\n")
     else:
         compacta.write(m, "csv", sys.stdout)
     return 0
@@ -190,11 +207,15 @@ def _cmd_compacta_witness(args) -> int:
 def _cmd_compacta_inject(args) -> int:
     m = _build_matrix_from_args(args)
     report = compacta.injectivity_report(m)
-    _emit({"all_distinct": report.all_distinct,
-           "classes": [[_elems(m.rows[i]) for i in cls]
-                       for cls in report.classes],
-           "col_bound": report.col_bound,
-           "truncation_artifact": list(report.truncation_artifact)})
+    # the ``_emit`` line, with the classes streamed: "classes" sorts after
+    # "all_distinct" and before the other keys
+    sys.stdout.write(_json({"all_distinct": report.all_distinct,
+                            "classes": []})[:-3])
+    _write_array("[" + ",".join(_json_elems(m.rows[i]) for i in cls) + "]"
+                 for cls in report.classes)
+    tail = _json({"col_bound": report.col_bound,
+                  "truncation_artifact": list(report.truncation_artifact)})
+    sys.stdout.write("," + tail[1:] + "\n")
     return 0
 
 

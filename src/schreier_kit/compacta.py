@@ -15,9 +15,10 @@ than ``_GRID_LIMIT`` entries after enumerating its rows and columns and
 before filling it.  The fill works in blocks of a fixed number of bytes,
 and the CSV, PBM and JSON writers render pieces of about 128 KiB,
 unpacking every block of rows into the one byte buffer of the export,
-with only the set labels formatted per row.  So the packed grid is the
-only full-size array a matrix export holds, besides its labels, and one
-piece is all it holds of the text: ``write`` sends the text out piece by
+with only the set labels formatted per row; the CSV header's labels go
+out in pieces too (``comma_pieces``).  So the packed grid is the only
+full-size array a matrix export holds, besides its sets, and one piece
+is all it holds of the text: ``write`` sends the text out piece by
 piece, and ``to_csv``/``to_pbm`` join the same pieces.  The equal-row
 report compares packed rows: the padding bits are zero, so two rows are
 equal exactly when their packed forms are.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -129,6 +130,11 @@ def _fill(mode, alpha, index, row_bound, col_bound, rows, cols) -> ThetaMatrix:
 # same time and peak; pieces of a mebibyte raise its peak by 4.5 MB.
 _PIECE_BYTES = 1 << 17
 
+# Bytes per label in a piece of ``comma_pieces``: a label string of up to
+# about 70 characters, with its object header and list slot, takes at most
+# 128 bytes, so a piece of labels holds about ``_PIECE_BYTES`` too.
+_LABEL_BYTES = 128
+
 # Per format, the bytes before a row's digits, between two digits and after
 # the last digit.  A JSON row ends in a comma, which the last row drops.
 _ROW_LAYOUT = {"csv": (b"", b",", b"\n"), "pbm": (b"", b" ", b"\n"),
@@ -146,7 +152,9 @@ def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     """
     h, w = m.shape
     if fmt == "csv":
-        yield "," + ",".join(t.csv_cell() for t in m.cols) + "\n"
+        yield ","
+        yield from comma_pieces(map(FinSet.csv_cell, m.cols))
+        yield "\n"
     elif fmt == "pbm":
         yield f"P1\n{w} {h}\n"
     else:
@@ -163,9 +171,10 @@ def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     buf[:, digits.start + 1:digits.stop - 1:2] = sep
     buf[:, width - len(end):] = end
     for r in range(0, h, step):
-        block = np.unpackbits(m.bits[r:r + step], axis=1, count=w)
-        rows = buf[:len(block)]
-        np.add(block, ord("0"), out=rows[:, digits])
+        rows = buf[:min(step, h - r)]
+        # the unpacked block goes before the text is made
+        np.add(np.unpackbits(m.bits[r:r + step], axis=1, count=w), ord("0"),
+               out=rows[:, digits])
         text = str(rows.data, "ascii")
         if fmt == "csv":
             text = "".join(s.csv_cell() + "," + text[k * width:(k + 1) * width]
@@ -175,6 +184,16 @@ def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
         yield text
     if fmt == "json":
         yield "]"
+
+
+def comma_pieces(labels: Iterable[str]) -> Iterator[str]:
+    """``",".join(labels)`` in pieces of ``_PIECE_BYTES // _LABEL_BYTES``
+    labels, so that no string or list of them all is built."""
+    labels = iter(labels)
+    lead = ""
+    while part := list(islice(labels, max(1, _PIECE_BYTES // _LABEL_BYTES))):
+        yield lead + ",".join(part)
+        lead = ","
 
 
 def to_csv(m: ThetaMatrix) -> str:
@@ -194,6 +213,7 @@ def write(m: ThetaMatrix, fmt: str, out) -> None:
     to ``out`` a piece at a time, never holding all of it."""
     for piece in _pieces(m, fmt):
         out.write(piece)
+        del piece  # let go of it before the next one is made
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,16 @@ grows with the number of pairs; unpacked, it is unpacked at the end.
 ``decompose`` is memoized in one place, ``_decompose_elems``, keyed by
 the element tuple: a ``Decomposition`` is frozen, so equal second
 coordinates share one, and a refused set raises again on every call.
-Grid fills split their columns through ``_block_lengths`` and keep none.
+Its scalar split, ``_block_lengths``, is the oracle of the grid fill's,
+which splits every column at once by whole-array passes and keeps none.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -87,9 +89,9 @@ class Decomposition:
 
 
 def _block_lengths(elems: tuple[int, ...]) -> tuple[int, ...]:
-    """The lengths of the blocks of ``elems``, in order: the one split of
-    a set into its decomposition, which the fill calls for each second
-    coordinate and ``_decompose_elems`` keeps for ``decompose``."""
+    """The lengths of the blocks of ``elems``, in order: the scalar split
+    of a set into its decomposition, which ``_decompose_elems`` keeps for
+    ``decompose`` and whose refusal a grid fill raises."""
     if not elems:
         raise ValueError("cannot decompose the empty set")
     lengths = []
@@ -108,8 +110,8 @@ def _block_lengths(elems: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # Decompositions kept for ``decompose``, keyed by the element tuple; a
-# refusal raises and is not kept.  Grid fills split through
-# ``_block_lengths`` and keep nothing here, so the bench's matrix workload
+# refusal raises and is not kept.  Grid fills split their columns by
+# whole-array passes and keep nothing here, so the bench's matrix workload
 # (`compacta matrix` and `inject`) and `tree sweep` never call it.
 # `verify --max 8` calls it 7,034 times: 6,639 hits and 395 misses, 128
 # of them refusals, keeping 267 entries; uncapped `verify` 39,626 hits and
@@ -228,36 +230,89 @@ def _incidence(ss, ts, transposed: bool):
     when the i-th element of ss[k] is m, and the index column of t picks
     the row of each of its pairs, padded with row 0.  Elements are
     numbered in order of first appearance, so no array grows with how
-    large they are.  Each t is split by ``_block_lengths`` and its pairs
-    are read off its element tuple with those lengths: the fill builds no
-    block tuples and leaves nothing in the memo of ``decompose``.
+    large they are.
+
+    The ts are split together, over their element numbers laid end to
+    end.  A block opened at m takes min(m, elements left) elements, at
+    most ``cap``, the longest t, so the elements clipped at ``cap`` give
+    every cut, however large they are.  Each round moves every t's cursor
+    past one block and marks the opening; the mark at each t's start is
+    then reset by the previous t's block count, so one running sum numbers
+    every element's block.  The fill builds no block tuples, calls
+    ``_block_lengths`` only to raise a refusal, and leaves nothing in the
+    memo of ``decompose``.
     """
-    lens = [_block_lengths(t.elems) if t else () for t in ts]
+    elems = [t.elems for t in ts]
     heads = [s if type(s) is tuple else s.elems for s in ss]
-    depth = max(map(len, lens), default=0)
-    width = min(depth, max(map(len, heads), default=0))
-    # the blocks from the width on can never hit
-    cut = lens if width == depth else [n[:width] for n in lens]
-    # the elements of each t in those blocks (all of them, the same
-    # tuple, when nothing is cut)
-    held = [t.elems[:sum(n)] for t, n in zip(ts, cut)]
-    number = {m: k for k, m in enumerate(
-        dict.fromkeys(chain.from_iterable(held)))}
-    # ``trow`` holds the keys of the ts' pairs, then their table rows
-    trow, starts, counts = _pairs(held, cut, number, width)
-    # table rows numbered by key; the padding of a short s, and an element
-    # of no t, read the key of number ``len(number)``, which no t has
+    counts = np.fromiter(map(len, elems), dtype=np.intp, count=len(ts))
+    ends = counts.cumsum()
+    starts = ends - counts
+    number = defaultdict(count().__next__)
+    ids = np.fromiter(map(number.__getitem__, chain.from_iterable(elems)),
+                      dtype=np.intp, count=ends[-1] if len(ts) else 0)
+    lens = np.fromiter(map(len, heads), dtype=np.intp, count=len(ss))
+    longest = int(lens.max(initial=0))
+    cap = int(counts.max(initial=0))
+    clip = np.fromiter(map(min, number, repeat(cap)), dtype=np.intp,
+                       count=len(number))
+    # a finished t keeps its cursor at its end, which for the last ts is
+    # past the last element: a spare slot takes their marks, and ``take``
+    # clips their reads
+    block = np.zeros(len(ids) + 1, dtype=np.intp)
+    pos = starts.copy()
+    rest = counts.copy()
+    depth = 0
+    while np.count_nonzero(rest):
+        if depth == longest:
+            held = pos - starts  # the elements that can hit
+        block[pos] = 1
+        step = clip.take(ids.take(pos, mode="clip"))
+        np.minimum(step, rest, out=step)
+        pos += step
+        rest -= step
+        depth += 1
+    block = block[:-1]
+    first = starts[counts > 0]
+    if first.size:
+        nblocks = np.add.reduceat(block, first)
+        bad = nblocks > clip[ids[first]]
+        if np.count_nonzero(bad):
+            _block_lengths(ts[np.flatnonzero(counts)[bad.argmax()]].elems)
+        # the running sum restarts at each t: its start holds 1 minus the
+        # previous t's block count
+        nblocks[1:] = 1 - nblocks[:-1]
+        nblocks[0] = 0
+        block[first] = nblocks
+        block.cumsum(out=block)
+    width = min(depth, longest)
+    # ``ids`` becomes the key number(m) * width + i of each pair (i, m)
+    ids *= width
+    ids += block
+    if width < depth:
+        # the blocks from the width on can never hit
+        ids = ids[block < width]
+        counts = held
+        starts = counts.cumsum() - counts
+    del block
+    # table rows numbered by key; an element of no t, and a position past
+    # the end of a short s, read the key of number ``len(number)``, which
+    # no t has
     hit = np.zeros((len(number) + 1) * width, dtype=bool)
-    hit[trow] = True
+    hit[ids] = True
     keys = np.flatnonzero(hit)
     row = np.zeros(len(hit), dtype=np.intp)
     row[keys] = np.arange(1, len(keys) + 1)
-    trow = row[trow]
-    pad = (None,) * width
-    flat = chain.from_iterable(h[:width] + pad[len(h):] for h in heads)
-    skey = np.fromiter(map(number.get, flat, repeat(len(number))),
-                       dtype=np.intp, count=len(ss) * width)
-    srow = row[skey.reshape(len(ss), width) * width + np.arange(width)]
+    trow = row[ids]
+    del ids
+    if longest > width:
+        heads = [h[:width] for h in heads]
+        np.minimum(lens, width, out=lens)
+    at = np.arange(width)
+    skey = np.full((len(ss), width), len(number), dtype=np.intp)
+    skey[lens[:, None] > at] = np.fromiter(
+        map(number.get, chain.from_iterable(heads), repeat(len(number))),
+        dtype=np.intp, count=int(lens.sum()))
+    srow = row.reshape(len(number) + 1, width)[skey, at]
     if not transposed:
         table = _packed_rows(len(keys) + 1, trow, counts)
         # a C-order copy, so that each index row is contiguous
@@ -269,23 +324,6 @@ def _incidence(ss, ts, transposed: bool):
     table = _packed_rows(len(keys) + 1, srow[srow > 0],
                          np.count_nonzero(srow, axis=1))
     return table, index, len(ss)
-
-
-def _pairs(held, cut, number, width: int):
-    """The key number(m) * width + i of the pair (i, m) of each element m
-    of each ``held[j]``, whose blocks have the lengths ``cut[j]``, in
-    order, and for each j where its pairs start and how many there are."""
-    nblocks = np.fromiter(map(len, cut), dtype=np.intp, count=len(cut))
-    sizes = np.fromiter(chain.from_iterable(cut), dtype=np.intp,
-                        count=int(nblocks.sum()))
-    pos = np.fromiter(chain.from_iterable(map(range, nblocks.tolist())),
-                      dtype=np.intp, count=len(sizes))
-    counts = np.fromiter(map(len, held), dtype=np.intp, count=len(held))
-    key = np.fromiter(map(number.__getitem__, chain.from_iterable(held)),
-                      dtype=np.intp, count=int(counts.sum()))
-    key *= width
-    key += np.repeat(pos, sizes)
-    return key, np.cumsum(counts) - counts, counts
 
 
 def _packed_rows(nrows: int, rows: np.ndarray,

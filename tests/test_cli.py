@@ -325,6 +325,39 @@ class TestCompacta:
         above = peak(k14) - peak(no_rows)
         assert above <= 4 * compacta._PIECE_BYTES, above
 
+    def test_matrix_labels_stream(self, monkeypatch, k14):
+        # with no rows, the 14x14 K export is its 6,718 column labels; the
+        # CSV header and the JSON "cols" go out a few pieces at a time, not
+        # as one string of every label (0.58 MB and 4.0 MB whole), and so
+        # do the JSON "rows" of the same sets as rows with no columns
+        monkeypatch.setattr(sys, "stdout", _Discard())
+        no_rows = dataclasses.replace(k14, rows=(), bits=k14.bits[:0])
+        no_cols = dataclasses.replace(
+            k14, rows=k14.cols, cols=(),
+            bits=k14.bits[:1, :0].repeat(len(k14.cols), 0))
+
+        def peak(export):
+            tracemalloc.start()
+            try:
+                export()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def json_export(m):
+            monkeypatch.setattr(cli, "_build_matrix_from_args",
+                                lambda args: m)
+            assert cli.main(["compacta", "matrix", "--mode", "K",
+                             "--alpha", "w", "--format", "json"]) == 0
+
+        bound = 4 * compacta._PIECE_BYTES
+        got = peak(lambda: compacta.write(no_rows, "csv", sys.stdout))
+        assert got <= bound, got
+        got = peak(lambda: json_export(no_rows))
+        assert got <= bound, got
+        got = peak(lambda: json_export(no_cols))
+        assert got <= bound, got
+
     def test_matrix_pbm_file(self, run_cli, tmp_path):
         target = tmp_path / "m.pbm"
         code, out, _ = run_cli(["compacta", "matrix", "--mode", "K",
@@ -375,6 +408,26 @@ class TestCompacta:
             assert code == 0
             assert out == ('{"bound":%d,"separator":[2],"t0":[2],"t1":[%d]}\n'
                            % (big if not bound else 3, big))
+
+    @pytest.mark.parametrize("piece_bytes", [1, 1 << 10, None])
+    def test_inject_json_is_the_dump_of_its_dict(self, run_cli, monkeypatch,
+                                                 piece_bytes):
+        # the classes go out in pieces of one, eight and 1,024 labels
+        if piece_bytes:
+            monkeypatch.setattr(compacta, "_PIECE_BYTES", piece_bytes)
+        m = compacta.build_matrix("L", "w", All(), 8, 4)
+        report = compacta.injectivity_report(m)
+        assert not report.all_distinct
+        code, out, _ = run_cli(["compacta", "inject", "--mode", "L",
+                                "--alpha", "w", "--rows", "8", "--cols", "4"])
+        whole = {"all_distinct": report.all_distinct,
+                 "classes": [[list(m.rows[i].elems) for i in cls]
+                             for cls in report.classes],
+                 "col_bound": report.col_bound,
+                 "truncation_artifact": list(report.truncation_artifact)}
+        assert code == 0
+        assert out == json.dumps(whole, sort_keys=True,
+                                 separators=(",", ":")) + "\n"
 
     def test_inject_golden(self, run_cli):
         code, out, _ = run_cli(["compacta", "inject", "--mode", "K",

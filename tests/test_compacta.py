@@ -152,6 +152,11 @@ class TestSmallBlocks:
     def pieces(m, fmt):
         return list(compacta._pieces(m, fmt))
 
+    def row_pieces(self, m):
+        # the CSV header comes in pieces of its own, ending in a "\n" piece
+        csv = self.pieces(m, "csv")
+        return csv[csv.index("\n") + 1:]
+
     def json_rows(self, m):
         # the JSON pieces join to the compact dump of the 0/1 rows
         got = "".join(self.pieces(m, "json"))
@@ -162,7 +167,7 @@ class TestSmallBlocks:
         self.shrink(monkeypatch, rows, 5)
         m = build_matrix("K", 1, All(), 3, 3)
         assert (to_csv(m), to_pbm(m)) == (CSV_3X3, PBM_3X3)
-        assert len(self.pieces(m, "csv")) == 1 + -(-4 // rows)
+        assert len(self.row_pieces(m)) == -(-4 // rows)
         assert self.json_rows(m) == ("[[1,1,1,1,1],[1,0,1,1,1],[1,1,0,1,0],"
                                      "[1,1,1,0,0]]")
         self.shrink(monkeypatch, rows, 0)
@@ -185,7 +190,7 @@ class TestSmallBlocks:
         self.shrink(monkeypatch, rows, shape[1])
         m = build_matrix(mode, "w", All(), bound, bound)
         csv = self.pieces(m, "csv")
-        assert len(csv) == 1 + -(-shape[0] // rows)
+        assert len(self.row_pieces(m)) == -(-shape[0] // rows)
         assert hashlib.sha256("".join(csv).encode()).hexdigest() == csv_sha
         assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
         self.json_rows(m)

@@ -298,6 +298,70 @@ def test_parity_matrix_does_not_grow_with_the_elements():
                                         transposed=True), want.T)
 
 
+def assert_grid_is_the_oracle(ss, ts):
+    # both layouts, packed and unpacked, against the scalar ``parity``
+    want = np.array([[parity(s if isinstance(s, FinSet) else FinSet(s), t)
+                      for t in ts] for s in ss], dtype=np.uint8)
+    want = want.reshape(len(ss), len(ts))
+    assert np.array_equal(parity_matrix(ss, ts), want)
+    assert np.array_equal(parity_matrix(ss, ts, packed=True),
+                          np.packbits(want, axis=1))
+    assert np.array_equal(parity_matrix(ss, ts, transposed=True), want.T)
+    assert np.array_equal(parity_matrix(ss, ts, transposed=True, packed=True),
+                          np.packbits(want.T, axis=1))
+
+
+# Second coordinates past every fixed-width integer: the whole-array split
+# clips each element at the longest column, and 2^63 - 1, 2^63, 2^64 + 1 and
+# 10^30 open blocks, close them and sit in final blocks
+HUGE_TS = [FinSet((2 ** 63 - 1,)), FinSet((2, 2 ** 63)),
+           FinSet((2, 3, 2 ** 64 + 1)),
+           FinSet((2, 3, 2 ** 64 + 1, 2 ** 64 + 2, 10 ** 30)),
+           FinSet((3, 4, 5, 2 ** 63 - 1, 2 ** 63, 10 ** 30)),
+           FinSet((2, 3, 2 ** 63 - 1, 2 ** 63)),
+           FinSet(tuple(range(2 ** 63 - 1, 2 ** 63 + 6)))]  # the longest
+# three blocks each: {3,4,5} | six elements from 6 | from 12 on
+DEEP_TS = [FinSet((3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
+           FinSet((3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 19, 20)),
+           FinSet((3, 5, 7, 9, 10, 11, 12, 13, 14, 15, 16))]
+
+
+@pytest.mark.parametrize("ss, ts", [
+    pytest.param([FinSet((2 ** 63 - 1,)), (2, 2 ** 63), (3, 2 ** 64 + 1),
+                  FinSet((2, 3, 2 ** 64 + 2)), (2, 2 ** 64 + 1, 10 ** 30),
+                  (3, 4, 2 ** 63), (2 ** 63 - 1, 2 ** 63 + 5),
+                  FinSet((2 ** 64,)), ()],
+                 HUGE_TS, id="huge elements"),
+    pytest.param([(2,), FinSet((2, 3)), (3, 5), EMPTY],
+                 [EMPTY, EMPTY, FinSet((2, 3)), EMPTY, FinSet((3,)),
+                  FinSet((2, 5, 6)), EMPTY], id="empty columns"),
+    pytest.param([FinSet((3,)), (3, 6), (4, 8), FinSet((5, 12)), (9,), ()],
+                 DEEP_TS, id="every s shorter than the deepest t"),
+    pytest.param([(3, 6, 12), FinSet((3, 8, 14, 15, 16)), (3, 9, 19, 20),
+                  (4, 10, 13, 14, 15, 16, 17), FinSet((5,))],
+                 DEEP_TS + [FinSet((2, 3))], id="some s longer"),
+])
+def test_parity_matrix_splits_every_column_as_the_oracle(ss, ts):
+    assert_grid_is_the_oracle(ss, ts)
+    assert_grid_is_the_oracle(ss[::-1], ts[::-1])
+    assert_grid_is_the_oracle(ss, HUGE_TS + ts)
+
+
+@pytest.mark.parametrize("nrows", [0, 5])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_parity_matrix_refuses_the_first_refused_column(nrows, transposed):
+    # {1,2} and {1,2,3} both have more blocks than their minimum; the
+    # refusal is that of the first, as ``decompose`` words it, rows or not
+    ts = [EMPTY, FinSet((2, 3)), FinSet((1, 2)), FinSet((1, 2, 3))]
+    with pytest.raises(NotInS2Error) as want:
+        decompose(FinSet((1, 2)))
+    assert "(1, 2)" in str(want.value)
+    ss = [FinSet((2, 3))] * nrows
+    with pytest.raises(NotInS2Error) as got:
+        parity_matrix(ss, ts, transposed=transposed)
+    assert str(got.value) == str(want.value)
+
+
 def shrink(mp, rows, ncols):
     """Make a fill block ``rows`` packed rows of ``ncols`` bits."""
     nbytes = (ncols + 7) // 8
@@ -352,8 +416,11 @@ def test_packed_parity_matrix_is_the_packed_grid(s2_upto_14, n):
 def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
     # the result is the only full-size array of a fill: besides it, the
     # traced peak holds the incidence table, its index array, one block of
-    # result rows and the block lengths of every column, plus small objects
-    # such as the packed all-ones row
+    # result rows and the column split, plus small objects such as the
+    # packed all-ones row.  The split keeps one intp element number and one
+    # int32 block position per column element, which the key and table-row
+    # arrays then reuse or replace; the bound allows it as much as a tuple
+    # of block lengths per column, the split it once held
     kernel._decompose_elems.cache_clear()
     ss = family.enumerate_members(family.SCHREIER, 14)
     table, index, _ = kernel._incidence(ss, s2_upto_14, transposed)
