@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 from . import compacta, verify as verify_mod
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
@@ -236,12 +235,8 @@ def _cmd_compacta_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _generator_from(seed: Optional[int]):
-    return CanonicalBlocks() if seed is None else SeededBlocks(seed)
-
-
 def _cmd_tree_check(args) -> int:
-    gen = _generator_from(args.seed)
+    gen = CanonicalBlocks() if args.seed is None else SeededBlocks(args.seed)
     chain = build_chain(args.n, FinSet.parse(args.s), gen)
     extended = chain.extend(args.m)
     # blocks and t0 list the chain's spans, t1 the extension's; counted on
@@ -331,10 +326,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(p: argparse.ArgumentParser, choices, default) -> None:
-    p.add_argument("--format", choices=choices, default=default)
-
-
 # Built once per process: building takes about 2 ms, and ``verify`` and
 # the bench call ``main`` several times in one process.  Parsing leaves
 # the parser unchanged, and argparse looks up sys.stdout and sys.stderr
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--max", type=_integer, required=True,
                    help="largest element considered")
-    _add_format(p, ("json", "csv"), "json")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_fam_enum)
     p = fam_sub.add_parser("member", help="membership of one set")
     p.add_argument("expr")
@@ -368,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fam_maximal)
     p = fam_sub.add_parser("rank", help="symbolic rank")
     p.add_argument("expr")
-    _add_format(p, ("text", "json"), "text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_fam_rank)
 
     theta = top.add_parser("theta", help="parity kernel")
@@ -397,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = comp_sub.add_parser("matrix", help="export a kernel matrix")
     _matrix_flags(p)
-    _add_format(p, ("csv", "json"), "csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--pbm", metavar="FILE",
                    help="also write a P1 bitmap to FILE")
     p.set_defaults(handler=_cmd_compacta_matrix)

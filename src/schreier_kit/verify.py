@@ -1,9 +1,9 @@
 """Named verification suites, one per library invariant.
 
 Every suite replays one documented invariant, exhaustively at a truncation
-that a laptop handles in seconds.  ``run_suite`` returns a report whose
-serialized form is byte-stable across runs; wall time is carried on the
-report object but never serialized.
+that a laptop handles in seconds.  Each suite fills the report that
+``run_suite`` hands it, whose serialized form is byte-stable across runs;
+wall time is carried on the report object but never serialized.
 """
 
 from __future__ import annotations
@@ -38,9 +38,13 @@ _PAD_COLUMNS = 97 * 40
 
 @dataclass
 class VerifyReport:
+    """One suite run: the suite counts its cases and records its failures
+    here; ``label`` is a zero-argument callable, so a case's text is built
+    only when it is recorded."""
+
     suite: str
-    cases: int
-    failures: list[dict]
+    cases: int = 0
+    failures: list[dict] = field(default_factory=list)
     wall_time: float = field(default=0.0, compare=False)
 
     @property
@@ -52,15 +56,6 @@ class VerifyReport:
         return json.dumps({"suite": self.suite, "cases": self.cases,
                            "failures": self.failures},
                           sort_keys=True, separators=(",", ":"))
-
-
-class _Collector:
-    """Counts cases and records failures; ``label`` is a zero-argument
-    callable, so a case's text is built only when it is recorded."""
-
-    def __init__(self):
-        self.cases = 0
-        self.failures: list[dict] = []
 
     def check(self, ok: bool, label: Callable[[], str], expected, actual):
         self.cases += 1
@@ -75,7 +70,7 @@ class _Collector:
 
 
 def _eff(default: int, cap: Optional[int]) -> int:
-    return default if cap is None else max(1, min(default, cap))
+    return default if cap is None else min(default, cap)
 
 
 # Enumerations kept: capped verify asks 113 distinct (expression, bound)
@@ -123,8 +118,7 @@ def _first(bad: np.ndarray) -> list[list[int]]:
     return np.argwhere(bad)[:_MAX_RECORDED_FAILURES].tolist()
 
 
-def _suite_ordinal_associativity(cap):
-    col = _Collector()
+def _suite_ordinal_associativity(col, cap):
     corpus = _ordinal_corpus(cap)
     n = len(corpus)
     each = np.arange(n)
@@ -145,11 +139,9 @@ def _suite_ordinal_associativity(cap):
         values, lhs, rhs = sides[k]
         col.fail(lambda: f"{('add', 'mul')[k]} {corpus[a]}|{corpus[b]}|"
                  f"{corpus[c]}", values[rhs[a, b, c]], values[lhs[a, b, c]])
-    return col
 
 
-def _suite_ordinal_distributivity(cap):
-    col = _Collector()
+def _suite_ordinal_distributivity(col, cap):
     corpus = _ordinal_corpus(cap)
     n = len(corpus)
     values: dict = {}
@@ -168,11 +160,9 @@ def _suite_ordinal_distributivity(cap):
     for a, b, c in _first(lhs != rhs):
         col.fail(lambda: f"{corpus[a]}|{corpus[b]}|{corpus[c]}",
                  values[rhs[a, b, c]], values[lhs[a, b, c]])
-    return col
 
 
-def _suite_ordinal_order(cap):
-    col = _Collector()
+def _suite_ordinal_order(col, cap):
     corpus = _ordinal_corpus(cap)
     n = len(corpus)
     # each ordered pair asked of < once
@@ -205,7 +195,6 @@ def _suite_ordinal_order(cap):
     for (k,) in _first(~ok):
         col.fail(lambda: f"monotone {corpus[a[k]]}|{corpus[b[k]]}|"
                  f"{corpus[c[k]]}", True, False)
-    return col
 
 
 def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
@@ -225,8 +214,7 @@ def _random_ordinal(rng: random.Random, depth: int = 2) -> Ordinal:
     return Ordinal(terms)
 
 
-def _suite_ordinal_roundtrip(cap):
-    col = _Collector()
+def _suite_ordinal_roundtrip(col, cap):
     rng = random.Random(4020)
     n = _eff(1000, None if cap is None else cap * 80)
     for _ in range(n):
@@ -234,7 +222,6 @@ def _suite_ordinal_roundtrip(cap):
         text = str(x)
         back = Ordinal.parse(text)
         col.check(back == x, lambda: text, x, back)
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +229,8 @@ def _suite_ordinal_roundtrip(cap):
 # ---------------------------------------------------------------------------
 
 
-def _suite_precedes_transitive(cap):
+def _suite_precedes_transitive(col, cap):
     bound = _eff(8, cap)
-    col = _Collector()
     subs = [FinSet(e) for e in family._powerset(range(1, bound + 1))]
     nonempty = [s for s in subs if s]
     mx = np.array([s.max for s in nonempty])
@@ -262,12 +248,10 @@ def _suite_precedes_transitive(cap):
         if s:
             col.check(not s.precedes(EMPTY), lambda: f"{s} precedes empty",
                       False, True)
-    return col
 
 
-def _suite_interval_structure(cap):
+def _suite_interval_structure(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     for a in range(1, bound + 1):
         for b in range(a, bound + 1):
             iv = interval(a, b)
@@ -280,7 +264,6 @@ def _suite_interval_structure(cap):
                     got = interval(a, b).precedes(interval(c, d))
                     col.check(got == (b < c),
                               lambda: f"[{a},{b}] vs [{c},{d}]", b < c, got)
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +280,8 @@ def _family_corpus() -> list:
     return out
 
 
-def _suite_family_hereditary(cap):
+def _suite_family_hereditary(col, cap):
     bound = _eff(10, cap)
-    col = _Collector()
     for expr in _family_corpus():
         for s in _members(expr, bound):
             for r in range(len(s) + 1):
@@ -307,13 +289,11 @@ def _suite_family_hereditary(cap):
                     col.check(family._member(expr, sub),
                               lambda: f"{family.format_family(expr)}: "
                               f"{FinSet(sub)} under {s}", True, False)
-    return col
 
 
-def _suite_family_tail_uniformity(cap):
+def _suite_family_tail_uniformity(col, cap):
     bound = _eff(10, cap)
     horizon = _eff(40, None if cap is None else cap * 4)
-    col = _Collector()
     for expr in _family_corpus():
         idx = family.effective_index(expr)
         step = family._stepper(expr)[1]
@@ -330,12 +310,10 @@ def _suite_family_tail_uniformity(cap):
             col.check(len(vals) <= 1,
                       lambda: f"{family.format_family(expr)}: {s}",
                       "constant tail membership", sorted(vals))
-    return col
 
 
-def _suite_family_enumeration(cap):
+def _suite_family_enumeration(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     for expr in _family_corpus():
         fast = list(_members(expr, bound))
         naive = family.enumerate_members_naive(expr, bound)
@@ -345,12 +323,10 @@ def _suite_family_enumeration(cap):
         col.check(all(x <= y for x, y in zip(sizes, sizes[1:])),
                   lambda: f"{family.format_family(expr)} monotone counts",
                   "nondecreasing", sizes)
-    return col
 
 
-def _suite_family_rank_consistency(cap):
+def _suite_family_rank_consistency(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     for n in range(1, 5):
         expr = Cube(n, n)
         at_n = enumerate_members(family.iterated_derivative(expr, n), bound)
@@ -375,12 +351,10 @@ def _suite_family_rank_consistency(cap):
     for expr, want in golds:
         got = str(family.rank(expr))
         col.check(got == want, lambda: family.format_family(expr), want, got)
-    return col
 
 
-def _suite_family_level_union(cap):
+def _suite_family_level_union(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     s_all = set(_members(SCHREIER, bound))
     s2_all = set(_members(SCHREIER_SQUARE, bound))
     base_union: set = set()
@@ -398,7 +372,6 @@ def _suite_family_level_union(cap):
               f"{len(s_all)} sets", f"{len(base_union)} sets")
     col.check(prod_union == s2_all, lambda: "union of product levels",
               f"{len(s2_all)} sets", f"{len(prod_union)} sets")
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +379,8 @@ def _suite_family_level_union(cap):
 # ---------------------------------------------------------------------------
 
 
-def _suite_parity_decomposition_unique(cap):
+def _suite_parity_decomposition_unique(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     for elems in family._powerset(range(1, bound + 1)):
         if not elems:
             continue
@@ -426,7 +398,6 @@ def _suite_parity_decomposition_unique(cap):
             got = tuple(b.elems for b in decompose(FinSet(elems)).blocks)
             col.check(got == valid[0], lambda: f"greedy at {FinSet(elems)}",
                       valid[0], got)
-    return col
 
 
 def _pads_for(t: FinSet, hi: int):
@@ -440,10 +411,9 @@ def _pads_for(t: FinSet, hi: int):
         a += 1
 
 
-def _suite_parity_local_constancy(cap):
+def _suite_parity_local_constancy(col, cap):
     bound = _eff(12, cap)
     horizon = _eff(40, None if cap is None else cap * 4)
-    col = _Collector()
     ss = list(compacta.schreier_sets_upto(bound))
     ts = list(_members(SCHREIER_SQUARE, bound))
     grid = parity_matrix(ss, ts)
@@ -499,12 +469,10 @@ def _suite_parity_local_constancy(cap):
             col.check(padded[i, k] == want, lambda: "vector spot-check "
                       f"s={ss_by_max[i]}, t2={t2s[k0 + k]}", want,
                       int(padded[i, k]))
-    return col
 
 
-def _suite_parity_sign_formula(cap):
+def _suite_parity_sign_formula(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     ss = list(compacta.schreier_sets_upto(bound))
     ts = list(_members(SCHREIER_SQUARE, bound))
     for t in ts:
@@ -515,12 +483,10 @@ def _suite_parity_sign_formula(cap):
             c = inner(s, d)
             col.check((c + 1) % 2 == ((-1) ** c + 1) // 2,
                       lambda: f"s={s}, t={t}", "congruent forms", c)
-    return col
 
 
-def _suite_parity_decompose_member(cap):
+def _suite_parity_decompose_member(col, cap):
     bound = _eff(12, cap)
-    col = _Collector()
     for elems in family._powerset(range(1, bound + 1)):
         if not elems:
             continue
@@ -538,7 +504,6 @@ def _suite_parity_decompose_member(cap):
         except NotInS2Error:
             col.check(not greedy, lambda: f"{t} decompose refused",
                       "non-member", f"member={greedy}")
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +518,8 @@ def _powers_schreier(top_exp: int, max_size: int) -> list[FinSet]:
     return [s for s in members if len(s) <= max_size]
 
 
-def _suite_compacta_witness_separates(cap):
+def _suite_compacta_witness_separates(col, cap):
     top = _eff(10, cap)
-    col = _Collector()
     rows = _powers_schreier(top, 4)
     i0, i1 = np.triu_indices(len(rows), 1)  # itertools.combinations order
     # each pair's witness, or the error that refused it
@@ -583,12 +547,10 @@ def _suite_compacta_witness_separates(cap):
         else:
             col.fail(label, "witness in S2 and separating",
                      f"in_S2={ok[k]}, separates={sep[k]}")
-    return col
 
 
-def _suite_compacta_witness_matrix(cap):
+def _suite_compacta_witness_matrix(col, cap):
     top = _eff(6, cap)
-    col = _Collector()
     rows = _powers_schreier(top, 4)
     cols_set = []
     seen = set()
@@ -604,11 +566,9 @@ def _suite_compacta_witness_matrix(cap):
               "pairwise distinct rows",
               f"{len(rep.collision_classes)} collision classes")
     col.cases = len(rows) * (len(rows) - 1) // 2
-    return col
 
 
-def _suite_compacta_matrix_determinism(cap):
-    col = _Collector()
+def _suite_compacta_matrix_determinism(col, cap):
     outputs = []
     for _ in range(2):
         m1 = compacta.build_matrix("K", 2, All(), _eff(8, cap), _eff(8, cap))
@@ -619,13 +579,11 @@ def _suite_compacta_matrix_determinism(cap):
     col.check(outputs[0] == outputs[1], lambda: "run 1 vs run 2",
               "identical bytes", "diverged")
     col.cases = sum(len(x) for x in outputs[0])
-    return col
 
 
-def _suite_compacta_search_bound(cap):
+def _suite_compacta_search_bound(col, cap):
     t_bound = _eff(10, cap)
     s_bound = min(22, 2 * t_bound + 2)
-    col = _Collector()
     ts = _members(SCHREIER_SQUARE, t_bound)
     # every pair at once, in itertools.combinations order
     found = compacta.first_separators(ts, s_bound)
@@ -636,7 +594,6 @@ def _suite_compacta_search_bound(cap):
         if s is None or s[-1] > bound:
             col.fail(lambda: f"{t0} vs {t1}", f"separator within {bound}",
                      "none found" if s is None else FinSet(s))
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +607,9 @@ def _chain_supports(bound: int, max_size: int) -> list[FinSet]:
     return list(_members(Cube(1, max_size), bound)[1:])
 
 
-def _suite_averaging_level_parity(cap):
+def _suite_averaging_level_parity(col, cap):
     bound = _eff(7, cap)
     seeds = _eff(100, cap)
-    col = _Collector()
     gens = averaging.sweep_generators(seeds)
     supports = _chain_supports(bound, 4)
     for gen in gens:
@@ -667,14 +623,12 @@ def _suite_averaging_level_parity(cap):
                 col.check(got == want,
                           lambda: f"{gen.describe()} s={s} level {j}",
                           want, got)
-    return col
 
 
-def _suite_averaging_cancellation(cap):
+def _suite_averaging_cancellation(col, cap):
     bound = _eff(9, cap)
     m_hi = _eff(12, cap)
     seeds = _eff(100, cap)
-    col = _Collector()
     gens = averaging.sweep_generators(seeds)
     empty_chain = averaging.build_chain(1, EMPTY)
     base = averaging.evaluate(averaging.union_functional(empty_chain),
@@ -694,12 +648,10 @@ def _suite_averaging_cancellation(cap):
                         col.fail(lambda: f"n={n} s={s} m={m} {gen.describe()}",
                                  f"(-1)^{len(s)}",
                                  repr(averaging.cancellation_error(s, m, got)))
-    return col
 
 
-def _suite_averaging_parity_table(cap):
+def _suite_averaging_parity_table(col, cap):
     bound = _eff(6, cap)
-    col = _Collector()
     gens = [averaging.CanonicalBlocks(),
             averaging.SeededBlocks(7), averaging.SeededBlocks(99)]
     for n in range(1, 4):
@@ -730,12 +682,10 @@ def _suite_averaging_parity_table(cap):
                 for r in np.flatnonzero(got != want_w):
                     col.fail(lambda: f"n={n} s={s} w={FinSet(picks[r])} "
                              f"{gen.describe()}", want_w, int(got[r]))
-    return col
 
 
-def _suite_averaging_evaluator_equivalence(cap):
+def _suite_averaging_evaluator_equivalence(col, cap):
     trials = _eff(200, None if cap is None else cap * 16)
-    col = _Collector()
     rng = random.Random(90125)
     done = 0
     attempt = 0
@@ -762,12 +712,10 @@ def _suite_averaging_evaluator_equivalence(cap):
             col.check(False, lambda: "generation", "enough small cases",
                       "starved")
             break
-    return col
 
 
-def _suite_averaging_convexity(cap):
+def _suite_averaging_convexity(col, cap):
     bound = _eff(6, cap)
-    col = _Collector()
     for n in (2, 3):
         for s in _chain_supports(bound, n):
             chain = averaging.build_chain(n, s, averaging.SeededBlocks(5))
@@ -784,7 +732,6 @@ def _suite_averaging_convexity(cap):
             col.check(ok, lambda: f"n={n} s={s}",
                       "positive weights summing to 1",
                       f"count={len(table)}, sum={Fraction(num, den)}")
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +752,7 @@ def _capture_cli(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _suite_cli_byte_determinism(cap):
-    col = _Collector()
+def _suite_cli_byte_determinism(col, cap):
     commands = [
         ["compacta", "matrix", "--mode", "K", "--alpha", "2",
          "--rows", str(_eff(7, cap)), "--cols", str(_eff(7, cap)),
@@ -820,14 +766,11 @@ def _suite_cli_byte_determinism(cap):
         first, second = _capture_cli(list(argv)), _capture_cli(list(argv))
         col.check(first == second, lambda: " ".join(argv),
                   "one output across runs", "2")
-    return col
 
 
-def _suite_cli_coverage(cap):
-    col = _Collector()
+def _suite_cli_coverage(col, cap):
     col.check(tuple(SUITES) == EXPECTED_SUITES, lambda: "registry",
               list(EXPECTED_SUITES), list(SUITES))
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -883,10 +826,13 @@ cli.suite_coverage
 def run_suite(name: str, cap: Optional[int] = None) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"the verify cap (--max) must be >= 1, got {cap}")
+    report = VerifyReport(name)
     started = time.perf_counter()
-    col = SUITES[name](cap)
-    return VerifyReport(suite=name, cases=col.cases, failures=col.failures,
-                        wall_time=time.perf_counter() - started)
+    SUITES[name](report, cap)
+    report.wall_time = time.perf_counter() - started
+    return report
 
 
 def run_all(cap: Optional[int] = None) -> list[VerifyReport]:

@@ -622,6 +622,14 @@ class TestVerifyCommand:
         assert err == ("finset.interval_structure: 5 cases, 0 failures, "
                        "0.00s, 0 cases/s\n")
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "suite", [[], ["--suite", "finset.interval_structure"]],
+        ids=["all", "one"])
+    def test_cap_below_one_exits_2(self, run_cli, cap, suite):
+        assert run_cli(["verify", *suite, "--max", cap]) == (
+            2, "", f"error: the verify cap (--max) must be >= 1, got {cap}\n")
+
     def test_unknown_suite_exits_2_and_lists_names(self, run_cli):
         code, out, err = run_cli(["verify", "--suite", "nope"])
         assert (code, out) == (2, "")

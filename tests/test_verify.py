@@ -1,4 +1,4 @@
-"""The invariant-suite registry, its report format and its case collector."""
+"""The invariant-suite registry and the report that counts a run's cases."""
 
 import hashlib
 import itertools
@@ -44,25 +44,31 @@ def test_unknown_suite_raises_keyerror():
         verify.run_suite("kernel.nope")
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match=f"must be >= 1, got {cap}"):
+        verify.run_suite("finset.interval_structure", cap)
+
+
 def _raise():
     raise AssertionError("label built for a passing check")
 
 
 class TestCollector:
     def test_passing_check_never_builds_its_label(self):
-        col = verify._Collector()
+        col = verify.VerifyReport("")
         col.check(True, _raise, 1, 1)
         assert col.cases == 1 and col.failures == []
 
     def test_failing_check_records_the_eager_dictionary(self):
-        col = verify._Collector()
+        col = verify.VerifyReport("")
         a = verify._ordinal_corpus()[5]
         col.check(False, lambda: f"add {a}|{a}", a, [1, 2])
         assert col.failures == [{"case": f"add {a}|{a}", "expected": str(a),
                                  "actual": "[1, 2]"}]
 
     def test_failures_are_capped_but_cases_are_not(self):
-        col = verify._Collector()
+        col = verify.VerifyReport("")
         for i in range(25):
             col.check(False, lambda: f"case {i}", True, False)
         assert col.cases == 25
@@ -70,7 +76,7 @@ class TestCollector:
         assert cases == [f"case {i}" for i in range(20)]
 
     def test_fail_adds_no_case(self):
-        col = verify._Collector()
+        col = verify.VerifyReport("")
         col.cases += 7
         col.fail(lambda: "bulk", "expected", "actual")
         assert col.cases == 7 and len(col.failures) == 1
@@ -176,7 +182,7 @@ class TestLocalConstancyGrid:
 
 
 def loop_associativity(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     corpus = verify._ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
@@ -189,7 +195,7 @@ def loop_associativity(cap):
 
 
 def loop_distributivity(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     corpus = verify._ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
@@ -200,7 +206,7 @@ def loop_distributivity(cap):
 
 
 def loop_order(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     corpus = verify._ordinal_corpus(cap)
     for a in corpus:
         for b in corpus:
@@ -226,7 +232,7 @@ def loop_order(cap):
 
 
 def loop_witness_separates(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     rows = verify._powers_schreier(verify._eff(10, cap), 4)
     for s0, s1 in itertools.combinations(rows, 2):
         try:
@@ -244,7 +250,7 @@ def loop_witness_separates(cap):
 
 
 def loop_convexity(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     for n in (2, 3):
         for s in verify._chain_supports(verify._eff(6, cap), n):
             chain = averaging.build_chain(n, s, averaging.SeededBlocks(5))
@@ -262,7 +268,7 @@ def loop_convexity(cap):
 
 
 def loop_cancellation(cap):
-    col = verify._Collector()
+    col = verify.VerifyReport("")
     bound = verify._eff(9, cap)
     m_hi = verify._eff(12, cap)
     seeds = verify._eff(100, cap)
