@@ -360,8 +360,10 @@ def first_separators(ts: Sequence[FinSet],
     the search at the first row where its two columns differ, and the
     search ends once no pair is pending.  The result shares the chunks'
     element tuples, so it holds no set per pair.  Every ts[j] must be
-    empty or decompose, whatever the bound.
+    empty or decompose, whatever the bound.  A negative bound is refused.
     """
+    if bound < 0:
+        raise ValueError(f"the search bound must be >= 0, got {bound}")
     left, right = np.triu_indices(len(ts), 1)
     found: list[Optional[tuple[int, ...]]] = [None] * len(left)
     pending = np.arange(len(left))

@@ -22,6 +22,7 @@ ranks in Cantor normal form all operate on these expressions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -144,10 +145,9 @@ class Explicit:
         return m in self.members
 
     def first_above(self, lo: int) -> Optional[int]:
-        for m in self.members:
-            if m > lo:
-                return m
-        return None
+        elems = self.members.elems
+        i = bisect_right(elems, lo)
+        return elems[i] if i < len(elems) else None
 
 
 IndexSet = Union[AP, Powers, Explicit]
@@ -710,7 +710,9 @@ def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
     member by increasing elements, each level in order, so it needs no
     sort; it carries each prefix's state and universe position (a range
     universe is sliced, never listed), so a candidate costs one step, and
-    the final states are the members."""
+    the final states are the members.  A negative bound is refused."""
+    if bound < 0:
+        raise ValueError(f"the truncation bound must be >= 0, got {bound}")
     universe = index_elements_between(effective_index(expr), 0, bound)
     init, step, final = _stepper(expr)
     out = [()] if final(init) else []

@@ -19,9 +19,11 @@ t's block i, and only positions below the deepest decomposition can hit.
 So one packed incidence table has a row per such pair of the second
 coordinates, whose bits run over the second coordinates in one layout
 and over the first in the other, and each row of the result is the
-packed all-ones row XOR-ed with the table rows its set picks.  Elements
-are numbered in order of first appearance, so the table's size depends
-on how many distinct elements there are, not on how large they are.
+packed all-ones row XOR-ed with the table rows its set picks.
+``np.packbits`` packs the table from a transient 0/1 array, about 8
+times its size, which is freed before the fill.  Elements are numbered
+in order of first appearance, so the table's size depends on how many
+distinct elements there are, not on how large they are.
 First coordinates may be FinSets or bare increasing element tuples (the
 picks of a block average, the candidate rows of a separator search), so
 a caller need not build a FinSet per row.  The grid is filled packed, in
@@ -228,9 +230,9 @@ def _incidence(ss, ts, transposed: bool):
     m lies in block i of ts[j], and the index column of s picks the row of
     (i, s_i) for each i, or row 0.  Transposed, row (i, m) has bit k set
     when the i-th element of ss[k] is m, and the index column of t picks
-    the row of each of its pairs, padded with row 0.  Elements are
-    numbered in order of first appearance, so no array grows with how
-    large they are.
+    the row of each of its pairs, padded with row 0.  Both layouts
+    scatter their bits into a transient 0/1 array, about 8 times the
+    packed table, freed before the fill once ``np.packbits`` packs it.
 
     The ts are split together, over their element numbers laid end to
     end.  A block opened at m takes min(m, elements left) elements, at
@@ -313,33 +315,21 @@ def _incidence(ss, ts, transposed: bool):
         map(number.get, chain.from_iterable(heads), repeat(len(number))),
         dtype=np.intp, count=int(lens.sum()))
     srow = row.reshape(len(number) + 1, width)[skey, at]
-    if not transposed:
-        table = _packed_rows(len(keys) + 1, trow, counts)
+    if transposed:
+        index = np.zeros((counts.max(initial=0), len(ts)), dtype=np.intp)
+        for c in range(len(index)):
+            have = np.flatnonzero(counts > c)
+            index[c, have] = trow[starts[have] + c]
+        rows, cols, nbits = srow, np.arange(len(ss))[:, None], len(ss)
+    else:
         # a C-order copy, so that each index row is contiguous
-        return table, srow.T.copy(), len(ts)
-    index = np.zeros((counts.max(initial=0), len(ts)), dtype=np.intp)
-    for c in range(len(index)):
-        have = np.flatnonzero(counts > c)
-        index[c, have] = trow[starts[have] + c]
-    table = _packed_rows(len(keys) + 1, srow[srow > 0],
-                         np.count_nonzero(srow, axis=1))
-    return table, index, len(ss)
-
-
-def _packed_rows(nrows: int, rows: np.ndarray,
-                 counts: np.ndarray) -> np.ndarray:
-    """``nrows`` packed rows of ``len(counts)`` bits, where ``rows`` runs
-    column by column: bit j is set in the next ``counts[j]`` rows, which
-    differ, and every other bit is zero."""
-    out = np.zeros((nrows, (len(counts) + 7) // 8), dtype=np.uint8)
-    for b in range(min(8, len(counts))):
-        # columns b, b + 8, ... are bit b of bytes 0, 1, ...: no byte twice
-        mine = np.zeros(len(counts), dtype=bool)
-        mine[b::8] = True
-        picked = counts[b::8]
-        out[rows[np.repeat(mine, counts)],
-            np.repeat(np.arange(len(picked)), picked)] |= 0x80 >> b
-    return out
+        index = srow.T.copy()
+        rows, cols = trow, np.repeat(np.arange(len(ts)), counts)
+        nbits = len(ts)
+    table = np.zeros((len(keys) + 1, nbits), dtype=bool)
+    table[rows, cols] = True
+    table[0] = False  # the row that picks nothing
+    return np.packbits(table, axis=1), index, nbits
 
 
 # No caller in the package; kept while bench/tracer.py TARGETS name it.

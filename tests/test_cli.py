@@ -630,6 +630,15 @@ class TestVerifyCommand:
         assert run_cli(["verify", *suite, "--max", cap]) == (
             2, "", f"error: the verify cap (--max) must be >= 1, got {cap}\n")
 
+    def test_uncapped_verify_stdout_is_pinned(self, run_cli):
+        # every suite at its full bounds, the parity grids of
+        # kernel.local_constancy, compacta.search_within_bound and
+        # averaging.parity_table included; about 7 s
+        code, out, _ = run_cli(["verify"])
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == \
+            "2c827bea18d85f5cfe959166417a50d6"
+
     def test_unknown_suite_exits_2_and_lists_names(self, run_cli):
         code, out, err = run_cli(["verify", "--suite", "nope"])
         assert (code, out) == (2, "")
@@ -641,6 +650,21 @@ class TestHarness:
     def test_help_exits_0(self, run_cli):
         code, out, _ = run_cli(["--help"])
         assert code == 0 and out.startswith("usage")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["compacta", "matrix", "--mode", "K", "--alpha", "2",
+          "--rows", "-1", "--cols", "3"],
+         "truncation bound must be >= 0, got -1"),
+        (["fam", "enum", "schreier", "--max", "-3"],
+         "truncation bound must be >= 0, got -3"),
+        (["compacta", "search", "--t0", "{2}", "--t1", "{3}", "--bound", "-4"],
+         "search bound must be >= 0, got -4"),
+        (["compacta", "inject", "--mode", "L", "--alpha", "w",
+          "--rows", "3", "--cols", "-2"],
+         "truncation bound must be >= 0, got -2"),
+    ], ids=["matrix-rows", "enum-max", "search-bound", "inject-cols"])
+    def test_negative_bound_exits_2(self, run_cli, argv, error):
+        assert run_cli(argv) == (2, "", f"error: the {error}\n")
 
     def test_search_help_names_the_proved_default_bound(self, run_cli):
         code, out, _ = run_cli(["compacta", "search", "--help"])

@@ -60,6 +60,13 @@ class TestMatrixConstruction:
         assert to_csv(m) == CSV_3X3
         assert to_pbm(m) == PBM_3X3
 
+    @pytest.mark.parametrize("mode", ["K", "L"])
+    def test_negative_bounds_are_refused(self, mode):
+        assert build_matrix(mode, 2, All(), 0, 0).shape == (1, 1)
+        for rows, cols, bad in ((-1, 3, -1), (3, -2, -2)):
+            with pytest.raises(ValueError, match=f">= 0, got {bad}"):
+                build_matrix(mode, 2, All(), rows, cols)
+
     def test_entries_are_kernel_values_in_both_modes(self):
         mk = build_matrix("K", 2, All(), 6, 6)
         for i, s in enumerate(mk.rows):
@@ -313,6 +320,15 @@ class TestSearch:
     def test_equal_inputs_are_rejected(self):
         with pytest.raises(ValueError, match="must differ"):
             distinguishing_search(FinSet((2,)), FinSet((2,)))
+
+    def test_negative_bound_is_refused_and_zero_finds_nothing(self):
+        ts = (FinSet((2,)), FinSet((3,)))
+        assert first_separators(ts, 0) == [None]
+        for bound in (-1, -4):
+            with pytest.raises(ValueError, match=f">= 0, got {bound}"):
+                first_separators(ts, bound)
+            with pytest.raises(ValueError, match=f">= 0, got {bound}"):
+                distinguishing_search(*ts, bound)
 
     def test_default_bound_heuristic(self):
         assert default_search_bound(FinSet((2, 3)), FinSet((2, 4))) == 4

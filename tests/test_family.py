@@ -164,9 +164,21 @@ class TestIndexSets:
         assert list(index_elements_between(AP(3, 2), 4, 11)) == [5, 7, 9, 11]
         assert list(index_elements_between(AP(3, 2), 11, 11)) == []
         assert list(index_elements_between(From(5), 0, 4)) == []
-        assert list(index_elements_between(Explicit((2, 5, 9)), 2, 9)) == [5, 9]
+        assert list(index_elements_between(Explicit(FinSet((2, 5, 9))),
+                                           2, 9)) == [5, 9]
         # a progression's window is a range, not a list of its elements
         assert len(index_elements_between(All(), 0, 10 ** 18)) == 10 ** 18
+
+    def test_explicit_window_matches_a_scan(self):
+        elems = (2, 5, 6, 9, 40)
+        index = Explicit(FinSet(elems))
+        for lo in range(-1, 42):
+            assert index.first_above(lo) == \
+                next((m for m in elems if m > lo), None)
+            for hi in range(lo, 42):
+                assert index_elements_between(index, lo, hi) == \
+                    [m for m in elems if lo < m <= hi]
+        assert Explicit(EMPTY).first_above(0) is None
 
     def test_effective_index_folds_restrictions(self):
         expr = restricted(SCHREIER, Powers(2))
@@ -584,6 +596,12 @@ class TestEnumeration:
     def test_restricted_powers_at_8(self):
         assert sets(restricted(SCHREIER, Powers(2)), 8) == \
             ["∅", "{1}", "{2}", "{4}", "{8}", "{2,4}", "{2,8}", "{4,8}"]
+
+    def test_bound_zero_gives_the_empty_set_and_below_is_refused(self):
+        assert enumerate_members(SCHREIER, 0) == [EMPTY]
+        for bound in (-1, -3):
+            with pytest.raises(ValueError, match=f">= 0, got {bound}"):
+                enumerate_members(SCHREIER, bound)
 
     def test_frozen_counts(self):
         assert len(enumerate_members(SCHREIER, 12)) == 377

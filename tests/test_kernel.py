@@ -420,7 +420,11 @@ def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
     # packed all-ones row.  The split keeps one intp element number and one
     # int32 block position per column element, which the key and table-row
     # arrays then reuse or replace; the bound allows it as much as a tuple
-    # of block lengths per column, the split it once held
+    # of block lengths per column, the split it once held.  The table is
+    # first set as a 0/1 array, about 8 times its packed size, and freed
+    # before the result is made, so it shares the bound's room for the
+    # result: K peaks at 1,461,002 bytes of 1,583,952 and L at 1,746,274
+    # of 2,188,436 (numpy 2.4.6)
     kernel._decompose_elems.cache_clear()
     ss = family.enumerate_members(family.SCHREIER, 14)
     table, index, _ = kernel._incidence(ss, s2_upto_14, transposed)
