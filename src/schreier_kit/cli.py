@@ -50,9 +50,11 @@ def _elems(s: FinSet) -> list[int]:
     return list(s.elems)
 
 
-def _json_elems(s: FinSet) -> str:
-    """``_json(_elems(s))``, without building the list."""
-    return "[" + ",".join(map(str, s.elems)) + "]"
+def _json_label(strs: compacta.ElementStrings):
+    """The function s -> ``_json(_elems(s))``, which builds no list and
+    reads each element's string from the table ``strs``."""
+    get = strs.__getitem__
+    return lambda s: "[" + ",".join(map(get, s.elems)) + "]"
 
 
 def _write_array(items) -> None:
@@ -181,13 +183,14 @@ def _cmd_compacta_matrix(args) -> int:
         head = _json({"alpha": str(m.alpha), "col_bound": m.col_bound,
                       "cols": []})
         sys.stdout.write(head[:-3])
-        _write_array(map(_json_elems, m.cols))
+        label = _json_label(compacta.ElementStrings())
+        _write_array(map(label, m.cols))
         sys.stdout.write(',"entries":')
         compacta.write(m, "json", sys.stdout)
         tail = _json({"index": format_index(m.index), "mode": m.mode,
                       "row_bound": m.row_bound, "rows": []})
         sys.stdout.write("," + tail[1:-3])
-        _write_array(map(_json_elems, m.rows))
+        _write_array(map(label, m.rows))
         sys.stdout.write("}\n")
     else:
         compacta.write(m, "csv", sys.stdout)
@@ -210,7 +213,8 @@ def _cmd_compacta_inject(args) -> int:
     # "all_distinct" and before the other keys
     sys.stdout.write(_json({"all_distinct": report.all_distinct,
                             "classes": []})[:-3])
-    _write_array("[" + ",".join(_json_elems(m.rows[i]) for i in cls) + "]"
+    label = _json_label(compacta.ElementStrings())
+    _write_array("[" + ",".join([label(m.rows[i]) for i in cls]) + "]"
                  for cls in report.classes)
     tail = _json({"col_bound": report.col_bound,
                   "truncation_artifact": list(report.truncation_artifact)})

@@ -14,9 +14,11 @@ Python call or a byte of its own.  ``build_matrix`` refuses a grid of more
 than ``_GRID_LIMIT`` entries after enumerating its rows and columns and
 before filling it.  The fill works in blocks of a fixed number of bytes,
 and the CSV, PBM and JSON writers render pieces of about 128 KiB,
-unpacking every block of rows into the one byte buffer of the export,
-with only the set labels formatted per row; the CSV header's labels go
-out in pieces too (``comma_pieces``).  So the packed grid is the only
+each block of rows looked up byte by byte in a 256-row digit table of
+the format and copied into the one byte buffer of the export, with only
+the set labels formatted per row, from one table of element strings per
+export (``ElementStrings``); the CSV header's labels go out in pieces
+too (``comma_pieces``).  So the packed grid is the only
 full-size array a matrix export holds, besides its sets, and one piece
 is all it holds of the text: ``write`` sends the text out piece by
 piece, and ``to_csv``/``to_pbm`` join the same pieces.  The equal-row
@@ -141,19 +143,46 @@ _ROW_LAYOUT = {"csv": (b"", b",", b"\n"), "pbm": (b"", b" ", b"\n"),
                "json": (b"[", b",", b"],")}
 
 
+def _digit_table(sep: np.ndarray) -> np.ndarray:
+    """The (256, 16) uint8 table whose row b holds the 8 digits of the
+    packed byte b, in ``np.packbits`` order, each followed by ``sep``."""
+    table = np.empty((256, 8, 2), dtype=np.uint8)
+    table[:, :, 0] = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                   axis=1) + ord("0")
+    table[:, :, 1] = sep
+    return table.reshape(256, 16)
+
+
+class ElementStrings(dict):
+    """The ``str`` of each element, made on first use.  One table serves
+    one export, so an element that many set labels share is converted
+    once."""
+
+    def __missing__(self, m: int) -> str:
+        text = self[m] = str(m)
+        return text
+
+
 def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
     """The CSV, PBM or JSON text of ``m`` as a header, blocks of rows and
     (for JSON) a footer; JSON is the array of the rows' digit arrays.
 
-    Each block is unpacked and rendered in the leading rows of one uint8
-    buffer, allocated once per call, holding per row its lead, every digit
-    followed by a separator, the last separator being the row's end, and
-    decoded once; CSV then puts each row's set label in front.
+    Each block of packed rows is rendered by one ``np.take`` from the
+    format's digit table (``_digit_table``), each byte of the grid
+    becoming its 8 digits and their separators; the first 2w - 1 of each
+    row go into the leading rows of one uint8 buffer, allocated once per
+    call with every row's lead and end, and the block is decoded once.
+    CSV puts each row's set label in front, and its labels read one
+    table of element strings (``ElementStrings``).
     """
+    if fmt not in _ROW_LAYOUT:
+        raise ValueError(f"format must be 'csv', 'pbm' or 'json', got {fmt!r}")
     h, w = m.shape
     if fmt == "csv":
+        # each label is ``FinSet.csv_cell``, its elements' strings shared
+        get = ElementStrings().__getitem__
         yield ","
-        yield from comma_pieces(map(FinSet.csv_cell, m.cols))
+        yield from comma_pieces(" ".join(map(get, t.elems)) for t in m.cols)
         yield "\n"
     elif fmt == "pbm":
         yield f"P1\n{w} {h}\n"
@@ -161,24 +190,31 @@ def _pieces(m: ThetaMatrix, fmt: str) -> Iterator[str]:
         yield "["
     lead, sep, end = (np.frombuffer(x, dtype=np.uint8)
                       for x in _ROW_LAYOUT[fmt])
-    digits = slice(len(lead), len(lead) + 2 * w, 2)
-    width = len(lead) + max(2 * w - 1, 0) + len(end)
+    table = _digit_table(sep)
+    text_len = max(2 * w - 1, 0)    # digits and the separators between
+    digits = slice(len(lead), len(lead) + text_len)
+    width = digits.stop + len(end)
     step = max(1, _PIECE_BYTES // width)
-    # leads, separators and ends are written once; each block overwrites
-    # the digits of the buffer's leading rows
+    # leads and ends are written once; each block overwrites the digits
+    # of the buffer's leading rows with the first 2w - 1 bytes of each
+    # gathered row, its digits and the separators between them
     buf = np.empty((min(step, h), width), dtype=np.uint8)
     buf[:, :len(lead)] = lead
-    buf[:, digits.start + 1:digits.stop - 1:2] = sep
     buf[:, width - len(end):] = end
+    nbytes = m.bits.shape[1]
+    gathered = np.empty((len(buf), nbytes, 16), dtype=np.uint8)
+    flat = gathered.reshape(len(buf), nbytes * 16)
     for r in range(0, h, step):
-        rows = buf[:min(step, h - r)]
-        # the unpacked block goes before the text is made
-        np.add(np.unpackbits(m.bits[r:r + step], axis=1, count=w), ord("0"),
-               out=rows[:, digits])
+        n = min(step, h - r)
+        # mode "clip" writes straight into ``out``; "raise" buffers it
+        np.take(table, m.bits[r:r + n], axis=0, out=gathered[:n], mode="clip")
+        rows = buf[:n]
+        rows[:, digits] = flat[:n, :text_len]
         text = str(rows.data, "ascii")
         if fmt == "csv":
-            text = "".join(s.csv_cell() + "," + text[k * width:(k + 1) * width]
-                           for k, s in enumerate(m.rows[r:r + step]))
+            text = "".join(" ".join(map(get, s.elems)) + ","
+                           + text[k * width:(k + 1) * width]
+                           for k, s in enumerate(m.rows[r:r + n]))
         elif fmt == "json" and r + step >= h:
             text = text[:-1]
         yield text

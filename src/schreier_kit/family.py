@@ -141,6 +141,11 @@ class Explicit:
 
     definitely_infinite = False
 
+    def __post_init__(self):
+        if not isinstance(self.members, FinSet):
+            raise TypeError(f"an explicit index needs a FinSet of members, "
+                            f"got {self.members!r}")
+
     def contains(self, m: int) -> bool:
         return m in self.members
 
@@ -740,7 +745,10 @@ def _powerset(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def enumerate_members_naive(expr: FamilyExpr, bound: int) -> list[FinSet]:
     """Powerset filter through the composition-search membership route;
-    the enumeration oracle."""
+    the enumeration oracle.  A negative bound is refused, as by
+    ``enumerate_members``."""
+    if bound < 0:
+        raise ValueError(f"the truncation bound must be >= 0, got {bound}")
     universe = list(range(1, bound + 1))
     found = [els for els in _powerset(universe) if _member_exhaustive(expr, els)]
     found.sort(key=lambda els: (len(els), els))

@@ -133,6 +133,15 @@ class TestSerialization:
         assert to_csv(no_rows) == ",2 3\n"
         assert to_pbm(no_rows) == "P1\n1 0\n"
 
+    def test_unknown_format_is_refused_before_any_text(self):
+        m = build_matrix("K", 1, All(), 3, 3)
+        parts = []
+        with pytest.raises(ValueError, match="format must be 'csv', 'pbm' "
+                                             "or 'json', got 'xml'"):
+            compacta.write(m, "xml", SimpleNamespace(write=parts.append))
+        assert parts == []
+        assert (to_csv(m), to_pbm(m)) == (CSV_3X3, PBM_3X3)
+
     @pytest.mark.parametrize("mode, bound, shape, csv_sha, pbm_sha",
                              GOLDEN_DIGESTS)
     def test_golden_digests(self, mode, bound, shape, csv_sha, pbm_sha):
@@ -201,6 +210,28 @@ class TestSmallBlocks:
         assert hashlib.sha256("".join(csv).encode()).hexdigest() == csv_sha
         assert hashlib.sha256(to_pbm(m).encode()).hexdigest() == pbm_sha
         self.json_rows(m)
+
+    def test_exports_match_an_entry_oracle(self, monkeypatch, rows):
+        # every width mod 8, labels with multi-digit elements; the oracle
+        # formats each entry and label on its own
+        big = [FinSet((10 ** 12,)), FinSet((10, 11)), FinSet((3, 10 ** 12))]
+        firsts = big + list(schreier_sets_upto(6))
+        seconds = big + enumerate_members(SCHREIER_SQUARE, 5)
+        for w in range(18):
+            self.shrink(monkeypatch, rows, w)
+            for h in (0, 1, 9):
+                for m in (matrix_from_sets("K", firsts[:h], seconds[:w]),
+                          matrix_from_sets("L", seconds[:h], firsts[:w])):
+                    assert m.shape == (h, w)
+                    grid = m.entries.tolist()
+                    assert to_csv(m) == (
+                        "," + ",".join(c.csv_cell() for c in m.cols) + "\n"
+                        + "".join(r.csv_cell() + "," + ",".join(map(str, row))
+                                  + "\n" for r, row in zip(m.rows, grid)))
+                    assert to_pbm(m) == f"P1\n{w} {h}\n" + "".join(
+                        " ".join(map(str, row)) + "\n" for row in grid)
+                    assert "".join(self.pieces(m, "json")) == \
+                        json.dumps(grid, separators=(",", ":"))
 
     def test_write_sends_the_pieces(self, monkeypatch, rows):
         self.shrink(monkeypatch, rows, 5)
