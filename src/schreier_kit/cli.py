@@ -6,6 +6,9 @@ exports, ``tree`` for averaging chains, ``verify`` for the invariant
 suites.  Results go to standard output as JSON lines (CSV for matrices),
 diagnostics to standard error.  Exit status: 0 on success, 1 when a
 verification fails, 2 on bad input or usage.
+
+The invariant suites are imported by the ``verify`` handler when it
+starts, so no other command compiles or loads them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import os
 import sys
 
-from . import compacta, verify as verify_mod
+from . import compacta
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
                         cancellation_error, cancellation_runs,
                         cancellation_value, sweep_generators)
@@ -308,6 +311,8 @@ def _cmd_tree_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod  # the one command that runs suites
+
     if args.suite is not None and args.suite not in verify_mod.SUITES:
         known = ", ".join(verify_mod.SUITES)
         print(f"error: unknown suite {args.suite!r}; one of: {known}",

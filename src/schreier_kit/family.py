@@ -713,18 +713,21 @@ def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
     """All members inside [1..bound], in length-then-lex order; refused
     beyond ``_ENUM_LIMIT`` sets held.  The frontier grows every prefix of a
     member by increasing elements, each level in order, so it needs no
-    sort; it carries each prefix's state and universe position (a range
-    universe is sliced, never listed), so a candidate costs one step, and
-    the final states are the members.  A negative bound is refused."""
+    sort; it carries each prefix as a ``FinSet`` with its state and
+    universe position (a range universe is sliced, never listed), so a
+    candidate costs one step, and the prefixes whose states are final are
+    the members.  A prefix grows by ``FinSet.appended``, which checks only
+    the new element.  A negative bound is refused."""
     if bound < 0:
         raise ValueError(f"the truncation bound must be >= 0, got {bound}")
     universe = index_elements_between(effective_index(expr), 0, bound)
     init, step, final = _stepper(expr)
-    out = [()] if final(init) else []
-    frontier = [((), init, 0)]
+    empty = FinSet()
+    out = [empty] if final(init) else []
+    frontier = [(empty, init, 0)]
     while frontier:
         nxt = []
-        for els, state, i in frontier:
+        for s, state, i in frontier:
             for m in universe[i:]:
                 i += 1
                 grown = step(state, m)
@@ -732,10 +735,10 @@ def enumerate_members(expr: FamilyExpr, bound: int) -> list[FinSet]:
                     if len(out) + len(nxt) == _ENUM_LIMIT:
                         raise ValueError(f"more than {_ENUM_LIMIT} members within "
                                          f"[1..{universe[-1]}]; lower the bound")
-                    nxt.append((els + (m,), grown, i))
-        out.extend(els for els, state, _ in nxt if final(state))
+                    nxt.append((s.appended(m), grown, i))
+        out.extend(s for s, state, _ in nxt if final(state))
         frontier = nxt
-    return [FinSet(els) for els in out]
+    return out
 
 
 def _powerset(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -74,6 +74,18 @@ class FinSet:
             return self
         return FinSet.of(self.elems + (m,))
 
+    def appended(self, m: int) -> "FinSet":
+        """self with ``m`` added above its maximum.  Only ``m`` is checked:
+        it must be an integer greater than every element (and >= 1), so a
+        set grown from a checked one, an element at a time, checks each
+        element once."""
+        if type(m) is not int or m <= (self.elems[-1] if self.elems else 0):
+            raise ValueError(f"can only append an integer above "
+                             f"{self.max_or_0}, got {m!r}")
+        grown = object.__new__(FinSet)
+        object.__setattr__(grown, "elems", self.elems + (m,))
+        return grown
+
     def restrict_to(self, bound: int) -> "FinSet":
         """Intersection with [1..bound]."""
         return FinSet(tuple(m for m in self.elems if m <= bound))

@@ -390,6 +390,48 @@ def test_fuzzed_steps_agree_with_exhaustive_membership(expr):
             assert stepped == family._member_exhaustive(expr, els + (m,)), (els, m)
 
 
+def enumerate_by_tuples(expr, bound):
+    """The frontier walk over element tuples, one ``FinSet`` per member
+    built at the end: the route ``enumerate_members`` took before it
+    carried ``FinSet``s grown by ``appended``."""
+    universe = index_elements_between(effective_index(expr), 0, bound)
+    init, step, final = family._stepper(expr)
+    out = [()] if final(init) else []
+    frontier = [((), init, 0)]
+    while frontier:
+        nxt = []
+        for els, state, i in frontier:
+            for m in universe[i:]:
+                i += 1
+                grown = step(state, m)
+                if grown is not None:
+                    nxt.append((els + (m,), grown, i))
+        out.extend(els for els, state, _ in nxt if final(state))
+        frontier = nxt
+    return [FinSet(els) for els in out]
+
+
+def assert_members_are_checked_sets(expr, bound):
+    found = enumerate_members(expr, bound)
+    assert found == enumerate_by_tuples(expr, bound)
+    for s in found:
+        assert type(s) is FinSet and s == FinSet(s.elems), s
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fuzz_families(), st.integers(0, 8))
+def test_fuzzed_enumerations_grow_checked_sets(expr, bound):
+    assert_members_are_checked_sets(expr, bound)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, "w"])
+def test_grid_enumerations_grow_checked_sets(alpha):
+    # the bench's four: the K 14x14 and L 13x13 rows and columns at w
+    for bound in (13, 14):
+        assert_members_are_checked_sets(base_family(alpha), bound)
+        assert_members_are_checked_sets(product_family(alpha), bound)
+
+
 # A brute horizon for "infinitely many one-point extensions above s": 120
 # consecutive points meet every residue of the fuzzed progressions and of
 # their meets, and the powers of 2, 3 and 4 up to 10**9 reach the powers

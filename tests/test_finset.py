@@ -77,6 +77,20 @@ class TestAlgebra:
         assert s.with_element(3) == FinSet((2, 3, 5))
         assert s.with_element(5) is s
 
+    def test_appended_adds_one_element_above_the_maximum(self):
+        assert FinSet((2, 5)).appended(7) == FinSet((2, 5, 7))
+        assert EMPTY.appended(1) == FinSet((1,))
+        grown = FinSet((2,)).appended(10 ** 30)
+        assert grown == FinSet(grown.elems)
+        assert hash(grown) == hash(FinSet((2, 10 ** 30)))
+
+    @pytest.mark.parametrize("s, m", [
+        (FinSet((2, 5)), True), (FinSet((2, 5)), 2.0), (FinSet((2, 5)), 5),
+        (FinSet((2, 5)), 3), (EMPTY, 0), (EMPTY, True), (EMPTY, -1)])
+    def test_appended_refuses_all_but_an_integer_above_the_maximum(self, s, m):
+        with pytest.raises(ValueError, match="append an integer above"):
+            s.appended(m)
+
     def test_restrict_to(self):
         s = FinSet((2, 5, 8, 13))
         assert s.restrict_to(8) == FinSet((2, 5, 8))
