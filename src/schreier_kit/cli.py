@@ -461,11 +461,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except OSError as exc:  # after BrokenPipeError, which is an OSError
-        # an output file that cannot be opened or written (--pbm)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # every library error is a ValueError
+    except (OSError, ValueError) as exc:  # after BrokenPipeError, an OSError
+        # an output file that cannot be written (--pbm), or a library error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

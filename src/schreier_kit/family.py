@@ -766,9 +766,11 @@ def enumerate_members_naive(expr: FamilyExpr, bound: int) -> list[FinSet]:
 def rank(expr: FamilyExpr) -> Ordinal:
     """Cantor-Bendixson rank in Cantor normal form.
 
-    cube(a,k) has rank k+1 and schreier has rank w+1; an infinite
-    restriction keeps the rank; a product multiplies the ranks' predecessors
-    (left factor first: the rank of prod(F,G) is (rank F - 1)*(rank G - 1)+1).
+    cube(a,k) has rank k+1 and schreier has rank w+1; a restriction keeps
+    the rank; a product multiplies the ranks' predecessors (left factor
+    first: the rank of prod(F,G) is (rank F - 1)*(rank G - 1)+1).  A leaf
+    left with finitely many elements to use, by the restrictions above it
+    or by a product's left factor, is refused.
     """
     return _rank(expr)[0]
 
@@ -780,21 +782,24 @@ def rank_is_rule_derived(expr: FamilyExpr) -> bool:
     return _rank(expr)[1]
 
 
-def _rank(expr: FamilyExpr) -> tuple[Ordinal, bool]:
+def _rank(expr: FamilyExpr, within: IndexSet = All()) -> tuple[Ordinal, bool]:
     """The rank and whether some product's rule ran outside its checked
-    cases: the one walk behind ``rank`` and ``rank_is_rule_derived``."""
-    if isinstance(expr, Schreier):
-        return OMEGA + ONE, False
-    if isinstance(expr, Cube):
-        return Ordinal.nat(expr.size + 1), False
-    if isinstance(expr, Restrict):
-        if not expr.index.definitely_infinite:
+    cases: the one walk behind ``rank`` and ``rank_is_rule_derived``.
+    ``within`` meets the restrictions above ``expr``; a right factor's
+    meets its left factor's index too, which holds the block minima."""
+    if isinstance(expr, (Schreier, Cube)):
+        if not _meet(within, effective_index(expr)).definitely_infinite:
             raise DegenerateIndexError(
                 "rank needs an infinite index set at every restriction")
-        return _rank(expr.base)
+        if isinstance(expr, Schreier):
+            return OMEGA + ONE, False
+        return Ordinal.nat(expr.size + 1), False
+    if isinstance(expr, Restrict):
+        return _rank(expr.base, _meet(within, expr.index))
     if isinstance(expr, Product):
-        left, left_derived = _rank(expr.left)
-        right, right_derived = _rank(expr.right)
+        left, left_derived = _rank(expr.left, within)
+        right, right_derived = _rank(
+            expr.right, _meet(within, effective_index(expr.left)))
         checked = (isinstance(expr.left, Schreier)
                    and (isinstance(expr.right, Schreier)
                         or (isinstance(expr.right, Cube)

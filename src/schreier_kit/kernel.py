@@ -222,13 +222,14 @@ def _incidence(ss, ts, transposed: bool):
     """The packed incidence table, the index array (a column per result
     row) and the number of result columns of a ``parity_matrix`` fill.
 
-    Only positions i below ``width``, the deepest decomposition or the
-    longest s if that is shorter, can hit, and parity(s, t) is 1 XOR the
-    XOR over those i of [s_i in t's block i].  So the table has a row for
-    each pair (i, m) of an element m of a block i of some t, numbered from
-    1, and row 0 is all zero.  Untransposed, row (i, m) has bit j set when
-    m lies in block i of ts[j], and the index column of s picks the row of
-    (i, s_i) for each i, or row 0.  Transposed, row (i, m) has bit k set
+    Only positions i below ``width``, the deepest decomposition, can hit:
+    a longer s is cut there, and blocks past the longest s are keyed too,
+    as rows that no s picks.  parity(s, t) is 1 XOR the XOR over those i
+    of [s_i in t's block i].  So the table has a row for each pair (i, m)
+    of an element m of a block i of some t, numbered from 1, and row 0 is
+    all zero.  Untransposed, row (i, m) has bit j set when m lies in block
+    i of ts[j], and the index column of s picks the row of (i, s_i) for
+    each i, or row 0.  Transposed, row (i, m) has bit k set
     when the i-th element of ss[k] is m, and the index column of t picks
     the row of each of its pairs, padded with row 0.  Both layouts
     scatter their bits into a transient 0/1 array, about 8 times the
@@ -263,16 +264,14 @@ def _incidence(ss, ts, transposed: bool):
     block = np.zeros(len(ids) + 1, dtype=np.intp)
     pos = starts.copy()
     rest = counts.copy()
-    depth = 0
+    width = 0  # the deepest decomposition
     while np.count_nonzero(rest):
-        if depth == longest:
-            held = pos - starts  # the elements that can hit
         block[pos] = 1
         step = clip.take(ids.take(pos, mode="clip"))
         np.minimum(step, rest, out=step)
         pos += step
         rest -= step
-        depth += 1
+        width += 1
     block = block[:-1]
     first = starts[counts > 0]
     if first.size:
@@ -286,15 +285,9 @@ def _incidence(ss, ts, transposed: bool):
         nblocks[0] = 0
         block[first] = nblocks
         block.cumsum(out=block)
-    width = min(depth, longest)
     # ``ids`` becomes the key number(m) * width + i of each pair (i, m)
     ids *= width
     ids += block
-    if width < depth:
-        # the blocks from the width on can never hit
-        ids = ids[block < width]
-        counts = held
-        starts = counts.cumsum() - counts
     del block
     # table rows numbered by key; an element of no t, and a position past
     # the end of a short s, read the key of number ``len(number)``, which

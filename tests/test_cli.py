@@ -55,6 +55,22 @@ class TestFam:
         assert code == 0
         assert out == '{"family":"S2","rank":"w^2+1","rule_derived":false}\n'
 
+    @pytest.mark.parametrize("text", [
+        "restrict(restrict(schreier, ap(3,2)), ap(2,4))",
+        "restrict(prod(schreier, restrict(schreier, powers(3))), powers(2))",
+        "restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rank_of_a_finite_meet_exits_2(self, run_cli, text, fmt):
+        code, out, err = run_cli(["fam", "rank", text, "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == ("error: rank needs an infinite index set at every "
+                       "restriction\n")
+
+    def test_rank_of_an_infinite_meet_is_answered(self, run_cli):
+        code, out, _ = run_cli(["fam", "rank", "restrict(S2, powers(2))"])
+        assert code == 0 and out == "w^2+1\n"
+
     def test_enum_emits_one_json_object_per_set(self, run_cli):
         code, out, _ = run_cli(["fam", "enum", "schreier", "--max", "4"])
         assert code == 0
@@ -390,6 +406,12 @@ class TestCompacta:
                                 "--s1", "{2,16}"])
         assert code == 0
         assert out == ('{"s0":[2,8],"s1":[2,16],"theta0":1,"theta1":0,'
+                       '"witness":[2,3,8,9,10,11,12,13,14,15]}\n')
+        # s1 a proper prefix of s0: the witness follows s0
+        code, out, _ = run_cli(["compacta", "witness", "--s0", "{2,8}",
+                                "--s1", "{2}"])
+        assert code == 0
+        assert out == ('{"s0":[2,8],"s1":[2],"theta0":1,"theta1":0,'
                        '"witness":[2,3,8,9,10,11,12,13,14,15]}\n')
 
     def test_search_golden(self, run_cli):

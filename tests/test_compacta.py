@@ -319,6 +319,9 @@ class TestPowersWitness:
         # one set a prefix of the other: the witness tracks the longer one
         assert powers_witness(FinSet((2,)), FinSet((2, 8))) == \
             FinSet((2, 3)) | interval(8, 15)
+        # mirrored, s1 a proper prefix of s0: the same witness
+        assert powers_witness(FinSet((2, 8)), FinSet((2,))) == \
+            powers_witness(FinSet((2,)), FinSet((2, 8)))
 
     def test_witness_separates(self):
         s0, s1 = FinSet((2, 8)), FinSet((2, 16))

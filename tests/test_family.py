@@ -886,6 +886,12 @@ RANK_GRID = [
     ("restrict(S2, from(3))", "w^2+1", False),
     ("restrict(prod(cube(2,2), schreier), ap(1,2))", "w+1", True),
     ("prod(restrict(S2, powers(3)), cube(4,4))", "w^2*4+1", True),
+    # infinite meets of nested restrictions, and of a right factor's index
+    # with its left factor's
+    ("restrict(restrict(schreier, powers(2)), ap(1,3))", "w+1", False),
+    ("prod(restrict(schreier, powers(2)), restrict(schreier, powers(4)))",
+     "w^2+1", True),
+    ("restrict(prod(schreier, cube(3,2)), ap(1,2))", "w*2+1", True),
 ]
 
 
@@ -928,13 +934,30 @@ class TestRank:
         "prod(cube(2,2), restrict(schreier, {1,2}))",
         "restrict(restrict(schreier, {1,2,3}), from(2))",
         "restrict(restrict(S2, powers(2)), {2,4})",
+        # finite meets of infinite indexes, whose exact ranks (1 for {∅})
+        # are not derived yet: these restrictions meet in the empty set
+        "restrict(restrict(schreier, ap(3,2)), ap(2,4))",
+        # the right factor's powers of 3 within the powers of 2 are {1}
+        "restrict(prod(schreier, restrict(schreier, powers(3))), powers(2))",
+        "prod(restrict(schreier, powers(2)), restrict(schreier, powers(3)))",
+        # no power of 2 is a multiple of 1000003
+        "restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
+        "restrict(restrict(cube(1,2), powers(2)), ap(1000003,1000003))",
     ])
     def test_the_flag_refuses_what_rank_refuses(self, text):
         expr = parse_family(text)
-        with pytest.raises(DegenerateIndexError):
+        with pytest.raises(DegenerateIndexError, match="infinite index"):
             rank(expr)
-        with pytest.raises(DegenerateIndexError):
+        with pytest.raises(DegenerateIndexError, match="infinite index"):
             rank_is_rule_derived(expr)
+
+    def test_a_meet_whose_residue_walk_gives_up_is_refused(self):
+        # the powers of 2 that are 1 mod 99999989 form an infinite set,
+        # but the walk that would find its cycle stops first
+        expr = parse_family(
+            "restrict(restrict(schreier, powers(2)), ap(1,99999989))")
+        with pytest.raises(DegenerateIndexError, match="gave up"):
+            rank(expr)
 
     def test_rank_and_flag_values(self):
         # the rank_consistency goldens, none of them rule-derived

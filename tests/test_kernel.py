@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schreier_kit import family, kernel
+from schreier_kit import averaging, family, kernel
 from schreier_kit.compacta import matrix_from_sets
 from schreier_kit.finset import EMPTY, FinSet
 from schreier_kit.kernel import (
@@ -443,3 +443,27 @@ def test_packed_fill_holds_no_second_grid(s2_upto_14, transposed):
     assert peak <= got.nbytes + bound
     # a fill splits its columns without the memo of ``decompose``
     assert kernel._decompose_elems.cache_info().currsize == 0
+
+
+def test_blocks_past_every_first_coordinate(s2_upto_14):
+    # the fill keys every block of every column; the blocks past the
+    # longest s are table rows that no K row picks and that L XORs in empty
+    ss = family.enumerate_members(family.SCHREIER, 4)
+    ts = [t for t in s2_upto_14 if t and len(decompose(t).blocks) >= 3]
+    assert max(map(len, ss)) == 2 and len(ts) == 40
+    assert_grid_is_the_oracle(ss, ts)
+    assert_grid_is_the_oracle(ss, ts + HUGE_TS)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_averages_against_a_union_one_block_deeper(n):
+    # the grids of the averaging.parity_table suite: the picks of a depth-k
+    # block average against the chain's union t0 and its extension's t1
+    for s in family.enumerate_members(family.Cube(1, n - 1), 6):
+        chain = averaging.build_chain(n, s, averaging.CanonicalBlocks())
+        k = chain.depth
+        t0, t1 = chain.union(), chain.extend(s.max_or_0 + 1).union()
+        picks = list(averaging.block_average(chain).picks())
+        assert {len(v) for v in picks} == {k}
+        assert len(decompose(t1).blocks) == k + 1
+        assert_grid_is_the_oracle(picks, [t0, t1])
