@@ -372,9 +372,10 @@ def restricted(expr: FamilyExpr, index: IndexSet) -> FamilyExpr:
 
 # (expression, elements) pairs kept by each membership memo.  Enumeration
 # steps from carried states and asks none, so a 14 x 14 kernel matrix asks
-# none; capped verify asks 6,913 keys, uncapped verify 75,451 and
-# `fam enum schreier --max 23` 545,714 (its maximality scans), which an
-# unbounded memo kept to the end (about 100 MB for the latter).
+# none; capped verify asks ``_member`` 6,913 keys and ``_member_exhaustive``
+# 1,535, uncapped verify 75,451 and 24,575, and `fam enum schreier --max
+# 23` asks ``_member`` 545,714 (its maximality scans), which an unbounded
+# memo kept to the end (about 100 MB for the latter).
 _MEMBER_MEMO = 1 << 14
 
 
@@ -747,15 +748,67 @@ def _powerset(universe: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_members_naive(expr: FamilyExpr, bound: int) -> list[FinSet]:
-    """Powerset filter through the composition-search membership route;
-    the enumeration oracle.  A negative bound is refused, as by
-    ``enumerate_members``."""
+    """All members inside [1..bound], in length-then-lex order, built from
+    the definitions; the enumeration oracle.  A negative bound is refused,
+    as by ``enumerate_members``.
+
+    A leaf or a derivative filters the powerset through the
+    composition-search membership route (``_member_exhaustive``), and a
+    restriction filters its base's members by the index.  A product
+    prod(F, G) lists F's and G's members within the bound and walks the
+    chains b_1 < b_2 < ... of nonempty F-members, each block starting above
+    the previous block's end (one bisect on the sorted minima); it keeps a
+    chain's union when the chain's tuple of block minima is in G's list,
+    and ∅ always, as ``_member_exhaustive`` has it.  The minima lie in
+    [1..bound], so G's list decides every chain, and a set that several
+    chains give is kept once.
+
+    The stop rule: a chain whose minima leave G's list grows no further
+    when G is ``_hereditary``.  Such a G is closed under subsets, so its
+    list is closed under prefixes; every chain that extends this one has a
+    minima tuple with the left-over tuple as a prefix, so none of them is
+    kept.  For any other G every chain is walked.  No stepper state and no
+    composition search of a product outside a derivative is read, so
+    agreeing with ``enumerate_members`` still means something."""
     if bound < 0:
         raise ValueError(f"the truncation bound must be >= 0, got {bound}")
-    universe = list(range(1, bound + 1))
-    found = [els for els in _powerset(universe) if _member_exhaustive(expr, els)]
-    found.sort(key=lambda els: (len(els), els))
+    found = sorted(_naive_elems(expr, bound), key=lambda els: (len(els), els))
     return [FinSet(els) for els in found]
+
+
+def _naive_elems(expr: FamilyExpr, bound: int) -> set[tuple[int, ...]]:
+    """The element tuples of ``enumerate_members_naive``, unordered."""
+    if isinstance(expr, Product):
+        return _naive_product(expr, bound)
+    if isinstance(expr, Restrict):
+        contains = expr.index.contains
+        return {els for els in _naive_elems(expr.base, bound)
+                if all(map(contains, els))}
+    return {els for els in _powerset(range(1, bound + 1))
+            if _member_exhaustive(expr, els)}
+
+
+def _naive_product(expr: Product, bound: int) -> set[tuple[int, ...]]:
+    blocks: dict[int, list[tuple[int, ...]]] = {}   # F's members by minimum
+    for b in sorted(_naive_elems(expr.left, bound)):
+        if b:
+            blocks.setdefault(b[0], []).append(b)
+    starts = list(blocks)
+    right = _naive_elems(expr.right, bound)
+    stop = _hereditary(expr.right)
+    found = {()}
+    chains = [((), ())]                             # (union, block minima)
+    while chains:
+        union, minima = chains.pop()
+        for m in starts[bisect_right(starts, union[-1] if union else 0):]:
+            grown = minima + (m,)
+            kept = grown in right
+            if kept or not stop:
+                for b in blocks[m]:
+                    if kept:
+                        found.add(union + b)
+                    chains.append((union + b, grown))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +822,9 @@ def rank(expr: FamilyExpr) -> Ordinal:
     cube(a,k) has rank k+1 and schreier has rank w+1; a restriction keeps
     the rank; a product multiplies the ranks' predecessors (left factor
     first: the rank of prod(F,G) is (rank F - 1)*(rank G - 1)+1).  A leaf
-    left with finitely many elements to use, by the restrictions above it
-    or by a product's left factor, is refused.
+    left with no element to use, by the restrictions above it or by a
+    product's left factor, is {∅} and has rank 1; a leaf left with
+    finitely many but some is refused.
     """
     return _rank(expr)[0]
 
@@ -788,7 +842,10 @@ def _rank(expr: FamilyExpr, within: IndexSet = All()) -> tuple[Ordinal, bool]:
     ``within`` meets the restrictions above ``expr``; a right factor's
     meets its left factor's index too, which holds the block minima."""
     if isinstance(expr, (Schreier, Cube)):
-        if not _meet(within, effective_index(expr)).definitely_infinite:
+        meet = _meet(within, effective_index(expr))
+        if isinstance(meet, Explicit) and not meet.members:
+            return ONE, False        # no element left: the family is {∅}
+        if not meet.definitely_infinite:
             raise DegenerateIndexError(
                 "rank needs an infinite index set at every restriction")
         if isinstance(expr, Schreier):

@@ -115,12 +115,13 @@ def _block_lengths(elems: tuple[int, ...]) -> tuple[int, ...]:
 # refusal raises and is not kept.  Grid fills split their columns by
 # whole-array passes and keep nothing here, so the bench's matrix workload
 # (`compacta matrix` and `inject`) and `tree sweep` never call it.
-# `verify --max 8` calls it 7,034 times: 6,639 hits and 395 misses, 128
-# of them refusals, keeping 267 entries; uncapped `verify` 39,626 hits and
-# 4,937 misses, keeping 2,666.  A hit costs about 0.3 us; a miss splits,
-# builds and validates the frozen ``Decomposition`` and its block FinSets,
-# about 10 us for 41 elements in 4 blocks (2-core VM).  4,096 entries hold
-# every set either workload asks for.
+# `verify --max 8` calls it 660 times: 265 hits and 395 misses, 128 of
+# them refusals, keeping 267 entries; uncapped `verify` 3,678 hits and
+# 4,937 misses, keeping 2,666 (``compacta.powers_witness`` keeps the
+# decompositions of its witnesses itself).  A hit costs about 0.3 us; a
+# miss splits, builds and validates the frozen ``Decomposition`` and its
+# block FinSets, about 10 us for 41 elements in 4 blocks (2-core VM).
+# 4,096 entries hold every set either workload asks for.
 @lru_cache(maxsize=1 << 12)
 def _decompose_elems(elems: tuple[int, ...]) -> Decomposition:
     blocks = []

@@ -151,6 +151,9 @@ SMALL_INPUTS = [
      {"separator": [2]}),
     (["fam", "enum", "prod(schreier, restrict(schreier, powers(2)))",
       "--max", "16"], 4774),
+    # the two restrictions meet in the empty set: the family is {∅}
+    (["fam", "rank", "--format", "json",
+      "restrict(restrict(schreier, ap(3,2)), ap(2,4))"], {"rank": "1"}),
     (["tree", "sweep", "--n", "15000", "--support-max", "15000"],
      "error: the sweep would build more than 100000 chains; lower --n, "
      "--support-max or --seeds\n"),

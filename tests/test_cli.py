@@ -57,8 +57,22 @@ class TestFam:
 
     @pytest.mark.parametrize("text", [
         "restrict(restrict(schreier, ap(3,2)), ap(2,4))",
-        "restrict(prod(schreier, restrict(schreier, powers(3))), powers(2))",
+        # no power of 2 is a multiple of 1000003
         "restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rank_of_an_empty_meet_is_1(self, run_cli, text, fmt):
+        # the meet leaves the leaf no element: the family is {∅}
+        code, out, _ = run_cli(["fam", "rank", text, "--format", fmt])
+        assert code == 0
+        if fmt == "text":
+            assert out == "1\n"
+        else:
+            assert json.loads(out) == {"family": text, "rank": "1",
+                                       "rule_derived": False}
+
+    @pytest.mark.parametrize("text", [
+        "restrict(prod(schreier, restrict(schreier, powers(3))), powers(2))",
     ])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_rank_of_a_finite_meet_exits_2(self, run_cli, text, fmt):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from schreier_kit import compacta, kernel
+from schreier_kit import compacta, kernel, verify
 from schreier_kit.compacta import (
     ThetaMatrix,
     build_matrix,
@@ -335,6 +335,64 @@ class TestPowersWitness:
             powers_witness(FinSet((2, 3)), FinSet((2, 4)))
         with pytest.raises(ValueError, match="not schreier"):
             powers_witness(FinSet((1, 2)), FinSet((4,)))
+
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_every_call_refuses_after_its_sets_were_accepted(self, cold):
+        if cold:
+            compacta._exponents.cache_clear()
+            compacta._dyadic.cache_clear()
+        refused = [
+            ((FinSet((2, 4)), FinSet((2, 4))), "the two sets must differ"),
+            ((FinSet((2, 4)), FinSet((2, 3))),
+             "{2,3} is not a set of powers of two"),
+            ((FinSet((2, 3)), FinSet((2, 4))),
+             "{2,3} is not a set of powers of two"),
+            ((FinSet((4,)), FinSet((1, 2))), "{1,2} is not schreier"),
+            ((FinSet((1, 2)), FinSet((4,))), "{1,2} is not schreier"),
+        ]
+        # the sets {2,4} and {4} are accepted first, in other pairs
+        assert powers_witness(FinSet((2, 4)), FinSet((2, 8))) == \
+            FinSet((2, 3, 4, 5, 6, 7))
+        assert powers_witness(FinSet((4,)), FinSet((8,))) == interval(4, 7)
+        for _ in range(3):
+            for pair, message in refused:
+                with pytest.raises(ValueError) as info:
+                    powers_witness(*pair)
+                assert str(info.value) == message, pair
+
+    def test_memoized_witnesses_equal_a_build_from_scratch(self):
+        rows = verify._powers_schreier(6, 4)
+        compacta._exponents.cache_clear()
+        compacta._dyadic.cache_clear()
+        for _ in range(2):      # cold, then from the memos
+            for s0, s1 in itertools.combinations(rows, 2):
+                want = witness_from_scratch(s0, s1)
+                assert powers_witness(s0, s1) == want, (s0, s1)
+                assert powers_witness(s1, s0) == want, (s1, s0)
+                assert kernel.parity(s0, want) != kernel.parity(s1, want)
+        # one memo entry per set and per distinct witness
+        assert compacta._exponents.cache_info().currsize == len(rows)
+        distinct = {witness_from_scratch(s0, s1)
+                    for s0, s1 in itertools.combinations(rows, 2)}
+        assert compacta._dyadic.cache_info().currsize == len(distinct)
+
+
+def witness_from_scratch(s0, s1):
+    """The dyadic witness from its definition, with no memo: the intervals
+    [2^e, 2^(e+1)-1] for the exponents of the set holding the smaller (or
+    only) element at the first divergence, up to and including it."""
+    e0 = [m.bit_length() - 1 for m in s0]
+    e1 = [m.bit_length() - 1 for m in s1]
+    k = next((i for i, (a, b) in enumerate(zip(e0, e1)) if a != b),
+             min(len(e0), len(e1)))
+    if k == len(e0):
+        chosen = e1
+    elif k == len(e1):
+        chosen = e0
+    else:
+        chosen = min(e0, e1, key=lambda es: es[k])
+    return FinSet(tuple(m for e in chosen[:k + 1]
+                        for m in range(1 << e, 1 << (e + 1))))
 
 
 class TestSearch:

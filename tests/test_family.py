@@ -3,7 +3,9 @@ and symbolic ranks.
 
 Membership has two independent routes: the structural fast path used by
 `member` and the exhaustive composition search.  Enumeration likewise has a
-pruned generator and a brute powerset filter.  The agreement tests here pin
+pruned generator and an oracle built from the definitions (a powerset
+filter at the leaves, chains of blocks for products), which is itself held
+to the composition search subset by subset.  The agreement tests here pin
 the two sides of each pair against one another on full truncations.
 """
 
@@ -52,7 +54,7 @@ from schreier_kit.family import (
     tail_threshold,
 )
 from schreier_kit.finset import EMPTY, FinSet
-from schreier_kit.ordinal import Ordinal
+from schreier_kit.ordinal import ONE, Ordinal
 
 
 def sets(expr, bound):
@@ -388,6 +390,40 @@ def test_fuzzed_steps_agree_with_exhaustive_membership(expr):
         for m in STEP_PROBES:
             stepped = state is not None and step(state, m) is not None
             assert stepped == family._member_exhaustive(expr, els + (m,)), (els, m)
+
+
+def assert_naive_enumeration_is_composition_search(expr, bound):
+    """``enumerate_members_naive`` lists, in length-then-lex order, exactly
+    the subsets of [1..bound] that ``member_by_composition_search`` takes."""
+    subsets = [FinSet(els) for k in range(bound + 1)
+               for els in itertools.combinations(range(1, bound + 1), k)]
+    assert enumerate_members_naive(expr, bound) == [
+        s for s in subsets if member_by_composition_search(expr, s)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzz_families(), st.integers(0, 10))
+def test_fuzzed_naive_enumeration_agrees_with_composition_search(expr, bound):
+    assert_naive_enumeration_is_composition_search(expr, bound)
+
+
+@pytest.mark.parametrize("expr", [
+    # right factors that are not _hereditary: every chain is walked
+    parse_family("prod(schreier, prod(schreier, restrict(schreier, powers(2))))"),
+    parse_family("prod(cube(1,2), prod(schreier, restrict(cube(1,2), ap(2,2))))"),
+    # a derivative of a non-hereditary base is not even prefix-closed: it
+    # holds {2,6,7} but not {2,6}, so a chain that leaves its list can
+    # come back to it
+    Product(SCHREIER, family.Derived(
+        parse_family("prod(schreier, restrict(schreier, {2,4,5,7,11}))"))),
+    # restrictions of products
+    parse_family("restrict(S2, powers(2))"),
+    parse_family("restrict(prod(cube(2,2), schreier), ap(1,2))"),
+    parse_family("restrict(restrict(prod(schreier, S2), from(2)), ap(2,1))"),
+], ids=["nested", "nested-cube", "derived", "restrict-S2",
+        "restrict-prod", "restrict-restrict-prod"])
+def test_naive_enumeration_of_named_products(expr):
+    assert_naive_enumeration_is_composition_search(expr, 9)
 
 
 def enumerate_by_tuples(expr, bound):
@@ -934,15 +970,11 @@ class TestRank:
         "prod(cube(2,2), restrict(schreier, {1,2}))",
         "restrict(restrict(schreier, {1,2,3}), from(2))",
         "restrict(restrict(S2, powers(2)), {2,4})",
-        # finite meets of infinite indexes, whose exact ranks (1 for {∅})
-        # are not derived yet: these restrictions meet in the empty set
-        "restrict(restrict(schreier, ap(3,2)), ap(2,4))",
-        # the right factor's powers of 3 within the powers of 2 are {1}
+        # finite nonempty meets of infinite indexes, whose exact ranks are
+        # not derived yet: the right factor's powers of 3 within the powers
+        # of 2 are {1}
         "restrict(prod(schreier, restrict(schreier, powers(3))), powers(2))",
         "prod(restrict(schreier, powers(2)), restrict(schreier, powers(3)))",
-        # no power of 2 is a multiple of 1000003
-        "restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
-        "restrict(restrict(cube(1,2), powers(2)), ap(1000003,1000003))",
     ])
     def test_the_flag_refuses_what_rank_refuses(self, text):
         expr = parse_family(text)
@@ -950,6 +982,26 @@ class TestRank:
             rank(expr)
         with pytest.raises(DegenerateIndexError, match="infinite index"):
             rank_is_rule_derived(expr)
+
+    @pytest.mark.parametrize("text", [
+        # these restrictions meet in the empty set
+        "restrict(restrict(schreier, ap(3,2)), ap(2,4))",
+        # no power of 2 is a multiple of 1000003
+        "restrict(restrict(schreier, powers(2)), ap(1000003,1000003))",
+        "restrict(restrict(cube(1,2), powers(2)), ap(1000003,1000003))",
+    ])
+    def test_an_empty_meet_leaves_empty_set_of_rank_1(self, text):
+        expr = parse_family(text)
+        assert enumerate_members(expr, 12) == [EMPTY]
+        assert rank(expr) == ONE
+        assert not rank_is_rule_derived(expr)
+
+    def test_an_empty_factor_makes_the_product_rank_1(self):
+        for text in ["prod(schreier, restrict(schreier, {}))",
+                     "prod(restrict(schreier, {}), schreier)"]:
+            expr = parse_family(text)
+            assert enumerate_members(expr, 12) == [EMPTY], text
+            assert rank(expr) == ONE, text
 
     def test_a_meet_whose_residue_walk_gives_up_is_refused(self):
         # the powers of 2 that are 1 mod 99999989 form an infinite set,

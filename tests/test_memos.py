@@ -31,7 +31,8 @@ def test_every_package_memo_is_bounded():
     memos = dict(_package_memos())
     # the walk finds the memos of every layer that keeps one
     assert {name.split(".")[1] for name in memos} >= {
-        "averaging", "cli", "family", "kernel", "ordinal", "verify"}
+        "averaging", "cli", "compacta", "family", "kernel", "ordinal",
+        "verify"}
     for name, memo in memos.items():
         if inspect.signature(memo.__wrapped__).parameters:
             assert memo.cache_info().maxsize is not None, name
