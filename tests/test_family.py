@@ -970,6 +970,9 @@ class TestRank:
         "prod(cube(2,2), restrict(schreier, {1,2}))",
         "restrict(restrict(schreier, {1,2,3}), from(2))",
         "restrict(restrict(S2, powers(2)), {2,4})",
+        "restrict(restrict(schreier, ap(3,2)), {3,5})",
+        # the only odd power of 2 is 1
+        "restrict(restrict(schreier, powers(2)), ap(1,2))",
         # finite nonempty meets of infinite indexes, whose exact ranks are
         # not derived yet: the right factor's powers of 3 within the powers
         # of 2 are {1}
