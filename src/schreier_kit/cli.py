@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from . import compacta
 from .averaging import (CanonicalBlocks, SeededBlocks, build_chain,
                         cancellation_error, cancellation_runs,
                         cancellation_value, sweep_generators)
-from .family import (enumerate_members, format_family, format_index,
+from .family import (Cube, enumerate_members, format_family, format_index,
                      is_maximal, member, parse_family, parse_index, rank,
                      rank_is_rule_derived)
 from .finset import FinSet, Scanner, TextSyntaxError
@@ -267,11 +266,11 @@ def _cmd_tree_sweep(args) -> int:
         value = getattr(args, flag)
         if value < 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-    # chain sets are the subsets of [1..support_max] with fewer than n
-    # elements; the empty one is always swept, so a bad level still fails
+    # chain sets are the members of cube(1, n - 1) in [1..support_max]; the
+    # empty one is always swept, so a bad level still fails
     sizes = range(min(max(args.n, 1), args.support_max + 1))
-    # counted one size at a time, so a huge sweep stops after a few
-    # binomials; the refusals print no count, which may be too long to print
+    # counted per size before any set is listed, so a huge sweep stops
+    # after a few binomials; a refusal prints no count, which may be huge
     chains = 0
     for r in sizes:
         chains += math.comb(args.support_max, r) * (args.seeds + 1)
@@ -283,10 +282,7 @@ def _cmd_tree_sweep(args) -> int:
                          "cases; lower --m-max, --n, --support-max or --seeds")
     gens = sweep_generators(args.seeds)
     failed = False
-    for els in itertools.chain.from_iterable(
-            itertools.combinations(range(1, args.support_max + 1), r)
-            for r in sizes):
-        s = FinSet(els)
+    for s in enumerate_members(Cube(1, len(sizes) - 1), args.support_max):
         sign = (-1) ** len(s)
         cases = 0
         bad: list[str] = []
@@ -313,11 +309,6 @@ def _cmd_tree_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify as verify_mod  # the one command that runs suites
 
-    if args.suite is not None and args.suite not in verify_mod.SUITES:
-        known = ", ".join(verify_mod.SUITES)
-        print(f"error: unknown suite {args.suite!r}; one of: {known}",
-              file=sys.stderr)
-        return 2
     if args.suite is not None:
         reports = [verify_mod.run_suite(args.suite, args.max)]
     else:

@@ -43,8 +43,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .family import (SCHREIER, All, IndexSet, base_family, enumerate_members,
-                     member, product_family, restricted)
+from .family import (SCHREIER, All, IndexSet, Powers, base_family,
+                     enumerate_members, member, product_family, restricted)
 from .finset import FinSet
 from .kernel import (Decomposition, decompose, parity, parity_matrix,
                      rows_per_block)
@@ -348,13 +348,9 @@ def _exponents(elems: tuple[int, ...]) -> tuple[int, ...]:
     s = FinSet(elems)
     if not member(SCHREIER, s):
         raise ValueError(f"{s} is not schreier")
-    es = []
-    for m in elems:
-        e = m.bit_length() - 1
-        if 1 << e != m:
-            raise ValueError(f"{s} is not a set of powers of two")
-        es.append(e)
-    return tuple(es)
+    if not all(map(Powers(2).contains, elems)):
+        raise ValueError(f"{s} is not a set of powers of two")
+    return tuple(m.bit_length() - 1 for m in elems)
 
 
 @lru_cache(maxsize=_WITNESS_MEMO)
@@ -367,7 +363,9 @@ def _dyadic(exps: tuple[int, ...]) -> tuple[FinSet, Decomposition]:
 
 
 def _schreier_tuples(bound: int) -> Iterator[tuple[int, ...]]:
-    """The element tuples of ``schreier_sets_upto``, in the same order."""
+    """The element tuples of ``schreier_sets_upto``, in the same order and
+    lazily: ``enumerate_members`` holds every set and refuses past 100,000,
+    and `compacta search --t0 "{1000000}"` walks 10**6 singleton rows."""
     yield ()
     # the singletons one at a time: ``combinations`` holds its whole pool,
     # so a size-k pool of bound-k+1 elements is built only after the

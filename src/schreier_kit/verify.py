@@ -825,7 +825,7 @@ cli.suite_coverage
 
 def run_suite(name: str, cap: Optional[int] = None) -> VerifyReport:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+        raise ValueError(f"unknown suite {name!r}; one of: {', '.join(SUITES)}")
     if cap is not None and cap < 1:
         raise ValueError(f"the verify cap (--max) must be >= 1, got {cap}")
     report = VerifyReport(name)

@@ -534,6 +534,24 @@ class TestTree:
         assert all(line["ok"] and not line["failures"] for line in lines)
         assert [line["sign"] for line in lines] == [1, -1, -1, -1, -1, -1]
 
+    @pytest.mark.parametrize("n, support_max, m_max, seeds", [
+        (1, 0, 4, 1),   # only the empty chain set, one seeded generator
+        (4, 2, 6, 2),   # the level asks for more elements than [1..2] has
+        (2, 5, 7, 0),   # the canonical generator alone
+    ])
+    def test_sweep_at_the_clip_edges_matches_the_loop(
+            self, run_cli, n, support_max, m_max, seeds):
+        code, out, _ = run_cli(["tree", "sweep", "--n", str(n),
+                                "--support-max", str(support_max),
+                                "--m-max", str(m_max), "--seeds", str(seeds)])
+        assert code == 0
+        assert out == loop_sweep(n, support_max, m_max, seeds)
+
+    def test_sweep_at_level_0_still_fails(self, run_cli):
+        # the empty chain set is always swept, so a bad level is refused
+        assert run_cli(["tree", "sweep", "--n", "0", "--support-max", "3"]) == (
+            2, "", "error: level must be >= 1\n")
+
     def test_sweep_matches_the_benchmark_golden(self, run_cli):
         golden = json.loads((Path(__file__).parents[1] / "bench"
                              / "golden.json").read_text())["sweep"]

@@ -367,6 +367,16 @@ def test_fuzzed_families_agree_with_their_oracles(expr):
             assert is_maximal(expr, s) == brute, (format_family(expr), str(s))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzz_families())
+def test_effective_index_is_the_first_probe_index(expr):
+    # two recursions, one fact; they stay apart because the probes also meet
+    # a product's right factor, a residue walk that can give up where the
+    # effective index answers at once
+    for e in (expr, family.Derived(expr), Product(expr, family.Derived(expr))):
+        assert effective_index(e) == family._probe_indexes(e)[0]
+
+
 STEP_SETS = [els for k in range(5) for els in itertools.combinations(range(1, 9), k)]
 # 9..13 meet every residue of the fuzzed progressions (steps <= 5) and the
 # top of the explicit sets (<= 12); 16, 27 and 32 are powers of 2, 3 and 4,

@@ -39,9 +39,11 @@ def test_report_serialization_is_stable():
                                                 cap=4).to_json()
 
 
-def test_unknown_suite_raises_keyerror():
-    with pytest.raises(KeyError, match="unknown suite"):
+def test_unknown_suite_raises_valueerror_listing_the_names():
+    with pytest.raises(ValueError) as exc:
         verify.run_suite("kernel.nope")
+    assert str(exc.value) == ("unknown suite 'kernel.nope'; one of: "
+                              + ", ".join(verify.EXPECTED_SUITES))
 
 
 @pytest.mark.parametrize("cap", [0, -5])
