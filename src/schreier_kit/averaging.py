@@ -26,13 +26,16 @@ evaluates every pairing: the product over block positions of
 hit count comes from endpoints on spans, and from a set intersection on
 the FinSets of ``evaluate``.
 
-The structural checks of ``DeltaChain`` decide validity on every
-construction (its docstring says why they suffice).  They are local: each
-span is checked against its predecessor and the first against the level.
-So ``extend``, ``build_chain`` and ``cancellation_runs`` check exactly one
-new span per step (``_next_span``), the same set of checks as rebuilding
-the chain: ``cancellation_runs`` builds no chain for the extension, and
-``build_chain`` builds one, at the end.
+The structural checks of ``DeltaChain`` decide validity (its docstring
+says why they suffice).  They are local: each span is checked against its
+predecessor and the first against the level.  So a valid chain plus one
+checked span is a valid chain, and a prefix of a valid chain is valid.
+Each span is therefore checked once, as it is drawn: ``_drawn_span``
+makes the block checks, and ``_next_span`` adds the checks of the new
+element and the length.  ``build_chain``, ``extend`` and ``prefix``
+assemble their chain from checked parts (``_assembled``) without checking
+it again, and ``cancellation_runs`` builds no chain for the extension.  A
+``DeltaChain`` built by hand still runs every check.
 
 A generator is asked ``start_above(floor, depth)``, with the floor
 max(n, previous end, m), and reads nothing else, so a one-step extension
@@ -145,6 +148,10 @@ class DeltaChain:
     the S2 decomposition, into exactly the chain blocks, and since
     j <= n < a_1 its minima form a member of both schreier and cube(n,n).
     Every leading union therefore lies in prod(schreier, cube(n,n)).
+
+    A chain built by hand runs every check.  ``build_chain``, ``extend``
+    and ``prefix`` skip them: each of their spans was checked once, when
+    it was drawn (``_next_span``).
     """
 
     level: int                     # the n of the ambient prod(schreier,cube(n,n))
@@ -194,15 +201,28 @@ class DeltaChain:
         """The chain for the first j elements of the support."""
         if not 0 <= j <= self.depth:
             raise ChainError(f"no prefix of length {j}")
-        return DeltaChain(self.level, FinSet(self.support.elems[:j]),
+        return _assembled(self.level, FinSet(self.support.elems[:j]),
                           self.spans[:j], self.generator)
 
     def extend(self, m: int) -> "DeltaChain":
         """Append the chain element m (m > max support) with a fresh block."""
         span = _next_span(self.level, self.support.elems, self.spans, m,
                           self.generator)
-        return DeltaChain(self.level, FinSet(self.support.elems + (m,)),
+        return _assembled(self.level, self.support.appended(m),
                           self.spans + (span,), self.generator)
+
+
+def _assembled(level: int, support: FinSet, spans: tuple[Span, ...],
+               generator: BlockGenerator) -> DeltaChain:
+    """The chain of parts already checked, without ``__post_init__``: a
+    valid chain's prefix, or a valid chain plus spans ``_next_span``
+    checked."""
+    chain = object.__new__(DeltaChain)
+    object.__setattr__(chain, "level", level)
+    object.__setattr__(chain, "support", support)
+    object.__setattr__(chain, "spans", spans)
+    object.__setattr__(chain, "generator", generator)
+    return chain
 
 
 def _check_level(n: int) -> None:
@@ -224,30 +244,50 @@ def _next_span(level: int, support_elems: tuple[int, ...],
         raise ChainError(f"{m} does not extend {FinSet(support_elems)}")
     k = len(spans)
     if k + 1 > level:
-        raise ChainError(f"level {level} admits chains of length <= {level}")
-    prev_end = spans[-1][1] if spans else 0
-    p = gen.start_above(max(level, prev_end, m), k + 1)
+        raise _length_error(level)
+    return _drawn_span(level, spans[-1][1] if spans else 0, m, k + 1, gen)
+
+
+def _length_error(level: int) -> ChainError:
+    return ChainError(f"level {level} admits chains of length <= {level}")
+
+
+def _drawn_span(level: int, prev_end: int, m: int, depth: int,
+                gen: BlockGenerator) -> Span:
+    """The block drawn for the element m at ``depth`` <= level, after a
+    block ending at ``prev_end`` (0 at depth 1), with the block checks of
+    ``_next_span``; the caller has checked m and the depth."""
+    p = gen.start_above(max(level, prev_end, m), depth)
     if type(p) is not int:
         raise ChainError(f"block ({p!r}, {2 * p - 1!r}) needs integer ends")
     if p < 1:
         raise ChainError(f"block [{p}, {2 * p - 1}] is not a maximal schreier set")
     if p <= prev_end:
         raise ChainError("blocks must increase strictly")
-    if not spans and p <= level:
+    if depth == 1 and p <= level:
         raise ChainError(f"first block must start above the level {level}")
     return p, 2 * p - 1
 
 
 def build_chain(level: int, support: FinSet,
                 generator: BlockGenerator = CanonicalBlocks()) -> DeltaChain:
-    """Blocks for every prefix of ``support``, drawn by ``generator``; the
-    one ``DeltaChain`` built at the end checks the whole chain once."""
+    """Blocks for every prefix of ``support``, drawn by ``generator``; each
+    is checked once, as it is drawn.  The elements are those of a checked
+    FinSet, so they need only the checks of ``_drawn_span``, and the
+    length is checked where ``_next_span`` checks it: after the first
+    ``level`` draws."""
     _check_level(level)  # first: a generator's floor holds the level
-    elems = support.elems
+    if type(support) is not FinSet:
+        raise ChainError(f"chain set {support!r} must be a FinSet")
     spans: tuple[Span, ...] = ()
-    for k, m in enumerate(elems):
-        spans += (_next_span(level, elems[:k], spans, m, generator),)
-    return DeltaChain(level, support, spans, generator)
+    prev_end = 0
+    for depth, m in enumerate(support.elems[:level], 1):
+        span = _drawn_span(level, prev_end, m, depth, generator)
+        spans += (span,)
+        prev_end = span[1]
+    if len(support.elems) > level:
+        raise _length_error(level)
+    return _assembled(level, support, spans, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +329,16 @@ class BlockAverage:
                              f"explicit-map limit {_EXPLICIT_LIMIT}")
         w = self.weight
         out = {u: w for u in self.indices()}
+        # Every key is a FinSet of one element per block, so all share one
+        # length, and the first, in product order, has the least first
+        # element.  cube(n,n) bounds only the length and the least element,
+        # so if any pick fails the level bound the first one does: it is
+        # the one a check of every pick would name.
+        first = next(iter(out), None)
         cube = Cube(self.level, self.level) if self.level >= 1 else None
-        for u in out:
-            if len(u) != self.depth or (cube and not member(cube, u)):
-                raise AssertionError(f"index {u} violates the level bound")
+        if first is not None and (len(first) != self.depth
+                                  or (cube and not member(cube, first))):
+            raise AssertionError(f"index {first} violates the level bound")
         return out
 
 
@@ -398,8 +444,9 @@ def cancellation_runs(chain: DeltaChain, lo: int,
     extensions draw the same block, and it is paired once.  A generator
     reads only ``start_above(floor, depth)``, so every m up to max(level,
     last end) shares the block of ``lo``, drawn and checked once by
-    ``_next_span``; each m above is drawn with every check ``extend`` makes.
-    The caller compares each value with (-1)^k.
+    ``_next_span``.  Each m above is an integer above ``lo``, so it passes
+    the element and length checks ``lo`` passed, and is drawn with the
+    block checks alone.  The caller compares each value with (-1)^k.
     """
     level, elems, spans, gen = (chain.level, chain.support.elems,
                                 chain.spans, chain.generator)
@@ -408,9 +455,10 @@ def cancellation_runs(chain: DeltaChain, lo: int,
     # lo is checked before any range is built: range(True, 2) starts at 1
     span = _next_span(level, elems, spans, lo, gen)
     start = lo
-    m = max(lo, level, spans[-1][1] if spans else 0) + 1
+    prev_end = spans[-1][1] if spans else 0
+    m = max(lo, level, prev_end) + 1
     while m < stop:
-        drawn = _next_span(level, elems, spans, m, gen)
+        drawn = _drawn_span(level, prev_end, m, len(spans) + 1, gen)
         if drawn != span:
             yield range(start, m), _cancellation_pairing(spans, spans + (span,))
             start, span = m, drawn

@@ -31,7 +31,7 @@ from schreier_kit.averaging import (
     self_pairing,
     union_functional,
 )
-from schreier_kit.family import member, product_family
+from schreier_kit.family import Cube, member, product_family
 from schreier_kit.finset import EMPTY, FinSet, interval
 from schreier_kit.kernel import Decomposition, decompose
 
@@ -117,6 +117,22 @@ class TestChains:
         with pytest.raises(ChainError, match=message):
             DeltaChain(*args)
 
+    def test_build_chain_refuses_a_tuple_chain_set_before_any_draw(self):
+        drawn = []
+
+        class Recording:
+            def start_above(self, floor, depth):
+                drawn.append((floor, depth))
+                return CanonicalBlocks().start_above(floor, depth)
+
+        with pytest.raises(ChainError) as by_build:
+            build_chain(2, (3,), Recording())
+        with pytest.raises(ChainError) as by_init:
+            DeltaChain(2, (3,), ((4, 7),))
+        assert str(by_build.value) == str(by_init.value) == (
+            "chain set (3,) must be a FinSet")
+        assert drawn == []
+
 
 class TestAverages:
     def test_weights_and_index_counts(self):
@@ -134,6 +150,40 @@ class TestAverages:
         table = v.explicit()
         assert sum(table.values()) == 1
         assert set(table) == set(v.indices())
+
+    @pytest.mark.parametrize("v,message", [
+        # two blocks at level 1: every pick is longer than the level allows
+        (BlockAverage(1, (interval(4, 7), interval(8, 15))),
+         "index {4,8} violates the level bound"),
+        # the first block starts below the level 3: picks from 2 fail
+        (BlockAverage(3, (interval(2, 3), interval(4, 7))),
+         "index {2,4} violates the level bound"),
+    ])
+    def test_explicit_map_names_the_first_pick_out_of_the_level(
+            self, v, message):
+        with pytest.raises(AssertionError) as err:
+            v.explicit()
+        assert str(err.value) == message
+
+    def test_explicit_asks_the_first_pick_what_every_pick_would_answer(self):
+        # the level bound of every pick, in product order, against the one
+        # ``explicit`` asks of the first pick only
+        for level in range(1, 5):
+            for starts in itertools.combinations(range(1, 12), 2):
+                for depth in (1, 2):
+                    blocks = tuple(interval(a, a + 1) for a in starts[:depth])
+                    if depth == 2 and blocks[0].max >= blocks[1].min:
+                        continue
+                    v = BlockAverage(level, blocks)
+                    cube = Cube(level, level)
+                    bad = [u for u in v.indices() if not member(cube, u)]
+                    if not bad:
+                        assert sum(v.explicit().values()) == 1
+                        continue
+                    with pytest.raises(AssertionError) as err:
+                        v.explicit()
+                    assert str(err.value) == (
+                        f"index {bad[0]} violates the level bound")
 
     def test_explicit_map_is_guarded(self):
         huge = BlockAverage(3, (interval(512, 1023),) * 3)
@@ -437,6 +487,48 @@ class TestSpanHelper:
     """``build_chain``, ``extend`` and ``cancellation_value`` each check one
     new span per step; these pin them to the chain-by-chain route."""
 
+    def test_unchecked_routes_equal_the_checked_constructor(self):
+        # build_chain, extend and prefix skip __post_init__; rebuilding each
+        # of their chains through it must pass and give an equal chain
+        def checked(c):
+            rebuilt = DeltaChain(c.level, c.support, c.spans, c.generator)
+            assert rebuilt == c and hash(rebuilt) == hash(c), c.spans
+            assert type(c.support) is FinSet and type(c.spans) is tuple
+            return c
+
+        for level, support, gen in _grid():
+            chain = checked(build_chain(level, support, gen))
+            grown = checked(build_chain(level, EMPTY, gen))
+            for m in support:
+                grown = checked(grown.extend(m))
+            for j in range(chain.depth + 1):
+                assert checked(chain.prefix(j)) == DeltaChain(
+                    level, FinSet(support.elems[:j]), chain.spans[:j], gen)
+
+    @pytest.mark.parametrize("gen", [CanonicalBlocks(), SeededBlocks(2)] + [
+        _RogueBlocks(flaw) for flaw in ("overlap", "low first", "float", "zero")])
+    @pytest.mark.parametrize("level,support", [
+        (1, FinSet((2, 3))), (2, FinSet((1, 2, 3))), (2, FinSet((3, 5, 9, 12))),
+        (3, FinSet((2, 5))),
+    ])
+    def test_build_chain_refuses_as_folding_extend_refuses(
+            self, level, support, gen):
+        # the same first refusal, a bad draw before a support too long
+        def folded():
+            chain = DeltaChain(level, EMPTY, (), gen)
+            for m in support:
+                chain = chain.extend(m)
+            return chain
+
+        try:
+            want = folded()
+        except ChainError as err:
+            with pytest.raises(ChainError) as by_build:
+                build_chain(level, support, gen)
+            assert str(by_build.value) == str(err)
+        else:
+            assert build_chain(level, support, gen) == want
+
     def test_build_chain_equals_folding_extend(self):
         for level, support, gen in _grid():
             chain = build_chain(level, support, gen)
@@ -533,17 +625,25 @@ class TestSpanHelper:
     def test_a_sweep_builds_one_chain_per_chain_set_and_generator(
             self, monkeypatch):
         # 130 chain sets (subsets of [1..9] with at most 3 elements) times 31
-        # generators; cancellation_value builds no chain and build_chain one
-        built = 0
-        post_init = DeltaChain.__post_init__
+        # generators; cancellation_runs builds no chain and build_chain one,
+        # assembled from spans _next_span checked, so none is checked again
+        assembled = checked = 0
+        assemble, post_init = averaging._assembled, DeltaChain.__post_init__
 
-        def counting(self):
-            nonlocal built
-            built += 1
+        def counting_assemble(*args):
+            nonlocal assembled
+            assembled += 1
+            return assemble(*args)
+
+        def counting_post_init(self):
+            nonlocal checked
+            checked += 1
             post_init(self)
 
-        monkeypatch.setattr(DeltaChain, "__post_init__", counting)
+        monkeypatch.setattr(averaging, "_assembled", counting_assemble)
+        monkeypatch.setattr(DeltaChain, "__post_init__", counting_post_init)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["tree", "sweep", "--n", "4", "--support-max", "9",
                              "--m-max", "12", "--seeds", "30"]) == 0
-        assert built == 130 * 31 == 4030
+        assert assembled == 130 * 31 == 4030
+        assert checked == 0
